@@ -282,21 +282,27 @@ _SWEEP_RUNNERS = {
 
 def _parse_grid(value) -> list[int]:
     if isinstance(value, int):
-        return [value]
-    if isinstance(value, list) and all(isinstance(v, int) for v in value):
-        return list(value)
-    if isinstance(value, str) and ".." in value:
+        grid = [value]
+    elif isinstance(value, list) and all(isinstance(v, int) for v in value):
+        grid = list(value)
+    elif isinstance(value, str) and ".." in value:
         lo, hi = value.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    raise UsageError(f"bad grid value {value!r}: expected int, list of ints, or 'a..b'")
+        grid = list(range(int(lo), int(hi) + 1))
+    else:
+        raise UsageError(f"bad grid value {value!r}: expected int, list of ints, or 'a..b'")
+    if not grid:
+        raise UsageError(f"grid value {value!r} has no values")
+    return grid
 
 
 def expand_sweep_config(config: dict) -> list[tuple[str, dict]]:
     """Flatten a sweep config into (check, parameter dict) cells, in order."""
     cells = []
-    if not isinstance(config, dict) or "cells" not in config:
+    if not isinstance(config, dict) or not isinstance(config.get("cells"), list):
         raise UsageError("sweep config must be an object with a 'cells' list")
     for entry in config["cells"]:
+        if not isinstance(entry, dict):
+            raise UsageError(f"sweep cell {entry!r} is not an object")
         check = entry.get("check")
         if check not in SWEEP_CHECKS:
             raise UsageError(f"unknown sweep check {check!r}")

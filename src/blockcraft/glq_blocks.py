@@ -51,7 +51,6 @@ from .report import VerificationReport
 from .wreath_local import (
     MetacyclicSpec,
     cyclic_wreath_character_count,
-    irr_lprime_count,
     metacyclic_degrees,
     wreath_degrees,
 )
@@ -183,11 +182,16 @@ def series_is_lprime(label: SeriesLabel, context: EllContext) -> bool:
     return direct
 
 
+def _lprime_total(counter_like, ell: int) -> int:
+    """Total multiplicity of the (degree, multiplicity) pairs with ell not dividing degree."""
+    return sum(mult for deg, mult in counter_like if deg % ell)
+
+
 def irr_lprime_count_gl(n: int, q: int, ell: int) -> int:
     """|Irr_{ell'}(GL_n(q))| by full degree enumeration."""
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    return sum(m for deg, m in all_degrees(n, q).entries if deg % ell)
+    return _lprime_total(all_degrees(n, q).entries, ell)
 
 
 def _local_degree_counter(n: int, context: EllContext) -> Counter:
@@ -209,18 +213,11 @@ def _local_degree_counter(n: int, context: EllContext) -> Counter:
 def local_overgroup_count(n: int, context: EllContext) -> int:
     """|Irr_{ell'}(M)| for the Sylow ell-overgroup M of GL_n(q).
 
-    With n = wd + r this is the ell'-count of (C_{q^d-1} x| C_d) wr S_w times
-    the (recursively enumerated) ell'-count of GL_r(q); for w = 0 the
-    overgroup degenerates to GL_n(q) itself.
+    Counted on M's full degree multiset: with n = wd + r a product of a
+    wreath degree and a GL_r(q) degree is ell' exactly when both factors are;
+    for w = 0 the overgroup degenerates to GL_n(q) itself.
     """
-    q, ell, d = context.q, context.ell, context.d
-    w, r = n // d, n % d
-    if w == 0:
-        return irr_lprime_count_gl(n, q, ell)
-    m = q**d - 1
-    base = metacyclic_degrees(MetacyclicSpec(m=m, d=d, u=q % m))
-    wreath_count = irr_lprime_count(wreath_degrees(base, w), ell)
-    return wreath_count * irr_lprime_count_gl(r, q, ell)
+    return _lprime_total(_local_degree_counter(n, context).items(), context.ell)
 
 
 def _mod_ell_signature(counter_like, ell: int) -> Counter:
@@ -237,18 +234,21 @@ def verify_gl_mckay(n: int, q: int, ell: int) -> VerificationReport:
     """McKay count for GL_n(q) at a prime ell not dividing q.
 
     Global side: ell'-characters from the full Green degree enumeration.
-    Local side: the overgroup count.  A heuristic note records whether the
-    two sides' ell'-degrees also agree mod ell up to sign (the labelled
-    bijection needed to verify that congruence properly is not constructed).
+    Local side: the ell'-count of the overgroup's degree multiset, which is
+    built once and also gives the local mod-ell signature.  A heuristic note
+    records whether the two sides' ell'-degrees also agree mod ell up to sign
+    (the labelled bijection needed to verify that congruence properly is not
+    constructed).
     """
     start = time.perf_counter()
     context = EllContext.of(q, ell)
     global_count = irr_lprime_count_gl(n, q, ell)
-    local_count = local_overgroup_count(n, context)
+    local = _local_degree_counter(n, context).items()
+    local_count = _lprime_total(local, ell)
     w, r = n // context.d, n % context.d
 
     global_sig = _mod_ell_signature(all_degrees(n, q).entries, ell)
-    local_sig = _mod_ell_signature(_local_degree_counter(n, context).items(), ell)
+    local_sig = _mod_ell_signature(local, ell)
     congruent = global_sig == local_sig
 
     elapsed = int((time.perf_counter() - start) * 1000)

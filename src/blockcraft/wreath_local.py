@@ -13,6 +13,16 @@ Clifford theory:
   w! * prod_chi chi(1)^{|phi(chi)|} f(phi(chi)) / |phi(chi)|!   where f is
   the hook-formula dimension of the symmetric-group label.
 
+  The multiset is built without visiting each phi.  A table maps each size
+  t <= w to a Counter of exact partial degrees.  One base character of degree
+  delta has the table t -> {delta^t * f(mu) : mu |- t}, with the f(mu) taken
+  once per t.  Two tables combine by adding sizes, and a pair of partial
+  degrees at sizes t1, t2 multiplies by the binomial C(t1+t2, t1); the
+  product of these binomials over all folds is the integer multinomial
+  w!/prod |phi(chi)|!, so every entry is an exact int and no Fraction is
+  needed.  The k characters of one degree are folded in by binary powering
+  (square and multiply, truncated at size w) rather than k single folds.
+
 Every constructed multiset is verified against sum(mult * degree^2) = |G| at
 construction time, so a wrong degree formula cannot propagate silently.
 """
@@ -22,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .arith import is_prime
 from .errors import CrossCheckError
@@ -104,30 +114,36 @@ def cyclic_degrees(m: int) -> DegreeMultiset:
     return metacyclic_degrees(MetacyclicSpec(m=m, d=1, u=1 % m))
 
 
+def _convolve(left: list[Counter], right: list[Counter], w: int) -> list[Counter]:
+    """Combine two size tables (entry t: partial degree -> count), dropping sizes above w."""
+    out = [Counter() for _ in range(w + 1)]
+    for t1, left_t in enumerate(left):
+        for t2 in range(w + 1 - t1):
+            scale = comb(t1 + t2, t1)
+            for d1, c1 in left_t.items():
+                for d2, c2 in right[t2].items():
+                    out[t1 + t2][scale * d1 * d2] += c1 * c2
+    return out
+
+
 def wreath_degrees(base: DegreeMultiset, w: int) -> DegreeMultiset:
     """Degree multiset of (base group) wr S_w."""
     if w < 0:
         raise ValueError("w must be nonnegative")
-    chars = list(base.degrees())
-    counts: Counter = Counter()
-
-    def assign(idx: int, remaining: int, num: int, denom: int) -> None:
-        if idx == len(chars):
-            if remaining == 0:
-                counts[factorial(w) // denom * num] += 1
-            return
-        char_degree = chars[idx]
-        for size in range(remaining + 1):
-            for mu in enumerate_partitions(size):
-                assign(
-                    idx + 1,
-                    remaining - size,
-                    num * char_degree**size * sym_degree(mu),
-                    denom * factorial(size),
-                )
-
-    assign(0, w, 1, 1)
-    return DegreeMultiset.from_counter(counts, base.group_order**w * factorial(w))
+    shapes = [Counter(sym_degree(mu) for mu in enumerate_partitions(t)) for t in range(w + 1)]
+    table = [Counter({1: 1})] + [Counter() for _ in range(w)]
+    for char_degree, count in base.entries:
+        power = [
+            Counter({char_degree**t * f: c for f, c in shapes[t].items()})
+            for t in range(w + 1)
+        ]
+        while count:
+            if count & 1:
+                table = _convolve(table, power, w)
+            count >>= 1
+            if count:
+                power = _convolve(power, power, w)
+    return DegreeMultiset.from_counter(table[w], base.group_order**w * factorial(w))
 
 
 @lru_cache(maxsize=None)

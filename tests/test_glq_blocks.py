@@ -19,6 +19,12 @@ from blockcraft.glq_blocks import (
 )
 from blockcraft.glq_chars import enumerate_series_labels, green_degree
 from blockcraft.partitions import enumerate_partitions, partition_count
+from blockcraft.wreath_local import (
+    MetacyclicSpec,
+    irr_lprime_count,
+    metacyclic_degrees,
+    wreath_degrees,
+)
 
 
 def test_d_ell_examples():
@@ -144,6 +150,31 @@ def test_local_overgroup_count_examples():
     # w = 0 degenerates to the group itself
     ctx = EllContext.of(2, 5)  # d = 4 > 2
     assert local_overgroup_count(2, ctx) == irr_lprime_count_gl(2, 2, 5)
+
+
+def test_local_overgroup_count_matches_factorised_count():
+    # |Irr_{ell'}(B wr S_w)| * |Irr_{ell'}(GL_r(q))|, counted on each factor
+    for n, q, ell in ((2, 3, 2), (4, 3, 5), (5, 4, 5), (5, 7, 3), (6, 2, 3), (7, 5, 3)):
+        ctx = EllContext.of(q, ell)
+        w, r = divmod(n, ctx.d)
+        m = q**ctx.d - 1
+        base = metacyclic_degrees(MetacyclicSpec(m=m, d=ctx.d, u=q % m))
+        expected = irr_lprime_count(wreath_degrees(base, w), ell) * irr_lprime_count_gl(r, q, ell)
+        assert local_overgroup_count(n, ctx) == expected
+
+
+def test_verify_gl_mckay_builds_local_multiset_once(monkeypatch):
+    import blockcraft.glq_blocks as glq_blocks
+
+    calls = []
+
+    def counting(base, w):
+        calls.append(w)
+        return wreath_degrees(base, w)
+
+    monkeypatch.setattr(glq_blocks, "wreath_degrees", counting)
+    assert verify_gl_mckay(5, 7, 3).passed
+    assert calls == [5 // d_ell(7, 3)]
 
 
 def test_verify_gl_mckay_spot_values():

@@ -132,6 +132,13 @@ def test_cli_gl_blocks_small_ell_flagged(capsys):
     assert "not certified" in out
 
 
+def test_cli_gl_mckay_large_cyclic_base(capsys):
+    # w=1 over C_1023: the local multiset has 1023 base characters, which
+    # must not translate into 1023 levels of recursion.
+    assert main(["gl", "mckay", "--n", "1", "--q", "1024", "--ell", "3"]) == 0
+    assert "global=1023 local=1023" in capsys.readouterr().out
+
+
 def test_cli_output_file(tmp_path, capsys):
     target = tmp_path / "out.json"
     assert main(["gl", "mckay", "--n", "2", "--q", "2", "--ell", "3",
@@ -180,6 +187,30 @@ def test_expand_sweep_config_rejects_unknown_check():
         expand_sweep_config({"cells": [{"check": "collatz", "n": 1}]})
     with pytest.raises(UsageError):
         expand_sweep_config({"cells": [{"check": "gl_mckay", "n": 2}]})
+
+
+@pytest.mark.parametrize("cells", [[3], 3, "gl_mckay", [["gl_mckay"]]])
+def test_expand_sweep_config_rejects_malformed_cells(cells):
+    with pytest.raises(UsageError):
+        expand_sweep_config({"cells": cells})
+
+
+@pytest.mark.parametrize("grid", ["5..3", []])
+def test_expand_sweep_config_rejects_empty_grid(grid):
+    with pytest.raises(UsageError, match="no values"):
+        expand_sweep_config({"cells": [{"check": "sym_mckay", "n": grid}]})
+
+
+@pytest.mark.parametrize("config", [{"cells": [3]}, {"cells": 3},
+                                    {"cells": [{"check": "sym_mckay", "n": "5..3"}]}])
+def test_cli_sweep_malformed_config_is_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: ") and "\n" not in err
 
 
 def test_cli_sweep_end_to_end(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from blockcraft.arith import primitive_root
 from blockcraft.errors import CrossCheckError
-from blockcraft.partitions import partition_tuple_count
+from blockcraft.partitions import enumerate_partitions, partition_tuple_count
+from blockcraft.sym_chars import sym_degree
 from blockcraft.wreath_local import (
     DegreeMultiset,
     MetacyclicSpec,
@@ -64,6 +67,59 @@ def oracle_c2_wreath_class_count(w):
         for h in elements:
             seen.add(_mul(_mul(h, g), _inv(h)))
     return classes
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracle: wreath degrees by enumerating every phi: Irr(B) ->
+# partitions of total size w, one base character (with multiplicity) per
+# recursion level.
+# ---------------------------------------------------------------------------
+
+def oracle_wreath_entries(base, w):
+    chars = list(base.degrees())
+    counts = Counter()
+
+    def assign(idx, remaining, num, denom):
+        if idx == len(chars):
+            if remaining == 0:
+                counts[math.factorial(w) // denom * num] += 1
+            return
+        for size in range(remaining + 1):
+            for mu in enumerate_partitions(size):
+                assign(
+                    idx + 1,
+                    remaining - size,
+                    num * chars[idx] ** size * sym_degree(mu),
+                    denom * math.factorial(size),
+                )
+
+    assign(0, w, 1, 1)
+    return tuple(sorted(counts.items()))
+
+
+def _gl_local_base(q, d):
+    m = q**d - 1
+    return metacyclic_degrees(MetacyclicSpec(m=m, d=d, u=q % m))
+
+
+def _oracle_grid():
+    # Covers w = 0, degrees of multiplicity 1 (a single fold) and
+    # multiplicities above 4 (repeated squaring).
+    for w in range(7):
+        yield f"C_2 w={w}", cyclic_degrees(2), w
+    for p in (3, 5, 7):
+        base = metacyclic_degrees(MetacyclicSpec(m=p, d=p - 1, u=primitive_root(p)))
+        for w in range(p):
+            yield f"C_{p}:C_{p - 1} w={w}", base, w
+    for q, d, w in ((7, 4, 1), (9, 2, 2), (11, 2, 2), (11, 2, 3), (11, 1, 5)):
+        yield f"gl_local q={q} d={d} w={w}", _gl_local_base(q, d), w
+    yield "C_12 w=5", cyclic_degrees(12), 5
+
+
+@pytest.mark.parametrize("base,w", [case[1:] for case in _oracle_grid()],
+                         ids=[case[0] for case in _oracle_grid()])
+def test_wreath_degrees_match_brute_force_oracle(base, w):
+    assert wreath_degrees(base, w).entries == oracle_wreath_entries(base, w)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +214,13 @@ def test_wreath_count_matches_class_count_oracle():
 
 def test_wreath_count_is_tuple_count():
     # base with b characters: |Irr(B wr S_w)| = #{b-tuples of partitions, total w}
-    for p, w in ((3, 2), (5, 3), (7, 4)):
+    for p, w in ((3, 2), (5, 3), (7, 4), (12, 8)):
         base = cyclic_degrees(p)
         assert wreath_degrees(base, w).character_count == partition_tuple_count(p, w)
     assert cyclic_wreath_character_count(4, 3) == partition_tuple_count(4, 3)
 
 
 def test_frobenius_wreath_count_abelian_defect_regime():
-    from blockcraft.arith import primitive_root
-
     for p in (3, 5, 7):
         base = metacyclic_degrees(MetacyclicSpec(m=p, d=p - 1, u=primitive_root(p)))
         assert base.character_count == p
