@@ -49,6 +49,7 @@ from .partitions import (
     mn_character_value,
     partition_count,
     partition_tuple_count,
+    partitions_by_core,
 )
 from .report import VerificationReport, emit_reports
 from .sym_blocks import (

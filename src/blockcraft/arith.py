@@ -28,20 +28,14 @@ def nu_factorial(n: int, p: int) -> int:
     """nu_p(n!) by Legendre's formula, without forming the factorial."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if p < 2:
+        raise ValueError("p must be at least 2")
     v = 0
     q = p
     while q <= n:
         v += n // q
         q *= p
     return v
-
-
-def p_part(n: int, p: int) -> int:
-    return p ** nu(n, p)
-
-
-def p_prime_part(n: int, p: int) -> int:
-    return n // p_part(n, p)
 
 
 def is_prime(n: int) -> bool:

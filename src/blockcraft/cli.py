@@ -318,6 +318,8 @@ def expand_sweep_config(config: dict) -> list[tuple[str, dict]]:
                 raise UsageError(f"sweep check {check!r} needs parameter {name!r}")
         for combo in product(*grids):
             cells.append((check, dict(zip(names, combo))))
+    if not cells:
+        raise UsageError("sweep config has no cells")
     return cells
 
 
@@ -344,6 +346,8 @@ def _skip_reason(check: str, params: dict) -> str | None:
 
 
 def run_sweep(config: dict, workers: int = 1) -> tuple[list[VerificationReport], list[str]]:
+    if workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {workers}")
     cells = expand_sweep_config(config)
     runnable = []
     skips = []

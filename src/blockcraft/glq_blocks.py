@@ -44,8 +44,8 @@ from .partitions import (
     Partition,
     count_partitions_with_core,
     d_core_and_quotient,
-    enumerate_partitions,
     partition_tuple_count,
+    partitions_by_core,
 )
 from .report import VerificationReport
 from .wreath_local import (
@@ -331,8 +331,12 @@ def unipotent_block_of(
 def unipotent_blocks(
     n: int, context: EllContext, min_ell: int = DEFAULT_MIN_ELL
 ) -> tuple[GlUnipotentBlockLabel, ...]:
-    """All unipotent block labels of GL_n(q) in the given context, largest weight first."""
-    labels = {unipotent_block_of(lam, context, min_ell) for lam in enumerate_partitions(n)}
+    """All unipotent block labels of GL_n(q) in the given context, largest weight first.
+
+    One label per d-core group of partitions of n, named by its first member.
+    """
+    groups = partitions_by_core(n, context.d).values()
+    labels = (unipotent_block_of(members[0], context, min_ell) for members in groups)
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
 

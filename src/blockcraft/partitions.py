@@ -9,16 +9,21 @@ box of the Young diagram.  Cores and quotients are computed on the d-runner
 abacus with the beta-set padded to a multiple of d beads; that normalization
 makes the d-quotient well defined (it does not depend on how far we pad).
 
-Everything here is pure and deterministic.  The Murnaghan-Nakayama memo
-table is a module-level ``functools.cache`` of immutable values, so
-concurrent readers always observe consistent results.
+Everything here is pure and deterministic.  The memo tables are
+module-level ``functools`` caches of immutable values, so concurrent
+readers always observe consistent results.  Besides the Murnaghan-Nakayama
+table they hold the grouped census ``partitions_by_core``: one pass per
+(n, d) that groups the partitions of n by d-core, read-only, so every
+block census reads its members instead of rescanning all p(n) partitions.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from types import MappingProxyType
 
 from .errors import CrossCheckError
 
@@ -86,11 +91,13 @@ def partition_count(n: int) -> int:
 
 
 def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
+    """Transpose of lam, in one walk up its rows: O(lam[0] + len(lam))."""
     out = []
-    for j in range(lam[0]):
-        out.append(sum(1 for part in lam if part > j))
+    rows = len(lam)
+    for j in range(1, lam[0] + 1 if lam else 1):
+        while lam[rows - 1] < j:
+            rows -= 1
+        out.append(rows)
     return tuple(out)
 
 
@@ -101,10 +108,7 @@ def hook_lengths(lam: Partition) -> tuple[int, ...]:
     lam[0] + len(lam) - 1.
     """
     conj = conjugate(lam)
-    out = []
-    for i, row in enumerate(lam):
-        for j in range(row):
-            out.append(row - j + conj[j] - i - 1)
+    out = [row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)]
     out.sort(reverse=True)
     return tuple(out)
 
@@ -151,6 +155,22 @@ class CoreQuotient:
     quotient: tuple[Partition, ...]
 
 
+def _abacus_runners(lam: Partition, d: int) -> list[list[int]]:
+    """Bead levels of lam on each runner of the d-abacus, highest first."""
+    rows = max(1, len(lam))
+    beads = d * ((rows + d - 1) // d)
+    runners: list[list[int]] = [[] for _ in range(d)]
+    for pos in beta_set(lam, beads):  # strictly decreasing, so each runner is too
+        runners[pos % d].append(pos // d)
+    return runners
+
+
+def _core_of_runners(runners: list[list[int]], d: int) -> Partition:
+    """The d-core: every bead slid to the top of its runner."""
+    positions = (r + d * k for r, levels in enumerate(runners) for k in range(len(levels)))
+    return partition_from_beta(tuple(sorted(positions, reverse=True)))
+
+
 @lru_cache(maxsize=None)
 def d_core_and_quotient(lam: Partition, d: int) -> CoreQuotient:
     """Core and quotient of lam on the d-runner abacus.
@@ -163,23 +183,13 @@ def d_core_and_quotient(lam: Partition, d: int) -> CoreQuotient:
     if d < 1:
         raise ValueError("d must be at least 1")
     validate_partition(lam)
-    rows = max(1, len(lam))
-    beads = d * ((rows + d - 1) // d)
-    beta = beta_set(lam, beads)
-    runners: list[list[int]] = [[] for _ in range(d)]
-    for pos in beta:
-        runners[pos % d].append(pos // d)
-    core_positions = []
-    quotient = []
-    for r, levels in enumerate(runners):
-        levels.sort(reverse=True)
-        core_positions.extend(r + d * k for k in range(len(levels)))
-        quotient.append(partition_from_beta(tuple(levels)))
-    core = partition_from_beta(tuple(sorted(core_positions, reverse=True)))
+    runners = _abacus_runners(lam, d)
+    core = _core_of_runners(runners, d)
+    quotient = tuple(partition_from_beta(tuple(levels)) for levels in runners)
     weight = sum(sum(mu) for mu in quotient)
     if sum(core) + d * weight != sum(lam):
         raise CrossCheckError("abacus core/quotient sizes inconsistent")
-    return CoreQuotient(d=d, core=core, weight=weight, quotient=tuple(quotient))
+    return CoreQuotient(d=d, core=core, weight=weight, quotient=quotient)
 
 
 def d_core(lam: Partition, d: int) -> Partition:
@@ -219,13 +229,31 @@ def partition_tuple_count(d: int, w: int) -> int:
     return coeffs[w]
 
 
+@lru_cache(maxsize=None)
+def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ...]]:
+    """The partitions of n grouped by d-core, in one pass over enumerate_partitions(n).
+
+    Maps each d-core that occurs to the tuple of its partitions, in canonical
+    order; cores appear in the order of their first member.  Each core is
+    read off the abacus without forming the quotient.  The mapping is
+    read-only, since every caller shares the cached value.
+    """
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    groups: dict[Partition, list[Partition]] = {}
+    for lam in enumerate_partitions(n):
+        groups.setdefault(_core_of_runners(_abacus_runners(lam, d), d), []).append(lam)
+    return MappingProxyType({core: tuple(members) for core, members in groups.items()})
+
+
 def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     """Number of partitions of n with the given d-core.
 
-    Computed by explicit census over all partitions of n, then cross-checked
-    against the d-quotient bijection (d-tuples of partitions of total size
-    (n - |core|)/d).  Returns 0 when n - |core| is negative or not divisible
-    by d; raises ValueError if core is not actually a d-core.
+    Computed by explicit census over all partitions of n (the size of the
+    core's group in partitions_by_core), then cross-checked against the
+    d-quotient bijection (d-tuples of partitions of total size (n - |core|)/d).
+    Returns 0 when n - |core| is negative or not divisible by d; raises
+    ValueError if core is not actually a d-core.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -234,7 +262,7 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     rest = n - sum(core)
     if rest < 0 or rest % d != 0:
         return 0
-    census = sum(1 for lam in enumerate_partitions(n) if d_core(lam, d) == core)
+    census = len(partitions_by_core(n, d).get(core, ()))
     expected = partition_tuple_count(d, rest // d)
     if census != expected:
         raise CrossCheckError(

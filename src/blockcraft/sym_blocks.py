@@ -30,6 +30,7 @@ from .partitions import (
     d_core_and_quotient,
     enumerate_partitions,
     hook_lengths,
+    partitions_by_core,
 )
 from .report import VerificationReport
 from .sym_chars import sym_degree
@@ -64,8 +65,11 @@ def block_of(lam: Partition, p: int) -> SymBlockLabel:
 
 
 def block_labels(n: int, p: int) -> tuple[SymBlockLabel, ...]:
-    """All p-blocks of S_n, largest weight first."""
-    labels = {block_of(lam, p) for lam in enumerate_partitions(n)}
+    """All p-blocks of S_n, largest weight first.
+
+    One label per p-core group of partitions of n, named by its first member.
+    """
+    labels = (block_of(members[0], p) for members in partitions_by_core(n, p).values())
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
 
@@ -85,9 +89,7 @@ def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:
     """Members (same p-core), their heights, and the defect group order."""
     p, w = label.p, label.weight
     defect_valuation = nu_factorial(p * w, p)
-    members = tuple(
-        lam for lam in enumerate_partitions(label.n) if d_core(lam, p) == label.core
-    )
+    members = partitions_by_core(label.n, p)[label.core]
     heights = {}
     for lam in members:
         height = defect_valuation - sum(nu(h, p) for h in hook_lengths(lam) if h % p == 0)

@@ -69,7 +69,7 @@ def sym_degree(lam: Partition) -> int:
 def sym_degree_valuation(lam: Partition, p: int) -> int:
     """nu_p of the degree, via nu_p(n!) - sum of per-hook valuations."""
     n = sum(lam)
-    return nu_factorial(n, p) - sum(nu(h, p) for h in hook_lengths(lam))
+    return nu_factorial(n, p) - sum(nu(h, p) for h in hook_lengths(lam) if h % p == 0)
 
 
 def irr_pprime_count_sym(n: int, p: int) -> int:

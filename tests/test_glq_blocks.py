@@ -219,6 +219,15 @@ def test_unipotent_blocks_partition_everything():
         assert total == partition_count(n)
 
 
+@pytest.mark.parametrize("q,ell", [(8, 7), (13, 7), (2, 7), (2, 31), (2, 127), (2, 3)])
+def test_unipotent_blocks_match_per_partition_labels(q, ell):
+    ctx = EllContext.of(q, ell)  # d = 1, 2, 3, 5, 7, and an unverified ell = 3
+    for n in range(0, 17):
+        per_partition = {unipotent_block_of(lam, ctx) for lam in enumerate_partitions(n)}
+        expected = sorted(per_partition, key=lambda lab: (lab.weight, lab.core), reverse=True)
+        assert unipotent_blocks(n, ctx) == tuple(expected)
+
+
 def test_unipotent_block_series_size_examples():
     ctx = EllContext.of(2, 7)  # d = 3
     label = GlUnipotentBlockLabel(context=ctx, core=(1,), weight=1, n=4)

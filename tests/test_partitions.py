@@ -19,6 +19,7 @@ from blockcraft.partitions import (
     partition_count,
     partition_from_beta,
     partition_tuple_count,
+    partitions_by_core,
     rim_hook_removals,
 )
 
@@ -76,6 +77,24 @@ def oracle_all_cores(lam, d):
     for i, j in hooks:
         result |= oracle_all_cores(oracle_remove_rim_hook(lam, i, j), d)
     return result
+
+
+def oracle_conjugate(lam):
+    """Transpose by counting, for each column, the parts that reach it."""
+    if not lam:
+        return ()
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
+
+
+def oracle_hook_lengths(lam):
+    """Sorted hook multiset from a double loop over the boxes."""
+    conj = oracle_conjugate(lam)
+    out = []
+    for i, row in enumerate(lam):
+        for j in range(row):
+            out.append(row - j + conj[j] - i - 1)
+    out.sort(reverse=True)
+    return tuple(out)
 
 
 def centralizer_order(rho):
@@ -160,6 +179,13 @@ def test_hook_product_divides_factorial(lam):
     assert math.factorial(sum(lam)) % prod == 0
 
 
+def test_hook_kernel_matches_loop_oracles():
+    for n in range(0, 15):
+        for lam in enumerate_partitions(n):
+            assert conjugate(lam) == oracle_conjugate(lam)
+            assert hook_lengths(lam) == oracle_hook_lengths(lam)
+
+
 def test_count_hooks_examples():
     assert count_hooks((5,), 4) == 1
     assert count_hooks((3, 2), 4) == 1
@@ -239,6 +265,29 @@ def test_core_census_sums_to_partition_count():
             cores = {d_core(lam, d) for lam in enumerate_partitions(n)}
             total = sum(count_partitions_with_core(n, d, mu) for mu in cores)
             assert total == partition_count(n)
+
+
+def test_partitions_by_core_groups_partitions():
+    for n in range(0, 17):
+        for d in (1, 2, 3, 5, 7):
+            groups = partitions_by_core(n, d)
+            members = [lam for group in groups.values() for lam in group]
+            assert sorted(members, reverse=True) == list(enumerate_partitions(n))
+            for core, group in groups.items():
+                assert d_core(core, d) == core
+                assert list(group) == sorted(group, reverse=True)
+                assert all(d_core(lam, d) == core for lam in group)
+                assert len(group) == partition_tuple_count(d, (n - sum(core)) // d)
+
+
+def test_partitions_by_core_example_and_guards():
+    groups = partitions_by_core(4, 3)
+    assert dict(groups) == {(1,): ((4,), (2, 2), (1, 1, 1, 1)), (3, 1): ((3, 1),),
+                            (2, 1, 1): ((2, 1, 1),)}
+    with pytest.raises(TypeError):
+        groups[()] = ()
+    with pytest.raises(ValueError):
+        partitions_by_core(4, 0)
 
 
 def test_partition_tuple_count_small():

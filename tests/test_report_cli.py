@@ -189,7 +189,7 @@ def test_expand_sweep_config_rejects_unknown_check():
         expand_sweep_config({"cells": [{"check": "gl_mckay", "n": 2}]})
 
 
-@pytest.mark.parametrize("cells", [[3], 3, "gl_mckay", [["gl_mckay"]]])
+@pytest.mark.parametrize("cells", [[3], 3, "gl_mckay", [["gl_mckay"]], []])
 def test_expand_sweep_config_rejects_malformed_cells(cells):
     with pytest.raises(UsageError):
         expand_sweep_config({"cells": cells})
@@ -202,7 +202,8 @@ def test_expand_sweep_config_rejects_empty_grid(grid):
 
 
 @pytest.mark.parametrize("config", [{"cells": [3]}, {"cells": 3},
-                                    {"cells": [{"check": "sym_mckay", "n": "5..3"}]}])
+                                    {"cells": [{"check": "sym_mckay", "n": "5..3"}]},
+                                    {"cells": []}])
 def test_cli_sweep_malformed_config_is_usage_error(tmp_path, capsys, config):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
@@ -211,6 +212,17 @@ def test_cli_sweep_malformed_config_is_usage_error(tmp_path, capsys, config):
     assert captured.out == ""
     err = captured.err.strip()
     assert err.startswith("error: ") and "\n" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"cells": [{"check": "sym_mckay", "n": 3}]}))
+    assert main(["sweep", "--config", str(path), "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: ") and "workers" in err and "\n" not in err
 
 
 def test_cli_sweep_end_to_end(tmp_path, capsys):

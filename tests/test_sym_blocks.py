@@ -57,6 +57,14 @@ def test_blocks_partition_irr():
             assert total == partition_count(n)
 
 
+def test_block_labels_match_per_partition_labels():
+    for n in range(0, 17):
+        for p in (2, 3, 5, 7):
+            per_partition = {block_of(lam, p) for lam in enumerate_partitions(n)}
+            expected = sorted(per_partition, key=lambda lab: (lab.weight, lab.core), reverse=True)
+            assert block_labels(n, p) == tuple(expected)
+
+
 def test_nakayama_matches_central_character_oracle():
     for n in range(1, 8):
         for p in (2, 3, 5, 7):

@@ -43,6 +43,12 @@ def test_degree_valuation_matches_direct():
                 assert sym_degree_valuation(lam, p) == direct
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_degree_valuation_rejects_p_below_2(p):
+    with pytest.raises(ValueError):
+        sym_degree_valuation((2, 1), p)
+
+
 def test_irr_pprime_count_examples():
     assert irr_pprime_count_sym(1, 2) == 1
     assert irr_pprime_count_sym(4, 2) == 4
