@@ -9,12 +9,21 @@ box of the Young diagram.  Cores and quotients are computed on the d-runner
 abacus with the beta-set padded to a multiple of d beads; that normalization
 makes the d-quotient well defined (it does not depend on how far we pad).
 
+The Murnaghan-Nakayama kernel works on beta-sets as int bitmasks: bit k is
+set when there is a bead at position k.  A partition with r parts has r
+beads, so position 0 is empty and each partition has exactly one mask
+(``()`` is 0).  Removing a rim t-hook moves one bead from pos to the empty
+pos - t, which is two XORs; the leg length is the number of beads strictly
+between them.  A bead that lands on position 0 gives zero parts, and that
+low run of set bits is shifted out to keep the mask unique.
+
 Everything here is pure and deterministic.  The memo tables are
 module-level ``functools`` caches of immutable values, so concurrent
-readers always observe consistent results.  Besides the Murnaghan-Nakayama
-table they hold the grouped census ``partitions_by_core``: one pass per
-(n, d) that groups the partitions of n by d-core, read-only, so every
-block census reads its members instead of rescanning all p(n) partitions.
+readers always observe consistent results.  They hold the
+Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle-type suffix), and
+the grouped census ``partitions_by_core``: one pass per (n, d) that groups
+the partitions of n by d-core, read-only, so every block census reads its
+members instead of rescanning all p(n) partitions.
 """
 
 from __future__ import annotations
@@ -271,27 +280,48 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     return census
 
 
+def _beta_bits(lam: Partition) -> int:
+    """The beta-set of lam with len(lam) beads, as a bitmask (bit k set = bead at k)."""
+    return sum(1 << pos for pos in beta_set(lam, len(lam)))
+
+
+def _partition_of_bits(bits: int) -> Partition:
+    """Inverse of _beta_bits."""
+    top = bits.bit_length() - 1
+    return partition_from_beta(tuple(pos for pos in range(top, -1, -1) if bits >> pos & 1))
+
+
+def _rim_hooks(bits: int, length: int):
+    """(mask, leg) for each rim hook of the given length, top row first.
+
+    A rim hook is a bead at pos moving down to the empty position pos - length;
+    its leg length is the number of beads strictly between the two.  A bead
+    landing on position 0 is stripped with the run of beads above it (zero
+    parts), so every result is again the unique len(partition)-bead mask.
+    """
+    targets = (bits >> length) & ~bits  # empty positions with a bead length above
+    while targets:
+        target = 1 << (targets.bit_length() - 1)
+        bead = target << length
+        moved = bits ^ bead ^ target
+        if moved & 1:
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        yield moved, (bits & (bead - (target << 1))).bit_count()
+        targets ^= target
+
+
 def rim_hook_removals(lam: Partition, length: int) -> tuple[tuple[Partition, int], ...]:
     """All ways to remove one rim hook of the given length from lam.
 
     Returns (resulting partition, leg length) pairs; the leg length is the
     number of rows the hook spans minus one.
     """
+    validate_partition(lam)
     if length < 1:
         raise ValueError("hook length must be positive")
-    beta = beta_set(lam, len(lam))
-    present = set(beta)
-    out = []
-    for idx, pos in enumerate(beta):
-        target = pos - length
-        if target < 0 or target in present:
-            continue
-        new_beta = tuple(
-            sorted((target if k == idx else val for k, val in enumerate(beta)), reverse=True)
-        )
-        leg = sum(1 for val in beta if target < val < pos)
-        out.append((partition_from_beta(new_beta), leg))
-    return tuple(out)
+    return tuple(
+        (_partition_of_bits(moved), leg) for moved, leg in _rim_hooks(_beta_bits(lam), length)
+    )
 
 
 def mn_character_value(lam: Partition, rho: Partition) -> int:
@@ -304,16 +334,17 @@ def mn_character_value(lam: Partition, rho: Partition) -> int:
     validate_partition(rho)
     if sum(lam) != sum(rho):
         raise ValueError(f"size mismatch: |{lam!r}| != |{rho!r}|")
-    return _mn(lam, tuple(sorted(rho, reverse=True)))
+    return _mn(_beta_bits(lam), tuple(sorted(rho, reverse=True)))
 
 
 @cache
-def _mn(lam: Partition, rho: Partition) -> int:
+def _mn(bits: int, rho: Partition) -> int:
+    """chi(rho) for the partition with beta-set mask bits; rho sorted decreasing."""
     if not rho:
         return 1
     cycle, rest = rho[0], rho[1:]
     total = 0
-    for mu, leg in rim_hook_removals(lam, cycle):
-        term = _mn(mu, rest)
-        total += -term if leg % 2 else term
+    for moved, leg in _rim_hooks(bits, cycle):
+        term = _mn(moved, rest)
+        total += -term if leg & 1 else term
     return total

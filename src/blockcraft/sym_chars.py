@@ -8,6 +8,8 @@ The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
 every class x.  For S_n all central-character values are rational integers
 (verified at runtime), so the congruence is ordinary integer congruence.
+They do not depend on p, so they are computed once per n and only reduced
+mod each p.
 
 Block idempotents e_B = sum_{chi in B} chi(1)/|G| sum_{x p-regular} chi(x) x^{-1}
 are handled as exact rational coefficient vectors on class sums, and
@@ -23,17 +25,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, prod
 
 from .arith import is_prime, nu, nu_factorial
 from .errors import CrossCheckError, ResourceLimitError
-from .partitions import (
-    Partition,
-    enumerate_partitions,
-    hook_lengths,
-    mn_character_value,
-)
+from .partitions import Partition, _beta_bits, _mn, enumerate_partitions, hook_lengths
 
 DEFAULT_TABLE_BOUND = 10
 DEFAULT_IDEMPOTENT_BOUND = 6
@@ -143,7 +140,6 @@ class SymCharacterTable:
         return self.rows[lam][rho]
 
 
-@lru_cache(maxsize=None)
 def build_table(n: int, bound: int | None = None) -> SymCharacterTable:
     """Full exact table of S_n via the Murnaghan-Nakayama rule."""
     limit = table_bound() if bound is None else bound
@@ -151,14 +147,20 @@ def build_table(n: int, bound: int | None = None) -> SymCharacterTable:
         raise ResourceLimitError(f"character table for n={n} exceeds bound {limit}")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return _table(n)
+
+
+@cache
+def _table(n: int) -> SymCharacterTable:
+    """The memo behind build_table, keyed on n alone; callers check the bound."""
     classes = enumerate_partitions(n)
     class_sizes = {rho: cycle_type_class_size(rho) for rho in classes}
     if sum(class_sizes.values()) != factorial(n):
         raise CrossCheckError("class sizes do not sum to n!")
-    rows = {
-        lam: {rho: mn_character_value(lam, rho) for rho in classes}
-        for lam in classes
-    }
+    rows = {}
+    for lam in classes:  # valid labels and sorted cycle types: call the MN kernel directly
+        bits = _beta_bits(lam)
+        rows[lam] = {rho: _mn(bits, rho) for rho in classes}
     return SymCharacterTable(n=n, classes=classes, class_sizes=class_sizes, rows=rows)
 
 
@@ -213,20 +215,28 @@ class BlockPartitionOracle:
     blocks: tuple[frozenset, ...]
 
 
+@cache
+def _omega_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """omega_lam in class order, for each lam in class order; the same for every p."""
+    table = _table(n)
+    return tuple(
+        tuple(central_character_values(table, lam).values()) for lam in table.classes
+    )
+
+
 def central_character_blocks(n: int, p: int, bound: int | None = None) -> BlockPartitionOracle:
-    """Brute-force p-blocks of S_n: group labels by omega mod p signatures."""
+    """Brute-force p-blocks of S_n: group labels by omega mod p signatures.
+
+    Labels are scanned in canonical order, so blocks come out ordered by
+    their first member.
+    """
     if not is_prime(p):
         raise ValueError("p must be prime")
     table = build_table(n, bound=bound)
-    order = enumerate_partitions(n)
-    position = {lam: i for i, lam in enumerate(order)}
     by_signature: dict = {}
-    for lam in table.classes:
-        omega = central_character_values(table, lam)
-        signature = tuple(omega[rho] % p for rho in table.classes)
-        by_signature.setdefault(signature, []).append(lam)
-    blocks = sorted(by_signature.values(), key=lambda b: min(position[x] for x in b))
-    return BlockPartitionOracle(n=n, p=p, blocks=tuple(frozenset(b) for b in blocks))
+    for lam, omega in zip(table.classes, _omega_rows(n)):
+        by_signature.setdefault(tuple(value % p for value in omega), []).append(lam)
+    return BlockPartitionOracle(n=n, p=p, blocks=tuple(map(frozenset, by_signature.values())))
 
 
 def _is_p_regular(rho: Partition, p: int) -> bool:

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from blockcraft.partitions import (
     partitions_by_core,
     rim_hook_removals,
 )
+from blockcraft.sym_chars import build_table
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +97,35 @@ def oracle_hook_lengths(lam):
             out.append(row - j + conj[j] - i - 1)
     out.sort(reverse=True)
     return tuple(out)
+
+
+def oracle_rim_hook_removals(lam, length):
+    """(partition, leg) pairs by moving one bead of a tuple beta-set down by length."""
+    beta = beta_set(lam, len(lam))
+    present = set(beta)
+    out = []
+    for idx, pos in enumerate(beta):
+        target = pos - length
+        if target < 0 or target in present:
+            continue
+        new_beta = tuple(
+            sorted((target if k == idx else val for k, val in enumerate(beta)), reverse=True)
+        )
+        leg = sum(1 for val in beta if target < val < pos)
+        out.append((partition_from_beta(new_beta), leg))
+    return tuple(out)
+
+
+@cache
+def oracle_mn(lam, rho):
+    """Murnaghan-Nakayama recursion on partition tuples, rho sorted decreasing."""
+    if not rho:
+        return 1
+    total = 0
+    for mu, leg in oracle_rim_hook_removals(lam, rho[0]):
+        term = oracle_mn(mu, rho[1:])
+        total += -term if leg % 2 else term
+    return total
 
 
 def centralizer_order(rho):
@@ -310,6 +341,35 @@ def test_rim_hook_removals_match_diagram_oracle(lam, t):
         if h == t
     )
     assert got == expected
+
+
+def test_rim_hook_removals_match_tuple_oracle():
+    for n in range(0, 11):
+        for lam in enumerate_partitions(n):
+            for t in range(1, n + 2):
+                assert rim_hook_removals(lam, t) == oracle_rim_hook_removals(lam, t)
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), [2, 1], (2.0, 1)])
+def test_rim_hook_removals_rejects_non_partitions(lam):
+    with pytest.raises(ValueError):
+        rim_hook_removals(lam, 1)
+
+
+def test_rim_hook_removals_length_guards():
+    with pytest.raises(ValueError):
+        rim_hook_removals((2, 1), 0)
+    assert rim_hook_removals((2, 1), 10**12) == ()
+    assert rim_hook_removals((), 1) == ()
+
+
+def test_build_table_matches_tuple_oracle():
+    for n in range(0, 10):
+        table = build_table(n)
+        assert table.rows == {
+            lam: {rho: oracle_mn(lam, rho) for rho in enumerate_partitions(n)}
+            for lam in enumerate_partitions(n)
+        }
 
 
 def test_mn_examples():

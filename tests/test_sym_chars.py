@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockcraft import sym_chars
 from blockcraft.errors import ResourceLimitError
 from blockcraft.partitions import enumerate_partitions
 from blockcraft.sym_chars import (
@@ -82,6 +83,10 @@ def test_build_table_small():
     assert t3.rows[(2, 1)] == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
 
 
+def test_build_table_cached_on_n_alone():
+    assert build_table(5) is build_table(5, bound=20)
+
+
 def test_orthogonality_small():
     for n in range(1, 7):
         table = build_table(n)
@@ -132,6 +137,22 @@ def test_central_character_blocks_examples():
 
     oracle = central_character_blocks(2, 3)
     assert set(oracle.blocks) == {frozenset({(2,)}), frozenset({(1, 1)})}
+
+
+def test_central_characters_computed_once_for_all_primes(monkeypatch):
+    n = 8
+    calls = []
+    original = sym_chars.central_character_values
+
+    def counted(table, lam):
+        calls.append(lam)
+        return original(table, lam)
+
+    monkeypatch.setattr(sym_chars, "central_character_values", counted)
+    sym_chars._omega_rows.cache_clear()
+    for p in (2, 3, 5, 7):
+        central_character_blocks(n, p)
+    assert sorted(calls, reverse=True) == list(enumerate_partitions(n))
 
 
 def test_block_partition_covers_everything():
