@@ -1,5 +1,13 @@
 """Command-line front end: single verifications, sweeps, and report emission.
 
+Each check is registered once, by the decorator on its runner, with its
+sweep name, its CLI group and command, and its precondition.  The runner's
+parameters (all ints) and their defaults are the check's: they become the
+command's flags and the keys of its sweep cells.  The CLI and sweeps apply
+the same preconditions (p and ell prime, q a prime power, plus each check's
+own): a cell that fails one is an `error:` line and exit 1 on the CLI, and
+a skip note on stderr in a sweep, with the same reason text.
+
 Exit codes: 0 when every emitted report passed, 2 when at least one
 verification failed (or an internal cross-check caught a disagreement),
 1 for usage or resource errors.
@@ -9,21 +17,23 @@ Sweeps read a JSON config of the form
     {"cells": [{"check": "gl_mckay", "n": "2..4", "q": [2, 3], "ell": [2, 3, 5]}]}
 
 where each parameter is an int, a list of ints, or an inclusive "a..b"
-range string.  Cells violating preconditions (ell dividing q, composite p,
-bounds) are skipped with a note on stderr, never errors.  Reports are
-sorted before emission, so stdout is byte-identical across runs and worker
-counts; pass --stable to also zero the elapsed-time fields (golden files).
+range string.  Reports are sorted before emission, so stdout is
+byte-identical across runs; pass --stable to also zero the elapsed-time
+fields (golden files).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from itertools import product
 from math import factorial
+from typing import Callable
 
 from .arith import is_prime, prime_power_radical
 from .errors import (
@@ -34,16 +44,13 @@ from .errors import (
 )
 from .glq_blocks import (
     EllContext,
+    unipotent_block_series_size,
     unipotent_blocks,
     verify_gl_mckay,
     verify_gl_mckay_defining,
 )
 from .glq_chars import all_degrees, gl_order
-from .partitions import (
-    count_partitions_with_core,
-    partition_count,
-    partition_tuple_count,
-)
+from .partitions import partition_count, partitions_by_core
 from .report import VerificationReport, emit_reports, format_partition, strip_timings
 from .sym_blocks import (
     am_verify_abelian,
@@ -61,14 +68,92 @@ from .sym_chars import (
     sylow2_local_count,
     table_bound,
 )
-from .wreath_local import cyclic_wreath_character_count
 
 
-def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
-    if p != 2:
-        raise UsageError(
-            "sym mckay is implemented at p=2 only (self-normalizing Sylow 2-subgroups)"
+@dataclass(frozen=True)
+class Check:
+    """A check as registered by _register: sweep name, CLI path, parameters, precondition."""
+
+    name: str
+    group: str
+    command: str
+    params: tuple[str, ...]
+    defaults: dict[str, int]
+    precondition: Callable[..., str | None] | None
+
+    def refusal(self, params: dict) -> str | None:
+        """Why the cell with these parameter values cannot run, or None if it can.
+
+        Whichever check takes them, p and ell must be prime and q a prime power.
+        """
+        p, q, ell = params.get("p"), params.get("q"), params.get("ell")
+        if p is not None and not is_prime(p):
+            return f"p={p} is not prime"
+        if q is not None:
+            try:
+                prime_power_radical(q)
+            except ValueError:
+                return f"q={q} is not a prime power"
+        if ell is not None and not is_prime(ell):
+            return f"ell={ell} is not prime"
+        return self.precondition(**params) if self.precondition else None
+
+
+CHECKS: dict[str, Check] = {}
+# Check name -> runner.  The CLI and sweeps look a runner up here when they
+# call it, so a runner replaced in this dict is the one that runs.
+_SWEEP_RUNNERS: dict[str, Callable[..., list[VerificationReport]]] = {}
+
+
+def _within_table_bound(n: int, **_) -> str | None:
+    return f"n={n} exceeds the table bound {table_bound()}" if n > table_bound() else None
+
+
+def _register(name: str, path: str, precondition: Callable[..., str | None] | None = None):
+    """Register the decorated runner as check `name`, run as `blockcraft <path>`.
+
+    The runner's parameters and their defaults are the check's.  The runner
+    returned raises UsageError, before any work, for a cell that fails the
+    check's precondition, however it is called.
+    """
+    group, command = path.split()
+
+    def register(runner):
+        signature = inspect.signature(runner)
+        check = Check(
+            name=name,
+            group=group,
+            command=command,
+            params=tuple(signature.parameters),
+            defaults={
+                param: spec.default
+                for param, spec in signature.parameters.items()
+                if spec.default is not spec.empty
+            },
+            precondition=precondition,
         )
+
+        @functools.wraps(runner)
+        def guarded(*args, **kwargs):
+            cell = signature.bind(*args, **kwargs)
+            cell.apply_defaults()
+            reason = check.refusal(cell.arguments)
+            if reason:
+                raise UsageError(reason)
+            return runner(*args, **kwargs)
+
+        CHECKS[name] = check
+        _SWEEP_RUNNERS[name] = guarded
+        return guarded
+
+    return register
+
+
+@_register(
+    "sym_mckay", "sym mckay",
+    precondition=lambda n, p: None if p == 2 else "sym mckay local side is only available at p=2",
+)
+def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
     start = time.perf_counter()
     global_count = irr_pprime_count_sym(n, 2)
     local_count = sylow2_local_count(n)
@@ -87,6 +172,7 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
     ]
 
 
+@_register("sym_blocks", "sym blocks")
 def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     start = time.perf_counter()
     labels = block_labels(n, p)
@@ -113,6 +199,7 @@ def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
+@_register("sym_table", "sym table", precondition=_within_table_bound)
 def run_sym_table(n: int) -> list[VerificationReport]:
     start = time.perf_counter()
     table = build_table(n)
@@ -141,13 +228,11 @@ def run_sym_table(n: int) -> list[VerificationReport]:
     ]
 
 
+@_register("nakayama", "oracle nakayama", precondition=_within_table_bound)
 def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
     start = time.perf_counter()
     oracle = central_character_blocks(n, p)
-    nakayama = {
-        frozenset(block_members_and_heights(label).members)
-        for label in block_labels(n, p)
-    }
+    nakayama = {frozenset(members) for members in partitions_by_core(n, p).values()}
     agree = set(oracle.blocks) == nakayama
     elapsed = int((time.perf_counter() - start) * 1000)
     return [
@@ -163,10 +248,12 @@ def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
+@_register("sym_bhz", "sym bhz")
 def run_sym_bhz(n: int, p: int) -> list[VerificationReport]:
     return [bhz_verify(label) for label in block_labels(n, p)]
 
 
+@_register("sym_am", "sym am")
 def run_sym_am(n: int, p: int) -> list[VerificationReport]:
     return [
         am_verify_abelian(label)
@@ -175,6 +262,7 @@ def run_sym_am(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
+@_register("gl_degrees", "gl degrees")
 def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
     start = time.perf_counter()
     ms = all_degrees(n, q)
@@ -195,30 +283,26 @@ def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
     ]
 
 
+@_register("gl_mckay", "gl mckay")
 def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
-    if not is_prime(ell):
-        raise UsageError(f"ell={ell} is not prime")
     if q % ell == 0:
         return [verify_gl_mckay_defining(n, q)]
     return [verify_gl_mckay(n, q, ell)]
 
 
+@_register("gl_blocks", "gl blocks",
+           precondition=lambda n, q, ell: f"ell={ell} divides q={q}" if q % ell == 0 else None)
 def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
-    if not is_prime(ell):
-        raise UsageError(f"ell={ell} is not prime")
-    if q % ell == 0:
-        raise UsageError("gl blocks needs ell not dividing q (non-defining characteristic)")
     context = EllContext.of(q, ell)
+    blocks = unipotent_blocks(n, context)
     reports = []
     total = 0
-    for label in unipotent_blocks(n, context):
+    for label in blocks:
         start = time.perf_counter()
-        census = count_partitions_with_core(label.n, context.d, label.core)
-        weyl = cyclic_wreath_character_count(context.d, label.weight)
-        tuples = partition_tuple_count(context.d, label.weight)
-        total += census
+        size = unipotent_block_series_size(label)  # raises if its three routes disagree
+        total += size
         elapsed = int((time.perf_counter() - start) * 1000)
-        notes = [f"relative Weyl group count {weyl}"]
+        notes = [f"relative Weyl group count {size}"]
         if not label.verified:
             notes.append("ell < 7: d-core block distribution not certified in this regime")
         reports.append(
@@ -232,9 +316,9 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
                     "core": label.core,
                     "weight": label.weight,
                 },
-                global_count=census,
-                local_count=tuples,
-                passed=census == tuples == weyl,
+                global_count=size,
+                local_count=size,
+                passed=True,
                 elapsed_ms=elapsed,
                 notes=tuple(notes),
             )
@@ -247,7 +331,7 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
             local_count=total,
             passed=partition_count(n) == total,
             elapsed_ms=0,
-            notes=(f"blocks {len(unipotent_blocks(n, context))}",),
+            notes=(f"blocks {len(blocks)}",),
         )
     )
     return reports
@@ -256,29 +340,6 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-SWEEP_CHECKS = {
-    "sym_mckay": ("n", "p"),
-    "sym_blocks": ("n", "p"),
-    "sym_bhz": ("n", "p"),
-    "sym_am": ("n", "p"),
-    "nakayama": ("n", "p"),
-    "gl_degrees": ("n", "q"),
-    "gl_mckay": ("n", "q", "ell"),
-    "gl_blocks": ("n", "q", "ell"),
-}
-
-_SWEEP_RUNNERS = {
-    "sym_mckay": run_sym_mckay,
-    "sym_blocks": run_sym_blocks,
-    "sym_bhz": run_sym_bhz,
-    "sym_am": run_sym_am,
-    "nakayama": run_oracle_nakayama,
-    "gl_degrees": run_gl_degrees,
-    "gl_mckay": run_gl_mckay,
-    "gl_blocks": run_gl_blocks,
-}
-
 
 def _parse_grid(value) -> list[int]:
     if isinstance(value, int):
@@ -303,74 +364,36 @@ def expand_sweep_config(config: dict) -> list[tuple[str, dict]]:
     for entry in config["cells"]:
         if not isinstance(entry, dict):
             raise UsageError(f"sweep cell {entry!r} is not an object")
-        check = entry.get("check")
-        if check not in SWEEP_CHECKS:
-            raise UsageError(f"unknown sweep check {check!r}")
-        names = SWEEP_CHECKS[check]
-        defaults = {"p": 2} if check == "sym_mckay" else {}
+        name = entry.get("check")
+        if name not in CHECKS:
+            raise UsageError(f"unknown sweep check {name!r}")
+        check = CHECKS[name]
         grids = []
-        for name in names:
-            if name in entry:
-                grids.append(_parse_grid(entry[name]))
-            elif name in defaults:
-                grids.append([defaults[name]])
+        for param in check.params:
+            if param in entry:
+                grids.append(_parse_grid(entry[param]))
+            elif param in check.defaults:
+                grids.append([check.defaults[param]])
             else:
-                raise UsageError(f"sweep check {check!r} needs parameter {name!r}")
+                raise UsageError(f"sweep check {name!r} needs parameter {param!r}")
         for combo in product(*grids):
-            cells.append((check, dict(zip(names, combo))))
+            cells.append((name, dict(zip(check.params, combo))))
     if not cells:
         raise UsageError("sweep config has no cells")
     return cells
 
 
-def _skip_reason(check: str, params: dict) -> str | None:
-    p = params.get("p")
-    q = params.get("q")
-    ell = params.get("ell")
-    if p is not None and not is_prime(p):
-        return f"p={p} is not prime"
-    if check == "sym_mckay" and p != 2:
-        return "sym mckay local side is only available at p=2"
-    if q is not None:
-        try:
-            prime_power_radical(q)
-        except ValueError:
-            return f"q={q} is not a prime power"
-    if ell is not None and not is_prime(ell):
-        return f"ell={ell} is not prime"
-    if check == "gl_blocks" and q % ell == 0:
-        return f"ell={ell} divides q={q}"
-    if check == "nakayama" and params["n"] > table_bound():
-        return f"n={params['n']} exceeds the table bound {table_bound()}"
-    return None
-
-
-def run_sweep(config: dict, workers: int = 1) -> tuple[list[VerificationReport], list[str]]:
-    if workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {workers}")
-    cells = expand_sweep_config(config)
-    runnable = []
+def run_sweep(config: dict) -> tuple[list[VerificationReport], list[str]]:
+    """Reports of the cells that pass their preconditions, and a sorted skip note per other cell."""
+    reports: list[VerificationReport] = []
     skips = []
-    for check, params in cells:
-        reason = _skip_reason(check, params)
+    for name, params in expand_sweep_config(config):
+        reason = CHECKS[name].refusal(params)
         if reason:
             rendered = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-            skips.append(f"skip {check} {rendered}: {reason}")
+            skips.append(f"skip {name} {rendered}: {reason}")
         else:
-            runnable.append((check, params))
-
-    def run_cell(cell):
-        check, params = cell
-        return _SWEEP_RUNNERS[check](**params)
-
-    reports: list[VerificationReport] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_cell, runnable):
-                reports.extend(result)
-    else:
-        for cell in runnable:
-            reports.extend(run_cell(cell))
+            reports.extend(_SWEEP_RUNNERS[name](**params))
     return reports, sorted(skips)
 
 
@@ -383,6 +406,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_GROUP_HELP = {
+    "sym": "symmetric group checks",
+    "oracle": "brute-force oracles",
+    "gl": "general linear group checks",
+}
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -392,69 +422,25 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="blockcraft", description=__doc__)
     top = parser.add_subparsers(dest="group", parser_class=_Parser)
-
-    sym = top.add_parser("sym", help="symmetric group checks")
-    sym_sub = sym.add_subparsers(dest="command", parser_class=_Parser)
-    for name, flags in (
-        ("mckay", ("n", "p?")),
-        ("blocks", ("n", "p")),
-        ("table", ("n",)),
-        ("bhz", ("n", "p")),
-        ("am", ("n", "p")),
-    ):
-        sp = sym_sub.add_parser(name, parents=[common])
-        sp.add_argument("--n", type=int, required=True)
-        if "p" in flags:
-            sp.add_argument("--p", type=int, required=True)
-        elif "p?" in flags:
-            sp.add_argument("--p", type=int, default=2)
-
-    oracle = top.add_parser("oracle", help="brute-force oracles")
-    oracle_sub = oracle.add_subparsers(dest="command", parser_class=_Parser)
-    nak = oracle_sub.add_parser("nakayama", parents=[common])
-    nak.add_argument("--n", type=int, required=True)
-    nak.add_argument("--p", type=int, required=True)
-
-    gl = top.add_parser("gl", help="general linear group checks")
-    gl_sub = gl.add_subparsers(dest="command", parser_class=_Parser)
-    for name, with_ell in (("degrees", False), ("mckay", True), ("blocks", True)):
-        sp = gl_sub.add_parser(name, parents=[common])
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--q", type=int, required=True)
-        if with_ell:
-            sp.add_argument("--ell", type=int, required=True)
+    commands = {
+        group: top.add_parser(group, help=text).add_subparsers(parser_class=_Parser)
+        for group, text in _GROUP_HELP.items()
+    }
+    for check in CHECKS.values():
+        sub = commands[check.group].add_parser(check.command, parents=[common])
+        sub.set_defaults(check=check.name)
+        for param in check.params:
+            sub.add_argument(f"--{param}", type=int, required=param not in check.defaults,
+                             default=check.defaults.get(param))
 
     sweep = top.add_parser("sweep", parents=[common], help="run a grid of checks from a config file")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--workers", type=int, default=1)
 
     return parser
 
 
 def _dispatch(args) -> tuple[list[VerificationReport], list[str]]:
-    group = getattr(args, "group", None)
-    command = getattr(args, "command", None)
-    if group == "sym":
-        if command == "mckay":
-            return run_sym_mckay(args.n, args.p), []
-        if command == "blocks":
-            return run_sym_blocks(args.n, args.p), []
-        if command == "table":
-            return run_sym_table(args.n), []
-        if command == "bhz":
-            return run_sym_bhz(args.n, args.p), []
-        if command == "am":
-            return run_sym_am(args.n, args.p), []
-    if group == "oracle" and command == "nakayama":
-        return run_oracle_nakayama(args.n, args.p), []
-    if group == "gl":
-        if command == "degrees":
-            return run_gl_degrees(args.n, args.q), []
-        if command == "mckay":
-            return run_gl_mckay(args.n, args.q, args.ell), []
-        if command == "blocks":
-            return run_gl_blocks(args.n, args.q, args.ell), []
-    if group == "sweep":
+    if args.group == "sweep":
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -462,8 +448,12 @@ def _dispatch(args) -> tuple[list[VerificationReport], list[str]]:
             raise UsageError(f"cannot read sweep config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"sweep config is not valid JSON: {exc}") from exc
-        return run_sweep(config, workers=args.workers)
-    raise UsageError("no subcommand given (try: sym, oracle, gl, sweep)")
+        return run_sweep(config)
+    name = getattr(args, "check", None)
+    if name is None:
+        raise UsageError("no subcommand given (try: sym, oracle, gl, sweep)")
+    params = {param: getattr(args, param) for param in CHECKS[name].params}
+    return _SWEEP_RUNNERS[name](**params), []
 
 
 def main(argv=None) -> int:

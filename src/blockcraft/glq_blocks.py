@@ -275,7 +275,7 @@ def verify_gl_mckay_defining(n: int, q: int) -> VerificationReport:
     """
     start = time.perf_counter()
     p = prime_power_radical(q)
-    global_count = sum(m for deg, m in all_degrees(n, q).entries if deg % p)
+    global_count = irr_lprime_count_gl(n, q, p)
     local_count = irr_pprime_count_gl(n, q)
     census = semisimple_class_count(n, q)
     elapsed = int((time.perf_counter() - start) * 1000)

@@ -11,7 +11,7 @@ parameter values are strings.  CSV uses the header
 ``conjecture,params,global,local,passed,elapsed_ms`` with the params column
 holding ``name=value`` pairs joined by ``;`` in name order.  Reports are
 always emitted sorted by (conjecture, parameters) so output is byte-stable
-across runs and worker counts.
+across runs.
 """
 
 from __future__ import annotations

@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, prod
+from types import MappingProxyType
 
 from .arith import is_prime, nu, nu_factorial
 from .errors import CrossCheckError, ResourceLimitError
@@ -108,7 +110,7 @@ def sylow2_local_count(n: int) -> int:
     return count
 
 
-def centralizer_order(rho: Partition) -> int:
+def cycle_type_centralizer_order(rho: Partition) -> int:
     """z_rho = prod i^{m_i} m_i! for the cycle type rho."""
     z = 1
     for i, m in Counter(rho).items():
@@ -117,7 +119,7 @@ def centralizer_order(rho: Partition) -> int:
 
 
 def cycle_type_class_size(rho: Partition) -> int:
-    return factorial(sum(rho)) // centralizer_order(rho)
+    return factorial(sum(rho)) // cycle_type_centralizer_order(rho)
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,15 @@ class SymCharacterTable:
     """Exact character table of S_n.
 
     classes holds the cycle types in canonical (reverse lexicographic)
-    order; rows maps each partition label to a {cycle type: value} dict.
+    order; rows maps each partition label to a {cycle type: value} mapping.
+    build_table hands the same table to every caller, so rows, each row and
+    class_sizes are read-only.
     """
 
     n: int
     classes: tuple[Partition, ...]
-    class_sizes: dict
-    rows: dict
+    class_sizes: Mapping[Partition, int]
+    rows: Mapping[Partition, Mapping[Partition, int]]
 
     def degree(self, lam: Partition) -> int:
         return self.rows[lam][(1,) * self.n]
@@ -160,8 +164,10 @@ def _table(n: int) -> SymCharacterTable:
     rows = {}
     for lam in classes:  # valid labels and sorted cycle types: call the MN kernel directly
         bits = _beta_bits(lam)
-        rows[lam] = {rho: _mn(bits, rho) for rho in classes}
-    return SymCharacterTable(n=n, classes=classes, class_sizes=class_sizes, rows=rows)
+        rows[lam] = MappingProxyType({rho: _mn(bits, rho) for rho in classes})
+    return SymCharacterTable(
+        n=n, classes=classes, class_sizes=MappingProxyType(class_sizes), rows=MappingProxyType(rows)
+    )
 
 
 def row_orthogonality_holds(table: SymCharacterTable) -> bool:
@@ -185,7 +191,7 @@ def column_orthogonality_holds(table: SymCharacterTable) -> bool:
             inner = sum(
                 table.rows[lam][rho] * table.rows[lam][sigma] for lam in table.classes
             )
-            expected = centralizer_order(rho) if rho == sigma else 0
+            expected = cycle_type_centralizer_order(rho) if rho == sigma else 0
             if inner != expected:
                 return False
     return True

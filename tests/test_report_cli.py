@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from blockcraft.cli import expand_sweep_config, main, run_gl_blocks, run_sym_am
+import blockcraft
+import blockcraft.cli as cli
+from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.report import VerificationReport, emit_reports, sort_reports
 
@@ -164,6 +166,112 @@ def test_run_gl_blocks_rejects_defining_prime():
         run_gl_blocks(2, 4, 2)
 
 
+def test_cli_gl_degrees_rejects_q_not_a_prime_power(capsys):
+    assert main(["gl", "degrees", "--n", "2", "--q", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q=6 is not a prime power\n"
+
+
+def test_nakayama_cell_computes_no_hook_lengths(monkeypatch):
+    calls = []
+    original = blockcraft.partitions.hook_lengths
+
+    def counted(lam):
+        calls.append(lam)
+        return original(lam)
+
+    for module in (blockcraft.partitions, blockcraft.sym_blocks, blockcraft.sym_chars):
+        monkeypatch.setattr(module, "hook_lengths", counted)
+    assert main(["oracle", "nakayama", "--n", "7", "--p", "2"]) == 0
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The check registry: one entry drives the CLI command and the sweep cell
+# ---------------------------------------------------------------------------
+
+# A value for every parameter that passes every check's precondition.
+PASSING = {"n": 5, "p": 2, "q": 3, "ell": 2}
+# Per check, parameter values that fail its precondition, and the reason.
+FAILING = {
+    "sym_mckay": ({"p": 3}, "sym mckay local side is only available at p=2"),
+    "sym_blocks": ({"p": 4}, "p=4 is not prime"),
+    "sym_table": ({"n": 11}, "n=11 exceeds the table bound 10"),
+    "sym_bhz": ({"p": 1}, "p=1 is not prime"),
+    "sym_am": ({"p": 9}, "p=9 is not prime"),
+    "nakayama": ({"n": 12}, "n=12 exceeds the table bound 10"),
+    "gl_degrees": ({"q": 6}, "q=6 is not a prime power"),
+    "gl_mckay": ({"ell": 4}, "ell=4 is not prime"),
+    "gl_blocks": ({"q": 9, "ell": 3}, "ell=3 divides q=9"),
+}
+
+
+def _cli_argv(name, values):
+    check = CHECKS[name]
+    argv = [check.group, check.command]
+    for param in check.params:
+        argv += [f"--{param}", str(values[param])]
+    return argv
+
+
+def _sweep_argv(tmp_path, name, values):
+    cell = {"check": name, **{param: values[param] for param in CHECKS[name].params}}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"cells": [cell]}))
+    return ["sweep", "--config", str(path)]
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_cli_command_and_one_cell_sweep_agree(name, tmp_path, capsys):
+    flags = ["--stable", "--format", "json"]
+    assert main(_cli_argv(name, PASSING) + flags) == 0
+    single = capsys.readouterr()
+    assert main(_sweep_argv(tmp_path, name, PASSING) + flags) == 0
+    swept = capsys.readouterr()
+    assert json.loads(single.out)
+    assert single.out == swept.out
+    assert single.err == swept.err == ""
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_precondition_is_cli_error_and_sweep_skip(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    override, reason = FAILING[name]
+    values = {**PASSING, **override}
+    assert main(_cli_argv(name, values)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+    assert main(_sweep_argv(tmp_path, name, values)) == 0
+    captured = capsys.readouterr()
+    rendered = " ".join(f"{k}={values[k]}" for k in sorted(CHECKS[name].params))
+    assert captured.err == f"skip {name} {rendered}: {reason}\n"
+
+
+def test_sweep_runners_are_the_public_runners_of_the_cli():
+    # bench/trace_child.py counts sweep cells by wrapping these values.
+    assert set(cli._SWEEP_RUNNERS) == set(CHECKS)
+    for runner in cli._SWEEP_RUNNERS.values():
+        assert not runner.__name__.startswith("_")
+        assert runner.__module__ == "blockcraft.cli"
+        assert getattr(cli, runner.__name__) is runner
+
+
+def test_sweep_calls_the_runner_in_the_registry(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fake(**params):
+        calls.append(params)
+        return []
+
+    monkeypatch.setitem(cli._SWEEP_RUNNERS, "sym_mckay", fake)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"cells": [{"check": "sym_mckay", "n": [3, 5]}]}))
+    assert main(["sweep", "--config", str(path), "--format", "csv"]) == 0
+    assert calls == [{"n": 3, "p": 2}, {"n": 5, "p": 2}]
+
+
 # ---------------------------------------------------------------------------
 # Sweep config expansion
 # ---------------------------------------------------------------------------
@@ -237,20 +345,6 @@ def test_cli_sweep_end_to_end(tmp_path, capsys):
     lines = captured.out.strip().split("\n")
     assert lines[0] == "conjecture,params,global,local,passed,elapsed_ms"
     assert all(",true," in line for line in lines[1:])
-
-
-def test_cli_sweep_worker_counts_agree(tmp_path, capsys):
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps({"cells": [
-        {"check": "sym_bhz", "n": "4..8", "p": [2, 3]},
-        {"check": "gl_mckay", "n": "2..3", "q": [2, 3], "ell": [2, 3, 5]},
-    ]}))
-    outputs = []
-    for workers in ("1", "4"):
-        assert main(["sweep", "--config", str(config), "--workers", workers,
-                     "--format", "json", "--stable"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

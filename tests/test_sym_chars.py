@@ -87,6 +87,19 @@ def test_build_table_cached_on_n_alone():
     assert build_table(5) is build_table(5, bound=20)
 
 
+def test_memoized_table_is_read_only():
+    table = build_table(3)
+    with pytest.raises(TypeError):
+        table.rows[(3,)][(3,)] = 99
+    with pytest.raises(TypeError):
+        table.rows[(3,)] = {}
+    with pytest.raises(TypeError):
+        table.class_sizes[(3,)] = 0
+    fresh = build_table(3)
+    assert fresh.rows[(3,)] == {(3,): 1, (2, 1): 1, (1, 1, 1): 1}
+    assert fresh.class_sizes == {(3,): 2, (2, 1): 3, (1, 1, 1): 1}
+
+
 def test_orthogonality_small():
     for n in range(1, 7):
         table = build_table(n)
