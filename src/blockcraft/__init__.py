@@ -46,6 +46,7 @@ from .partitions import (
     enumerate_partitions,
     from_core_and_quotient,
     hook_lengths,
+    hook_valuation,
     mn_character_value,
     partition_count,
     partition_tuple_count,

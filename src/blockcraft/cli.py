@@ -35,7 +35,7 @@ from itertools import product
 from math import factorial
 from typing import Callable
 
-from .arith import is_prime, prime_power_radical
+from .arith import is_prime, nu_factorial, prime_power_radical
 from .errors import (
     CrossCheckError,
     ResourceLimitError,
@@ -52,14 +52,10 @@ from .glq_blocks import (
 from .glq_chars import all_degrees, gl_order
 from .partitions import partition_count, partitions_by_core
 from .report import VerificationReport, emit_reports, format_partition, strip_timings
-from .sym_blocks import (
-    am_verify_abelian,
-    bhz_verify,
-    block_labels,
-    block_members_and_heights,
-)
+from .sym_blocks import am_verify_abelian, bhz_verify, block_labels
 from .sym_chars import (
     build_table,
+    census_bound,
     central_character_blocks,
     column_orthogonality_holds,
     irr_pprime_count_sym,
@@ -109,6 +105,10 @@ def _within_table_bound(n: int, **_) -> str | None:
     return f"n={n} exceeds the table bound {table_bound()}" if n > table_bound() else None
 
 
+def _within_census_bound(n: int, **_) -> str | None:
+    return f"n={n} exceeds the census bound {census_bound()}" if n > census_bound() else None
+
+
 def _register(name: str, path: str, precondition: Callable[..., str | None] | None = None):
     """Register the decorated runner as check `name`, run as `blockcraft <path>`.
 
@@ -151,7 +151,9 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
 
 @_register(
     "sym_mckay", "sym mckay",
-    precondition=lambda n, p: None if p == 2 else "sym mckay local side is only available at p=2",
+    precondition=lambda n, p: (
+        "sym mckay local side is only available at p=2" if p != 2 else _within_census_bound(n)
+    ),
 )
 def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
     start = time.perf_counter()
@@ -172,18 +174,18 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
     ]
 
 
-@_register("sym_blocks", "sym blocks")
+@_register("sym_blocks", "sym blocks", precondition=_within_census_bound)
 def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     start = time.perf_counter()
-    labels = block_labels(n, p)
+    groups = partitions_by_core(n, p)
     notes = []
     total = 0
-    for label in labels:
-        data = block_members_and_heights(label)
-        total += len(data.members)
+    for label in block_labels(n, p):
+        members = len(groups[label.core])
+        total += members
         notes.append(
             f"core={format_partition(label.core)} weight={label.weight} "
-            f"members={len(data.members)} defect_order={data.defect_group_order}"
+            f"members={members} defect_order={p ** nu_factorial(p * label.weight, p)}"
         )
     elapsed = int((time.perf_counter() - start) * 1000)
     return [
@@ -248,12 +250,12 @@ def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
-@_register("sym_bhz", "sym bhz")
+@_register("sym_bhz", "sym bhz", precondition=_within_census_bound)
 def run_sym_bhz(n: int, p: int) -> list[VerificationReport]:
     return [bhz_verify(label) for label in block_labels(n, p)]
 
 
-@_register("sym_am", "sym am")
+@_register("sym_am", "sym am", precondition=_within_census_bound)
 def run_sym_am(n: int, p: int) -> list[VerificationReport]:
     return [
         am_verify_abelian(label)

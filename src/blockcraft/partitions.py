@@ -17,13 +17,26 @@ pos - t, which is two XORs; the leg length is the number of beads strictly
 between them.  A bead that lands on position 0 gives zero parts, and that
 low run of set bits is shifted out to keep the mask unique.
 
+Hook valuations are read off the beta-set too.  In the row with bead b the
+hooks are {1, ..., b} minus {b - c : c a lower bead}, so
+
+    nu_p(prod of hooks) = sum over beads b of (nu_p(b!) - sum_{c < b} nu_p(b - c)),
+
+and only the lower beads on b's runner of the p-abacus (c = b mod p) give
+nonzero terms.  Adding rows from the bottom up, the row at depth k with part
+a has bead a + k whatever lies above it, so its term is final as soon as
+the rows below it are known: ``hook_valuation`` sums these terms for one
+partition, and a depth-first walk over rows (``sym_chars``) sums them along
+every partition without listing any.
+
 Everything here is pure and deterministic.  The memo tables are
 module-level ``functools`` caches of immutable values, so concurrent
 readers always observe consistent results.  They hold the
-Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle-type suffix), and
-the grouped census ``partitions_by_core``: one pass per (n, d) that groups
-the partitions of n by d-core, read-only, so every block census reads its
-members instead of rescanning all p(n) partitions.
+Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle-type suffix); the
+tables of nu_p(m) and nu_p(m!) behind every hook valuation, one per p and
+power-of-two size; and the grouped census ``partitions_by_core``: one pass
+per (n, d) that groups the partitions of n by d-core, read-only, so every
+block census reads its members instead of rescanning all p(n) partitions.
 """
 
 from __future__ import annotations
@@ -122,6 +135,46 @@ def hook_lengths(lam: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _valuation_tables(p: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """nu_p(m) and nu_p(m!) for 0 <= m < 2**bits, with nu_p(0) stored as 0."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    nu = [0] * (1 << bits)
+    nu_fact = nu[:]
+    for m in range(1, len(nu)):
+        if m % p == 0:
+            nu[m] = nu[m // p] + 1
+        nu_fact[m] = nu_fact[m - 1] + nu[m]
+    return tuple(nu), tuple(nu_fact)
+
+
+def _row_hook_valuation(bead: int, lower: list[int], nu, nu_fact) -> int:
+    """nu_p of the hook product of the row with this bead.
+
+    lower holds the beads below it on its runner of the p-abacus; nu and
+    nu_fact come from _valuation_tables(p, ...).
+    """
+    value = nu_fact[bead]
+    for below in lower:
+        value -= nu[bead - below]
+    return value
+
+
+def hook_valuation(lam: Partition, p: int) -> int:
+    """nu_p of the product of the hook lengths of lam, read off its beta-set."""
+    top = lam[0] + len(lam) - 1 if lam else 0  # the highest bead
+    nu, nu_fact = _valuation_tables(p, top.bit_length())
+    runners: dict[int, list[int]] = {}
+    total = 0
+    for depth, part in enumerate(reversed(lam)):
+        bead = part + depth
+        lower = runners.setdefault(bead % p, [])
+        total += _row_hook_valuation(bead, lower, nu, nu_fact)
+        lower.append(bead)
+    return total
+
+
 def count_hooks(lam: Partition, d: int) -> int:
     """Number of boxes of lam whose hook length is exactly d."""
     if d < 1:
@@ -174,9 +227,9 @@ def _abacus_runners(lam: Partition, d: int) -> list[list[int]]:
     return runners
 
 
-def _core_of_runners(runners: list[list[int]], d: int) -> Partition:
-    """The d-core: every bead slid to the top of its runner."""
-    positions = (r + d * k for r, levels in enumerate(runners) for k in range(len(levels)))
+def _core_of_counts(counts, d: int) -> Partition:
+    """The d-core with counts[r] beads on runner r, every bead slid to the top."""
+    positions = (r + d * k for r, count in enumerate(counts) for k in range(count))
     return partition_from_beta(tuple(sorted(positions, reverse=True)))
 
 
@@ -193,7 +246,7 @@ def d_core_and_quotient(lam: Partition, d: int) -> CoreQuotient:
         raise ValueError("d must be at least 1")
     validate_partition(lam)
     runners = _abacus_runners(lam, d)
-    core = _core_of_runners(runners, d)
+    core = _core_of_counts([len(levels) for levels in runners], d)
     quotient = tuple(partition_from_beta(tuple(levels)) for levels in runners)
     weight = sum(sum(mu) for mu in quotient)
     if sum(core) + d * weight != sum(lam):
@@ -243,16 +296,25 @@ def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ..
     """The partitions of n grouped by d-core, in one pass over enumerate_partitions(n).
 
     Maps each d-core that occurs to the tuple of its partitions, in canonical
-    order; cores appear in the order of their first member.  Each core is
-    read off the abacus without forming the quotient.  The mapping is
-    read-only, since every caller shares the cached value.
+    order; cores appear in the order of their first member.  The d-core is
+    fixed by how many beads lie on each runner of the d-abacus, so the pass
+    keys each partition by those counts, lowered by the smallest one (the
+    full bottom levels, which depend on the bead count only), and turns each
+    distinct key into a core once.  The mapping is read-only, since every
+    caller shares the cached value.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    groups: dict[Partition, list[Partition]] = {}
+    groups: dict[tuple[int, ...], list[Partition]] = {}
     for lam in enumerate_partitions(n):
-        groups.setdefault(_core_of_runners(_abacus_runners(lam, d), d), []).append(lam)
-    return MappingProxyType({core: tuple(members) for core, members in groups.items()})
+        counts = [0] * d
+        for pos in beta_set(lam, len(lam) + -len(lam) % d):  # a multiple of d beads
+            counts[pos % d] += 1
+        low = min(counts)
+        groups.setdefault(tuple(c - low for c in counts), []).append(lam)
+    return MappingProxyType(
+        {_core_of_counts(key, d): tuple(members) for key, members in groups.items()}
+    )
 
 
 def count_partitions_with_core(n: int, d: int, core: Partition) -> int:

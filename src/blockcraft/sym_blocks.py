@@ -8,7 +8,10 @@ rank w when pw < p^2 and contains a wreathed C_p wr C_p otherwise).
 
 Heights are pure valuation arithmetic:
 
-    height(lam) = nu_p((pw)!) - sum of nu_p over the hooks of lam.
+    height(lam) = nu_p((pw)!) - nu_p(prod of the hooks of lam),
+
+with the hook valuation read off the beta-set of lam
+(``partitions.hook_valuation``).
 
 Alperin-McKay counting is implemented in the abelian-defect regime w < p,
 where the Brauer correspondent's character count is |Irr((C_p x| C_{p-1}) wr S_w)|;
@@ -21,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .arith import is_prime, nu, nu_factorial, primitive_root
+from .arith import is_prime, nu_factorial, primitive_root
 from .errors import CrossCheckError, UnsupportedRegimeError
 from .partitions import (
     Partition,
@@ -29,7 +32,7 @@ from .partitions import (
     d_core,
     d_core_and_quotient,
     enumerate_partitions,
-    hook_lengths,
+    hook_valuation,
     partitions_by_core,
 )
 from .report import VerificationReport
@@ -92,7 +95,7 @@ def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:
     members = partitions_by_core(label.n, p)[label.core]
     heights = {}
     for lam in members:
-        height = defect_valuation - sum(nu(h, p) for h in hook_lengths(lam) if h % p == 0)
+        height = defect_valuation - hook_valuation(lam, p)
         if height < 0:
             raise CrossCheckError(f"negative height for {lam!r} in block {label}")
         heights[lam] = height

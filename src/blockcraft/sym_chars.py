@@ -1,8 +1,11 @@
 """Character degrees and exact character tables of symmetric groups.
 
 Degrees come from the hook formula n!/prod(hooks); p'-degree counting uses
-valuations (Legendre on n!, per-box on hooks) so no large factorial is ever
-formed.  Character values come from the Murnaghan-Nakayama rule.
+valuations (Legendre on n!, and on the hooks the beta-set formula of
+``partitions.hook_valuation`` with its tables of nu_p(m) and nu_p(m!)), so
+no large factorial is ever formed.  The p'-degree count is a depth-first
+walk over rows that never lists the partitions.  Character values come from
+the Murnaghan-Nakayama rule.
 
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
@@ -15,8 +18,10 @@ Block idempotents e_B = sum_{chi in B} chi(1)/|G| sum_{x p-regular} chi(x) x^{-1
 are handled as exact rational coefficient vectors on class sums, and
 multiplied via the integer structure constants of the class algebra.
 
-Resource bounds: tables are refused above n = 10 and idempotent work above
-n = 6 by default; the BLOCKCRAFT_MAX_N environment variable raises both.
+Resource bounds: tables are refused above n = 10, idempotent work above
+n = 6, and the censuses that walk every partition of n (the sym mckay,
+blocks, bhz and am checks) above n = 60 by default; the BLOCKCRAFT_MAX_N
+environment variable raises all three.
 """
 
 from __future__ import annotations
@@ -30,12 +35,22 @@ from functools import cache, lru_cache
 from math import factorial, prod
 from types import MappingProxyType
 
-from .arith import is_prime, nu, nu_factorial
+from .arith import is_prime, nu_factorial
 from .errors import CrossCheckError, ResourceLimitError
-from .partitions import Partition, _beta_bits, _mn, enumerate_partitions, hook_lengths
+from .partitions import (
+    Partition,
+    _beta_bits,
+    _mn,
+    _row_hook_valuation,
+    _valuation_tables,
+    enumerate_partitions,
+    hook_lengths,
+    hook_valuation,
+)
 
 DEFAULT_TABLE_BOUND = 10
 DEFAULT_IDEMPOTENT_BOUND = 6
+DEFAULT_CENSUS_BOUND = 60
 
 
 def _env_bound(default: int) -> int:
@@ -57,6 +72,10 @@ def idempotent_bound() -> int:
     return _env_bound(DEFAULT_IDEMPOTENT_BOUND)
 
 
+def census_bound() -> int:
+    return _env_bound(DEFAULT_CENSUS_BOUND)
+
+
 def sym_degree(lam: Partition) -> int:
     """Hook-formula degree of the S_n character labelled by lam."""
     quotient, rem = divmod(factorial(sum(lam)), prod(hook_lengths(lam)))
@@ -66,16 +85,52 @@ def sym_degree(lam: Partition) -> int:
 
 
 def sym_degree_valuation(lam: Partition, p: int) -> int:
-    """nu_p of the degree, via nu_p(n!) - sum of per-hook valuations."""
-    n = sum(lam)
-    return nu_factorial(n, p) - sum(nu(h, p) for h in hook_lengths(lam) if h % p == 0)
+    """nu_p of the degree, via nu_p(n!) - nu_p(prod of hooks)."""
+    return nu_factorial(sum(lam), p) - hook_valuation(lam, p)
 
 
 def irr_pprime_count_sym(n: int, p: int) -> int:
-    """|Irr_{p'}(S_n)|: partitions of n whose hook-formula degree is prime to p."""
+    """|Irr_{p'}(S_n)|: partitions of n whose hook product has the p-valuation of n!.
+
+    A depth-first walk adds rows from the bottom up, keeping only the beads
+    placed so far, so it uses O(n) memory and lists no partitions.  The row
+    at depth k with part a has bead a + k, and its hook valuation depends
+    only on the rows below it, so every prefix sum is final: one above
+    nu_p(n!) would make some degree fractional, and raises CrossCheckError.
+    """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    return sum(1 for lam in enumerate_partitions(n) if sym_degree_valuation(lam, p) == 0)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return 1
+    target = nu_factorial(n, p)
+    nu, nu_fact = _valuation_tables(p, n.bit_length())  # beads never pass n
+    runners: list[list[int]] = [[] for _ in range(min(p, n + 1))]
+    count = 0
+
+    def add_row(bead: int, below: int) -> int:
+        total = below + _row_hook_valuation(bead, runners[bead % p], nu, nu_fact)
+        if total > target:
+            raise CrossCheckError(f"hook valuation {total} exceeds nu_{p}({n}!) = {target}")
+        return total
+
+    def walk(remaining: int, low: int, depth: int, below: int) -> None:
+        # Rows above this one have parts >= low; a part a < remaining must
+        # leave room for another such row, so a <= remaining - a.
+        nonlocal count
+        for part in range(low, remaining // 2 + 1):
+            bead = part + depth
+            total = add_row(bead, below)
+            lower = runners[bead % p]
+            lower.append(bead)
+            walk(remaining - part, part, depth + 1, total)
+            lower.pop()
+        if remaining >= low:  # the top row takes all that remains
+            count += add_row(remaining + depth, below) == target
+
+    walk(n, 1, 0, 0)
+    return count
 
 
 def macdonald_count(n: int) -> int:

@@ -5,8 +5,10 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockcraft.arith import nu
 from blockcraft.partitions import (
     CoreQuotient,
+    _abacus_runners,
     beta_set,
     conjugate,
     count_hooks,
@@ -16,6 +18,7 @@ from blockcraft.partitions import (
     enumerate_partitions,
     from_core_and_quotient,
     hook_lengths,
+    hook_valuation,
     mn_character_value,
     partition_count,
     partition_from_beta,
@@ -114,6 +117,22 @@ def oracle_rim_hook_removals(lam, length):
         leg = sum(1 for val in beta if target < val < pos)
         out.append((partition_from_beta(new_beta), leg))
     return tuple(out)
+
+
+def oracle_hook_valuation(lam, p):
+    """nu_p of the hook product, one hook at a time (the former per-box route)."""
+    return sum(nu(h, p) for h in hook_lengths(lam) if h % p == 0)
+
+
+def oracle_groups_by_core(n, d):
+    """The former partitions_by_core: the core of each partition off its full abacus."""
+    groups = {}
+    for lam in enumerate_partitions(n):
+        runners = _abacus_runners(lam, d)
+        positions = (r + d * k for r, levels in enumerate(runners) for k in range(len(levels)))
+        core = partition_from_beta(tuple(sorted(positions, reverse=True)))
+        groups.setdefault(core, []).append(lam)
+    return [(core, tuple(members)) for core, members in groups.items()]
 
 
 @cache
@@ -217,6 +236,26 @@ def test_hook_kernel_matches_loop_oracles():
             assert hook_lengths(lam) == oracle_hook_lengths(lam)
 
 
+def test_hook_valuation_matches_per_box_oracle():
+    for n in range(0, 17):
+        for lam in enumerate_partitions(n):
+            for p in (2, 3, 5, 7):
+                assert hook_valuation(lam, p) == oracle_hook_valuation(lam, p), (lam, p)
+
+
+def test_hook_valuation_examples_and_guards():
+    assert hook_valuation((3, 1), 2) == 3  # hooks 4, 2, 1, 1
+    assert hook_valuation((5,), 5) == 1
+    assert hook_valuation((5,), 7) == 0
+    assert hook_valuation((), 2) == 0
+    assert hook_valuation((40, 1), 2) == oracle_hook_valuation((40, 1), 2)  # a wide row
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError):
+            hook_valuation((2, 1), p)
+        with pytest.raises(ValueError):
+            hook_valuation((), p)
+
+
 def test_count_hooks_examples():
     assert count_hooks((5,), 4) == 1
     assert count_hooks((3, 2), 4) == 1
@@ -300,8 +339,9 @@ def test_core_census_sums_to_partition_count():
 
 def test_partitions_by_core_groups_partitions():
     for n in range(0, 17):
-        for d in (1, 2, 3, 5, 7):
+        for d in (1, 2, 3, 5, 7, 11):
             groups = partitions_by_core(n, d)
+            assert list(groups.items()) == oracle_groups_by_core(n, d), (n, d)
             members = [lam for group in groups.values() for lam in group]
             assert sorted(members, reverse=True) == list(enumerate_partitions(n))
             for core, group in groups.items():

@@ -1,9 +1,15 @@
+import io
 import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import blockcraft
 import blockcraft.cli as cli
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
@@ -99,6 +105,26 @@ def test_cli_sym_mckay_odd_p_is_usage_error(capsys):
     assert "p=2" in capsys.readouterr().err
 
 
+def test_cli_sym_mckay_negative_n_is_one_line_usage_error(capsys):
+    assert main(["sym", "mckay", "--n", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be nonnegative\n"
+
+
+CENSUS_CHECKS = ("sym_mckay", "sym_bhz", "sym_blocks", "sym_am")
+
+
+@pytest.mark.parametrize("name", CENSUS_CHECKS)
+def test_census_checks_refuse_n_above_the_census_bound(name, monkeypatch):
+    # Only the precondition is asked: over the bound, nothing may be enumerated.
+    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    assert CHECKS[name].refusal({"n": 70, "p": 2}) == "n=70 exceeds the census bound 60"
+    assert CHECKS[name].refusal({"n": 60, "p": 2}) is None
+    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "80")
+    assert CHECKS[name].refusal({"n": 70, "p": 2}) is None
+
+
 def test_cli_no_command_is_usage_error(capsys):
     assert main([]) == 1
     assert main(["sym"]) == 1
@@ -173,18 +199,37 @@ def test_cli_gl_degrees_rejects_q_not_a_prime_power(capsys):
     assert captured.err == "error: q=6 is not a prime power\n"
 
 
+def _count_calls(monkeypatch, *names):
+    """Wrap each named function in every blockcraft module that holds it; name -> calls."""
+    calls = {name: [] for name in names}
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("blockcraft."):
+            continue
+        for name in names:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _original=original, _calls=calls[name]):
+                _calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_nakayama_cell_computes_no_hook_lengths(monkeypatch):
-    calls = []
-    original = blockcraft.partitions.hook_lengths
-
-    def counted(lam):
-        calls.append(lam)
-        return original(lam)
-
-    for module in (blockcraft.partitions, blockcraft.sym_blocks, blockcraft.sym_chars):
-        monkeypatch.setattr(module, "hook_lengths", counted)
+    calls = _count_calls(monkeypatch, "hook_lengths", "hook_valuation")
     assert main(["oracle", "nakayama", "--n", "7", "--p", "2"]) == 0
-    assert calls == []
+    assert calls == {"hook_lengths": [], "hook_valuation": []}
+
+
+def test_sym_blocks_cell_computes_no_hooks_or_heights(monkeypatch):
+    calls = _count_calls(
+        monkeypatch, "hook_lengths", "hook_valuation", "block_members_and_heights"
+    )
+    assert main(["sym", "blocks", "--n", "12", "--p", "3"]) == 0
+    assert all(not made for made in calls.values()), {k: len(v) for k, v in calls.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +315,29 @@ def test_sweep_calls_the_runner_in_the_registry(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"cells": [{"check": "sym_mckay", "n": [3, 5]}]}))
     assert main(["sweep", "--config", str(path), "--format", "csv"]) == 0
     assert calls == [{"n": 3, "p": 2}, {"n": 5, "p": 2}]
+
+
+SYM_AND_ORACLE = sorted(name for name, check in CHECKS.items() if check.group in ("sym", "oracle"))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(
+    name=st.sampled_from(SYM_AND_ORACLE),
+    n=st.one_of(st.integers(-3, 24), st.sampled_from([61, 70, 500])),
+    p=st.integers(-3, 12),
+)
+def test_cli_fuzz_small_sym_and_oracle_vectors(name, n, p):
+    check = CHECKS[name]
+    argv = [check.group, check.command, "--n", str(n)]
+    if "p" in check.params:
+        argv += ["--p", str(p)]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("BLOCKCRAFT_MAX_N", None)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from blockcraft import sym_chars
-from blockcraft.errors import ResourceLimitError
-from blockcraft.partitions import enumerate_partitions
+from blockcraft.arith import nu, nu_factorial
+from blockcraft.errors import CrossCheckError, ResourceLimitError
+from blockcraft.partitions import enumerate_partitions, hook_lengths
 from blockcraft.sym_chars import (
     block_idempotent,
     block_idempotent_p_integral,
@@ -54,6 +55,40 @@ def test_irr_pprime_count_examples():
     assert irr_pprime_count_sym(1, 2) == 1
     assert irr_pprime_count_sym(4, 2) == 4
     assert irr_pprime_count_sym(6, 2) == 8
+
+
+def oracle_pprime_count(n, p):
+    """The former count: enumerate the partitions, keep those with per-box valuation nu_p(n!)."""
+    target = nu_factorial(n, p)
+    return sum(
+        1
+        for lam in enumerate_partitions(n)
+        if sum(nu(h, p) for h in hook_lengths(lam) if h % p == 0) == target
+    )
+
+
+def test_irr_pprime_count_matches_enumeration_oracle():
+    for n in range(0, 31):
+        for p in (2, 3, 5, 7):
+            assert irr_pprime_count_sym(n, p) == oracle_pprime_count(n, p), (n, p)
+
+
+def test_irr_pprime_count_lists_no_partitions():
+    enumerate_partitions.cache_clear()
+    irr_pprime_count_sym(23, 3)
+    assert enumerate_partitions.cache_info().currsize == 0
+
+
+def test_irr_pprime_count_guards(monkeypatch):
+    assert irr_pprime_count_sym(0, 2) == 1
+    with pytest.raises(ValueError):
+        irr_pprime_count_sym(-2, 2)
+    with pytest.raises(ValueError):
+        irr_pprime_count_sym(6, 4)
+    # A hook valuation above nu_p(n!) would make a degree fractional.
+    monkeypatch.setattr(sym_chars, "nu_factorial", lambda n, p: 0)
+    with pytest.raises(CrossCheckError):
+        irr_pprime_count_sym(6, 2)
 
 
 def test_macdonald_examples():
