@@ -74,13 +74,14 @@ from .sym_chars import (
     irr_pprime_count_sym,
     macdonald_count,
     sym_degree,
-    sylow2_local_count,
 )
 from .wreath_local import (
     DegreeMultiset,
     MetacyclicSpec,
+    direct_product,
     irr_lprime_count,
     metacyclic_degrees,
+    sylow2_local_count,
     wreath_degrees,
 )
 

@@ -4,13 +4,15 @@ Each check is registered once, by the decorator on its runner, with its
 sweep name, its CLI group and command, and its precondition.  The runner's
 parameters (all ints) and their defaults are the check's: they become the
 command's flags and the keys of its sweep cells.  The CLI and sweeps apply
-the same preconditions (p and ell prime, q a prime power, plus each check's
-own): a cell that fails one is an `error:` line and exit 1 on the CLI, and
-a skip note on stderr in a sweep, with the same reason text.
+the same preconditions (n nonnegative, p and ell prime, q a prime power,
+plus each check's own): a cell that fails one is an `error:` line and exit
+1 on the CLI, and a skip note on stderr in a sweep, with the same reason
+text.
 
 Exit codes: 0 when every emitted report passed, 2 when at least one
-verification failed (or an internal cross-check caught a disagreement),
-1 for usage or resource errors.
+verification failed (or an internal cross-check caught a disagreement, or
+a ValueError escaped a runner: an `internal error:` line), 1 for usage or
+resource errors.
 
 Sweeps read a JSON config of the form
 
@@ -43,7 +45,9 @@ from .errors import (
     UsageError,
 )
 from .glq_blocks import (
+    LOCAL_BASE_BOUND,
     EllContext,
+    d_ell,
     unipotent_block_series_size,
     unipotent_blocks,
     verify_gl_mckay,
@@ -61,9 +65,9 @@ from .sym_chars import (
     irr_pprime_count_sym,
     macdonald_count,
     row_orthogonality_holds,
-    sylow2_local_count,
     table_bound,
 )
+from .wreath_local import sylow2_local_count
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,12 @@ class Check:
     def refusal(self, params: dict) -> str | None:
         """Why the cell with these parameter values cannot run, or None if it can.
 
-        Whichever check takes them, p and ell must be prime and q a prime power.
+        Whichever check takes them, n must be nonnegative, p and ell prime
+        and q a prime power.
         """
-        p, q, ell = params.get("p"), params.get("q"), params.get("ell")
+        n, p, q, ell = params.get("n"), params.get("p"), params.get("q"), params.get("ell")
+        if n is not None and n < 0:
+            return "n must be nonnegative"
         if p is not None and not is_prime(p):
             return f"p={p} is not prime"
         if q is not None:
@@ -107,6 +114,16 @@ def _within_table_bound(n: int, **_) -> str | None:
 
 def _within_census_bound(n: int, **_) -> str | None:
     return f"n={n} exceeds the census bound {census_bound()}" if n > census_bound() else None
+
+
+def _within_local_base_bound(n: int, q: int, ell: int) -> str | None:
+    """Refuse a gl mckay cell whose local base C_{q^d-1} x| C_d is too large to list."""
+    if q % ell == 0:
+        return None
+    d = d_ell(q, ell)
+    if n < d or q**d - 1 <= LOCAL_BASE_BOUND:
+        return None
+    return f"q^{d} - 1 = {q**d - 1} exceeds the local base bound {LOCAL_BASE_BOUND}"
 
 
 def _register(name: str, path: str, precondition: Callable[..., str | None] | None = None):
@@ -152,7 +169,9 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
 @_register(
     "sym_mckay", "sym mckay",
     precondition=lambda n, p: (
-        "sym mckay local side is only available at p=2" if p != 2 else _within_census_bound(n)
+        "sym mckay local side is only available at p=2" if p != 2
+        else "n must be positive" if n < 1
+        else _within_census_bound(n)
     ),
 )
 def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
@@ -285,7 +304,7 @@ def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
     ]
 
 
-@_register("gl_mckay", "gl mckay")
+@_register("gl_mckay", "gl mckay", precondition=_within_local_base_bound)
 def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
     if q % ell == 0:
         return [verify_gl_mckay_defining(n, q)]
@@ -350,7 +369,10 @@ def _parse_grid(value) -> list[int]:
         grid = list(value)
     elif isinstance(value, str) and ".." in value:
         lo, hi = value.split("..", 1)
-        grid = list(range(int(lo), int(hi) + 1))
+        try:
+            grid = list(range(int(lo), int(hi) + 1))
+        except ValueError:
+            raise UsageError(f"bad grid value {value!r}: 'a..b' needs integers a and b") from None
     else:
         raise UsageError(f"bad grid value {value!r}: expected int, list of ints, or 'a..b'")
     if not grid:
@@ -446,7 +468,7 @@ def _dispatch(args) -> tuple[list[VerificationReport], list[str]]:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read sweep config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"sweep config is not valid JSON: {exc}") from exc
@@ -468,11 +490,14 @@ def main(argv=None) -> int:
         if getattr(args, "stable", False):
             reports = strip_timings(reports)
         payload = emit_reports(reports, args.format)
-    except (UsageError, ResourceLimitError, UnsupportedRegimeError, ValueError) as exc:
+    except (UsageError, ResourceLimitError, UnsupportedRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # bad user input is refused before a runner starts
+        print(f"internal error: {exc}", file=sys.stderr)
         return 2
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

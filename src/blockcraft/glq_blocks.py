@@ -11,8 +11,8 @@ of exact degrees, and the two routes must agree.
 
 The McKay comparison is against the overgroup
 M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q), n = wd + r, which contains the
-Sylow ell-normalizer; |Irr_{ell'}(M)| comes from the wreath degree multiset
-and a recursive GL_r count (r < d keeps the recursion finite).
+Sylow ell-normalizer; the wreath_local engine builds M's degree multiset
+(checked against |M|) and counts its ell'-characters, as it does GL_n(q)'s.
 
 Unipotent ell-blocks are labelled by d-cores; the series size of a block is
 computed three independent ways (partition census, |Irr(C_d wr S_w)|, and
@@ -49,13 +49,19 @@ from .partitions import (
 )
 from .report import VerificationReport
 from .wreath_local import (
+    DegreeMultiset,
     MetacyclicSpec,
     cyclic_wreath_character_count,
+    direct_product,
+    irr_lprime_count,
     metacyclic_degrees,
     wreath_degrees,
 )
 
 DEFAULT_MIN_ELL = 7
+# Largest q^d - 1 whose local base C_{q^d-1} x| C_d gl mckay will list: the
+# orbit scan of metacyclic_degrees is linear in it (about 0.4 s at 2^20).
+LOCAL_BASE_BOUND = 1 << 20
 
 
 def d_ell(q: int, ell: int) -> int:
@@ -182,32 +188,20 @@ def series_is_lprime(label: SeriesLabel, context: EllContext) -> bool:
     return direct
 
 
-def _lprime_total(counter_like, ell: int) -> int:
-    """Total multiplicity of the (degree, multiplicity) pairs with ell not dividing degree."""
-    return sum(mult for deg, mult in counter_like if deg % ell)
-
-
 def irr_lprime_count_gl(n: int, q: int, ell: int) -> int:
     """|Irr_{ell'}(GL_n(q))| by full degree enumeration."""
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
-    return _lprime_total(all_degrees(n, q).entries, ell)
+    return irr_lprime_count(all_degrees(n, q), ell)
 
 
-def _local_degree_counter(n: int, context: EllContext) -> Counter:
-    """Full degree multiset of M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q)."""
+def _local_degrees(n: int, context: EllContext) -> DegreeMultiset:
+    """Degree multiset of M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q), checked against |M|."""
     q, d = context.q, context.d
     w, r = n // d, n % d
     if w == 0:
-        return Counter(dict((deg, m) for deg, m in all_degrees(n, q).entries))
+        return all_degrees(n, q)
     m = q**d - 1
     base = metacyclic_degrees(MetacyclicSpec(m=m, d=d, u=q % m))
-    wreath = wreath_degrees(base, w)
-    out: Counter = Counter()
-    for deg_w, mult_w in wreath.entries:
-        for deg_g, mult_g in all_degrees(r, q).entries:
-            out[deg_w * deg_g] += mult_w * mult_g
-    return out
+    return direct_product(wreath_degrees(base, w), all_degrees(r, q))
 
 
 def local_overgroup_count(n: int, context: EllContext) -> int:
@@ -217,13 +211,13 @@ def local_overgroup_count(n: int, context: EllContext) -> int:
     wreath degree and a GL_r(q) degree is ell' exactly when both factors are;
     for w = 0 the overgroup degenerates to GL_n(q) itself.
     """
-    return _lprime_total(_local_degree_counter(n, context).items(), context.ell)
+    return irr_lprime_count(_local_degrees(n, context), context.ell)
 
 
-def _mod_ell_signature(counter_like, ell: int) -> Counter:
+def _mod_ell_signature(degrees: DegreeMultiset, ell: int) -> Counter:
     """Multiset of degree residues mod ell, folded up to sign, over ell'-degrees."""
     out: Counter = Counter()
-    for deg, mult in counter_like:
+    for deg, mult in degrees.entries:
         residue = deg % ell
         if residue:
             out[min(residue, ell - residue)] += mult
@@ -243,11 +237,11 @@ def verify_gl_mckay(n: int, q: int, ell: int) -> VerificationReport:
     start = time.perf_counter()
     context = EllContext.of(q, ell)
     global_count = irr_lprime_count_gl(n, q, ell)
-    local = _local_degree_counter(n, context).items()
-    local_count = _lprime_total(local, ell)
+    local = _local_degrees(n, context)
+    local_count = irr_lprime_count(local, ell)
     w, r = n // context.d, n % context.d
 
-    global_sig = _mod_ell_signature(all_degrees(n, q).entries, ell)
+    global_sig = _mod_ell_signature(all_degrees(n, q), ell)
     local_sig = _mod_ell_signature(local, ell)
     congruent = global_sig == local_sig
 

@@ -37,7 +37,7 @@ from .partitions import (
 )
 from .report import VerificationReport
 from .sym_chars import sym_degree
-from .wreath_local import MetacyclicSpec, metacyclic_degrees, wreath_degrees
+from .wreath_local import MetacyclicSpec, irr_lprime_count, metacyclic_degrees, wreath_degrees
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
     base = metacyclic_degrees(MetacyclicSpec(m=p, d=p - 1, u=primitive_root(p)))
     local = wreath_degrees(base, w)
     local_count = local.character_count
-    local_all_pprime = all(d % p for d, _ in local.entries)
+    local_all_pprime = irr_lprime_count(local, p) == local.character_count
 
     data = block_members_and_heights(label)
     members_height_zero = all(h == 0 for h in data.heights.values())

@@ -4,8 +4,9 @@ Degrees come from the hook formula n!/prod(hooks); p'-degree counting uses
 valuations (Legendre on n!, and on the hooks the beta-set formula of
 ``partitions.hook_valuation`` with its tables of nu_p(m) and nu_p(m!)), so
 no large factorial is ever formed.  The p'-degree count is a depth-first
-walk over rows that never lists the partitions.  Character values come from
-the Murnaghan-Nakayama rule.
+walk over rows that never lists the partitions; macdonald_count counts the
+odd degrees in closed form.  Character values come from the
+Murnaghan-Nakayama rule.
 
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
@@ -36,7 +37,7 @@ from math import factorial, prod
 from types import MappingProxyType
 
 from .arith import is_prime, nu_factorial
-from .errors import CrossCheckError, ResourceLimitError
+from .errors import CrossCheckError, ResourceLimitError, UsageError
 from .partitions import (
     Partition,
     _beta_bits,
@@ -45,7 +46,6 @@ from .partitions import (
     _valuation_tables,
     enumerate_partitions,
     hook_lengths,
-    hook_valuation,
 )
 
 DEFAULT_TABLE_BOUND = 10
@@ -60,7 +60,7 @@ def _env_bound(default: int) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"BLOCKCRAFT_MAX_N must be an integer, got {raw!r}") from exc
+        raise UsageError(f"BLOCKCRAFT_MAX_N must be an integer, got {raw!r}") from exc
     return max(value, default)
 
 
@@ -82,11 +82,6 @@ def sym_degree(lam: Partition) -> int:
     if rem:
         raise CrossCheckError(f"hook product does not divide n! for {lam!r}")
     return quotient
-
-
-def sym_degree_valuation(lam: Partition, p: int) -> int:
-    """nu_p of the degree, via nu_p(n!) - nu_p(prod of hooks)."""
-    return nu_factorial(sum(lam), p) - hook_valuation(lam, p)
 
 
 def irr_pprime_count_sym(n: int, p: int) -> int:
@@ -138,31 +133,6 @@ def macdonald_count(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return 1 << sum(k for k in range(n.bit_length()) if n >> k & 1)
-
-
-def _iterated_wreath_c2_abelianization_order(layers: int) -> int:
-    # Each wreath layer C wr C_2 identifies the two base copies and adds one
-    # C_2 on top, so the abelianization gains a factor of 2 per layer.
-    order = 1
-    for _ in range(layers):
-        order *= 2
-    return order
-
-
-def sylow2_local_count(n: int) -> int:
-    """|Irr_{2'}(N_{S_n}(P))| for P a Sylow 2-subgroup.
-
-    P is self-normalizing and a direct product of iterated wreath products
-    C_2 wr ... wr C_2, one with k factors per binary digit 2^k of n; the
-    2'-characters of a 2-group are the linear ones, |P_i/P_i'| of them.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    count = 1
-    for k in range(n.bit_length()):
-        if n >> k & 1:
-            count *= _iterated_wreath_c2_abelianization_order(k)
-    return count
 
 
 def cycle_type_centralizer_order(rho: Partition) -> int:

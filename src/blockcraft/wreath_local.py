@@ -1,8 +1,9 @@
-"""Exact character-degree multisets for the local groups: C_m x| C_d and B wr S_w.
+"""The local-group engine: exact degree multisets of C_m x| C_d, B wr S_w and A x B.
 
-Degrees are all we ever need downstream (the conjecture checks are pure
-counts), so no character labels are stored.  Both constructions are standard
-Clifford theory:
+Every local side is built here, and irr_lprime_count is the one place that
+counts ell'-characters.  Degrees are all we ever need downstream (the
+conjecture checks are pure counts), so no character labels are stored.  The
+constructions are standard Clifford theory:
 
 * For C_m x| C_d acting by x -> u*x, each orbit O of <u> on Z_m = Irr(C_m)
   of size o contributes d/o characters of degree o (the stabilizer is cyclic,
@@ -23,6 +24,8 @@ Clifford theory:
   needed.  The k characters of one degree are folded in by binary powering
   (square and multiply, truncated at size w) rather than k single folds.
 
+* For A x B, Irr(A x B) = Irr(A) x Irr(B), and degrees multiply.
+
 Every constructed multiset is verified against sum(mult * degree^2) = |G| at
 construction time, so a wrong degree formula cannot propagate silently.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 from .arith import is_prime
@@ -114,6 +117,15 @@ def cyclic_degrees(m: int) -> DegreeMultiset:
     return metacyclic_degrees(MetacyclicSpec(m=m, d=1, u=1 % m))
 
 
+def direct_product(a: DegreeMultiset, b: DegreeMultiset) -> DegreeMultiset:
+    """Degree multiset of A x B: each pair of characters gives one of the product degree."""
+    counts: Counter = Counter()
+    for deg_a, mult_a in a.entries:
+        for deg_b, mult_b in b.entries:
+            counts[deg_a * deg_b] += mult_a * mult_b
+    return DegreeMultiset.from_counter(counts, a.group_order * b.group_order)
+
+
 def _convolve(left: list[Counter], right: list[Counter], w: int) -> list[Counter]:
     """Combine two size tables (entry t: partial degree -> count), dropping sizes above w."""
     out = [Counter() for _ in range(w + 1)]
@@ -161,3 +173,18 @@ def irr_lprime_count(degrees: DegreeMultiset, ell: int) -> int:
     if not is_prime(ell):
         raise ValueError("ell must be prime")
     return sum(m for d, m in degrees.entries if d % ell)
+
+
+def sylow2_local_count(n: int) -> int:
+    """|Irr_{2'}(N_{S_n}(P))| = |P/P'| for P a Sylow 2-subgroup, which is self-normalizing.
+
+    P is the direct product of P_k over the binary digits 2^k of n, where
+    P_0 = 1 and P_k = P_{k-1} wr C_2 is built as P_{k-1} wr S_2.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    layers = [cyclic_degrees(1)]
+    while len(layers) < n.bit_length():
+        layers.append(wreath_degrees(layers[-1], 2))
+    sylow = reduce(direct_product, (layer for k, layer in enumerate(layers) if n >> k & 1))
+    return irr_lprime_count(sylow, 2)

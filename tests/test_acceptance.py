@@ -50,9 +50,8 @@ from blockcraft.sym_chars import (
     macdonald_count,
     row_orthogonality_holds,
     sym_degree,
-    sylow2_local_count,
 )
-from blockcraft.wreath_local import cyclic_wreath_character_count
+from blockcraft.wreath_local import cyclic_wreath_character_count, sylow2_local_count
 
 
 def _done(criterion, started, budget, detail):

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from blockcraft import glq_blocks
 from blockcraft.errors import CrossCheckError
 from blockcraft.glq_blocks import (
     EllContext,
@@ -17,7 +20,7 @@ from blockcraft.glq_blocks import (
     verify_gl_mckay,
     verify_gl_mckay_defining,
 )
-from blockcraft.glq_chars import enumerate_series_labels, green_degree
+from blockcraft.glq_chars import enumerate_series_labels, gl_order, green_degree
 from blockcraft.partitions import enumerate_partitions, partition_count
 from blockcraft.wreath_local import (
     MetacyclicSpec,
@@ -152,9 +155,12 @@ def test_local_overgroup_count_examples():
     assert local_overgroup_count(2, ctx) == irr_lprime_count_gl(2, 2, 5)
 
 
+OVERGROUP_CELLS = ((2, 3, 2), (4, 3, 5), (5, 4, 5), (5, 7, 3), (6, 2, 3), (7, 5, 3))
+
+
 def test_local_overgroup_count_matches_factorised_count():
     # |Irr_{ell'}(B wr S_w)| * |Irr_{ell'}(GL_r(q))|, counted on each factor
-    for n, q, ell in ((2, 3, 2), (4, 3, 5), (5, 4, 5), (5, 7, 3), (6, 2, 3), (7, 5, 3)):
+    for n, q, ell in OVERGROUP_CELLS:
         ctx = EllContext.of(q, ell)
         w, r = divmod(n, ctx.d)
         m = q**ctx.d - 1
@@ -163,9 +169,16 @@ def test_local_overgroup_count_matches_factorised_count():
         assert local_overgroup_count(n, ctx) == expected
 
 
-def test_verify_gl_mckay_builds_local_multiset_once(monkeypatch):
-    import blockcraft.glq_blocks as glq_blocks
+def test_local_overgroup_multiset_is_checked_against_its_order():
+    # |M| = (d (q^d - 1))^w w! |GL_r(q)| for M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q)
+    for n, q, ell in OVERGROUP_CELLS + ((2, 2, 5),):
+        ctx = EllContext.of(q, ell)
+        w, r = divmod(n, ctx.d)
+        order = (ctx.d * (q**ctx.d - 1)) ** w * math.factorial(w) * gl_order(r, q)
+        assert glq_blocks._local_degrees(n, ctx).group_order == order
 
+
+def test_verify_gl_mckay_builds_local_multiset_once(monkeypatch):
     calls = []
 
     def counting(base, w):

@@ -14,6 +14,7 @@ import blockcraft.cli as cli
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.report import VerificationReport, emit_reports, sort_reports
+from blockcraft.sym_chars import census_bound
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
 
@@ -110,6 +111,29 @@ def test_cli_sym_mckay_negative_n_is_one_line_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: n must be nonnegative\n"
+
+
+def test_sym_mckay_refuses_n_zero():
+    assert CHECKS["sym_mckay"].refusal({"n": 0, "p": 2}) == "n must be positive"
+
+
+def test_cli_internal_value_error_exits_2(capsys, monkeypatch):
+    def planted(n, p):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(cli, "irr_pprime_count_sym", planted)
+    assert main(["sym", "mckay", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: planted\n"
+
+
+def test_non_integer_max_n_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "ten")
+    with pytest.raises(UsageError):
+        census_bound()
+    assert main(["sym", "table", "--n", "3"]) == 1
+    assert capsys.readouterr().err == "error: BLOCKCRAFT_MAX_N must be an integer, got 'ten'\n"
 
 
 CENSUS_CHECKS = ("sym_mckay", "sym_bhz", "sym_blocks", "sym_am")
@@ -280,6 +304,27 @@ def test_cli_command_and_one_cell_sweep_agree(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
+def test_every_check_refuses_negative_n(name):
+    assert CHECKS[name].refusal({**PASSING, "n": -1}) == "n must be nonnegative"
+
+
+def test_gl_mckay_refuses_a_local_base_above_the_bound(tmp_path, capsys):
+    # d = 2: the base C_{q^2 - 1} x| C_2 would take q^2 - 1 = 2^44 - 1 orbit flags.
+    values = {"n": 2, "q": 4194304, "ell": 5}
+    reason = "q^2 - 1 = 17592186044415 exceeds the local base bound 1048576"
+    assert CHECKS["gl_mckay"].refusal(values) == reason
+    assert main(_cli_argv("gl_mckay", values)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+    assert main(_sweep_argv(tmp_path, "gl_mckay", values)) == 0
+    assert capsys.readouterr().err == f"skip gl_mckay ell=5 n=2 q=4194304: {reason}\n"
+    # No base is built below n = d, nor at the defining prime.
+    assert CHECKS["gl_mckay"].refusal({**values, "n": 1}) is None
+    assert CHECKS["gl_mckay"].refusal({**values, "ell": 2}) is None
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
 def test_precondition_is_cli_error_and_sweep_skip(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
     override, reason = FAILING[name]
@@ -371,6 +416,12 @@ def test_expand_sweep_config_rejects_malformed_cells(cells):
         expand_sweep_config({"cells": cells})
 
 
+@pytest.mark.parametrize("grid", ["a..b", "1..x", "..3"])
+def test_expand_sweep_config_rejects_non_integer_range(grid):
+    with pytest.raises(UsageError, match="bad grid value"):
+        expand_sweep_config({"cells": [{"check": "sym_mckay", "n": grid}]})
+
+
 @pytest.mark.parametrize("grid", ["5..3", []])
 def test_expand_sweep_config_rejects_empty_grid(grid):
     with pytest.raises(UsageError, match="no values"):
@@ -388,6 +439,16 @@ def test_cli_sweep_malformed_config_is_usage_error(tmp_path, capsys, config):
     assert captured.out == ""
     err = captured.err.strip()
     assert err.startswith("error: ") and "\n" not in err
+
+
+def test_cli_sweep_config_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read sweep config: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -6,7 +6,7 @@ import pytest
 from blockcraft import sym_chars
 from blockcraft.arith import nu, nu_factorial
 from blockcraft.errors import CrossCheckError, ResourceLimitError
-from blockcraft.partitions import enumerate_partitions, hook_lengths
+from blockcraft.partitions import enumerate_partitions, hook_lengths, hook_valuation
 from blockcraft.sym_chars import (
     block_idempotent,
     block_idempotent_p_integral,
@@ -20,9 +20,8 @@ from blockcraft.sym_chars import (
     macdonald_count,
     row_orthogonality_holds,
     sym_degree,
-    sym_degree_valuation,
-    sylow2_local_count,
 )
+from blockcraft.wreath_local import sylow2_local_count
 
 
 def test_sym_degree_examples():
@@ -42,13 +41,13 @@ def test_degree_valuation_matches_direct():
                 while d % p == 0:
                     d //= p
                     direct += 1
-                assert sym_degree_valuation(lam, p) == direct
+                assert nu_factorial(n, p) - hook_valuation(lam, p) == direct
 
 
 @pytest.mark.parametrize("p", [1, 0, -2])
 def test_degree_valuation_rejects_p_below_2(p):
     with pytest.raises(ValueError):
-        sym_degree_valuation((2, 1), p)
+        nu_factorial(3, p) - hook_valuation((2, 1), p)
 
 
 def test_irr_pprime_count_examples():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from blockcraft import wreath_local
 from blockcraft.arith import primitive_root
 from blockcraft.errors import CrossCheckError
 from blockcraft.partitions import enumerate_partitions, partition_tuple_count
@@ -13,8 +14,10 @@ from blockcraft.wreath_local import (
     MetacyclicSpec,
     cyclic_degrees,
     cyclic_wreath_character_count,
+    direct_product,
     irr_lprime_count,
     metacyclic_degrees,
+    sylow2_local_count,
     wreath_degrees,
 )
 
@@ -229,14 +232,35 @@ def test_frobenius_wreath_count_abelian_defect_regime():
 
 
 def test_iterated_wreath_linear_count_is_power_of_two():
-    # |Irr(P/P')| = 2^k for the k-fold iterated wreath product of C_2
-    from blockcraft.sym_chars import _iterated_wreath_c2_abelianization_order
-
-    ms = cyclic_degrees(2)
-    for k in (1, 2, 3):
-        linear = dict(ms.entries).get(1, 0)
-        assert linear == 2**k == _iterated_wreath_c2_abelianization_order(k)
+    # P_k = P_{k-1} wr C_2 is a Sylow 2-subgroup of S_{2^k}, and |P_k/P_k'| = 2^k
+    ms = cyclic_degrees(1)
+    for k in range(1, 6):
         ms = wreath_degrees(ms, 2)
+        linear = dict(ms.entries).get(1, 0)
+        assert linear == 2**k == sylow2_local_count(2**k)
+
+
+def test_sylow2_local_count_wreathes_each_layer(monkeypatch):
+    # 24 = 2^3 + 2^4: P_1..P_4 are built from P_0..P_3, of orders 2^(2^k - 1).
+    calls = []
+
+    def counting(base, w):
+        calls.append((base.group_order, w))
+        return wreath_degrees(base, w)
+
+    monkeypatch.setattr(wreath_local, "wreath_degrees", counting)
+    assert sylow2_local_count(24) == 2**7
+    assert calls == [(1, 2), (2, 2), (8, 2), (128, 2)]
+
+
+def test_direct_product_examples():
+    c6 = direct_product(cyclic_degrees(2), cyclic_degrees(3))
+    assert c6.entries == cyclic_degrees(6).entries
+    assert c6.group_order == 6
+    s3 = metacyclic_degrees(MetacyclicSpec(m=3, d=2, u=2))
+    s3_squared = direct_product(s3, s3)
+    assert s3_squared.entries == ((1, 4), (2, 4), (4, 1))
+    assert s3_squared.group_order == 36
 
 
 def test_irr_lprime_count_examples():
