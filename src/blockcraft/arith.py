@@ -7,7 +7,7 @@ desk-scale inputs; no probabilistic methods, no floating point.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 
 
 def nu(n: int, p: int) -> int:
@@ -97,17 +97,21 @@ def moebius(n: int) -> int:
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Order of a modulo m; requires gcd(a, m) = 1."""
+    """Order of a modulo m; requires gcd(a, m) = 1.
+
+    The order divides phi(m): start there and divide out each prime r of
+    phi(m) while a^(order / r) is still 1 mod m.  The cost is that of
+    factoring m and phi(m), not of stepping through the powers of a.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
     a %= m
-    x = a
-    order = 1
-    while x != 1:
-        x = x * a % m
-        order += 1
-        if order > m:
-            raise ValueError(f"{a} is not invertible modulo {m}")
+    if gcd(a, m) != 1:
+        raise ValueError(f"{a} is not invertible modulo {m}")
+    order = prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
+    for r, _ in factorize(order):
+        while order % r == 0 and pow(a, order // r, m) == 1:
+            order //= r
     return order
 
 

@@ -363,9 +363,10 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 def _parse_grid(value) -> list[int]:
-    if isinstance(value, int):
+    # type(...) is int, since bool is a subclass of int and JSON true is not a grid value.
+    if type(value) is int:
         grid = [value]
-    elif isinstance(value, list) and all(isinstance(v, int) for v in value):
+    elif isinstance(value, list) and all(type(v) is int for v in value):
         grid = list(value)
     elif isinstance(value, str) and ".." in value:
         lo, hi = value.split("..", 1)
@@ -490,6 +491,14 @@ def main(argv=None) -> int:
         if getattr(args, "stable", False):
             reports = strip_timings(reports)
         payload = emit_reports(reports, args.format)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise UsageError(f"cannot write output: {exc}") from exc
+        else:
+            sys.stdout.write(payload)
     except (UsageError, ResourceLimitError, UnsupportedRegimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -499,11 +508,6 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad user input is refused before a runner starts
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
     return 0 if all(r.passed for r in reports) else 2
 
 

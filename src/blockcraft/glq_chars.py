@@ -11,9 +11,18 @@ of m_i per polynomial); the degree is
     |G : C(s)|_{p'} * prod_i (unipotent degree of lam^i over q^{d_i})
 
 with C(s) = prod GL_{m_i}(q^{d_i}), and the unipotent degree is the q-hook
-formula q^{a(lam)} [n]_q! / prod_h [len(h)]_q.  All arithmetic is exact; a
-polynomial-in-q mode exists solely for the q -> 1 degeneration cross-check
-against the symmetric-group hook formula.
+formula q^{a(lam)} [n]_q! / prod_h [len(h)]_q.
+
+all_degrees builds the multiset one class type at a time and visits no
+label.  The index |G : C(s)|_{p'} is one exact division of
+prod_{j<=n} (q^j - 1), taken once per (n, q), by the same product over the
+centralizer's factors.  The type's Counter {index: class count} is then
+multiplied by the memoized Counter of unipotent degrees of GL_{m_i}(q^{d_i})
+for each component.  SeriesLabel and green_degree give the same degrees one
+label at a time, for callers that need the label.
+
+All arithmetic is exact; a polynomial-in-q mode exists solely for the
+q -> 1 degeneration cross-check against the symmetric-group hook formula.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 
 from .arith import divisors, moebius
 from .errors import CrossCheckError
@@ -29,11 +38,16 @@ from .partitions import Partition, enumerate_partitions, hook_lengths, validate_
 from .wreath_local import DegreeMultiset
 
 
+def _gl_pprime_part(m: int, q: int) -> int:
+    """|GL_m(q)|_{p'} = prod_{j<=m} (q^j - 1)."""
+    return prod(q**j - 1 for j in range(1, m + 1))
+
+
 def gl_order(n: int, q: int) -> int:
     """|GL_n(q)| = q^(n(n-1)/2) prod_{j<=n} (q^j - 1); GL_0 is trivial."""
     if n < 0 or q < 2:
         raise ValueError("need n >= 0 and q >= 2")
-    return q ** (n * (n - 1) // 2) * prod(q**j - 1 for j in range(1, n + 1))
+    return q ** (n * (n - 1) // 2) * _gl_pprime_part(n, q)
 
 
 def torus_order(lam: Partition, q: int) -> int:
@@ -53,6 +67,7 @@ def irreducible_poly_count(d: int, q: int) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
 def available_poly_count(d: int, q: int) -> int:
     """Eligible irreducibles of degree d (the factor X is excluded in degree 1)."""
     if d == 1:
@@ -74,26 +89,28 @@ class ClassType:
     def n(self) -> int:
         return sum(d * m for d, m in self.entries)
 
-    def available(self, q: int) -> dict:
-        return {d: available_poly_count(d, q) for d in {d for d, _ in self.entries}}
-
     def class_count(self, q: int) -> int:
         """Number of semisimple classes with this factorization type.
 
-        Per degree d: choose distinct polynomials for the multiplicity
-        multiset M_d: falling(available, |M_d|) / prod (value repeats)!.
+        Per degree d, the entries of degree d take distinct polynomials,
+        falling(available, k_d) ways for k_d entries, and a run of r equal
+        entries (d, m) is unordered, which divides by r!.  The entries are
+        sorted, so runs are adjacent, and the count is one running product:
+        after the j-th entry of a run that began with R polynomials left,
+        the run has contributed C(R, j), so every division is exact.
         """
         total = 1
-        by_degree: dict[int, Counter] = {}
-        for d, m in self.entries:
-            by_degree.setdefault(d, Counter())[m] += 1
-        for d, mult_counter in by_degree.items():
-            remaining = available_poly_count(d, q)
-            for repeat in mult_counter.values():
-                total *= comb(remaining, repeat)
-                if total == 0:
-                    return 0
-                remaining -= repeat
+        previous = None
+        for entry in self.entries:
+            d = entry[0]
+            if previous is None or d != previous[0]:
+                remaining = available_poly_count(d, q)
+            run = run + 1 if entry == previous else 1
+            total = total * remaining // run
+            if total == 0:
+                return 0
+            remaining -= 1
+            previous = entry
         return total
 
 
@@ -239,13 +256,9 @@ def green_degree(label: SeriesLabel, q: int) -> int:
     the index is a quotient of the (q^j - 1)-style products; it is computed
     as an exact division, never by factoring.
     """
-    n = label.n
     index_p_prime, rem = divmod(
-        prod(q**j - 1 for j in range(1, n + 1)),
-        prod(
-            prod(q ** (d * j) - 1 for j in range(1, m + 1))
-            for d, m, _ in label.components
-        ),
+        _gl_pprime_part(label.n, q),
+        prod(_gl_pprime_part(m, q**d) for d, m, _ in label.components),
     )
     if rem:
         raise CrossCheckError("p'-part of the centralizer index is not integral")
@@ -273,15 +286,34 @@ def enumerate_series_labels(n: int, q: int):
 
 
 @lru_cache(maxsize=None)
+def _unipotent_counts(m: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Unipotent degrees of GL_m(q) with multiplicity: ((degree, count), ...)."""
+    return tuple(Counter(unipotent_degree(lam, q) for lam in enumerate_partitions(m)).items())
+
+
+@lru_cache(maxsize=None)
 def all_degrees(n: int, q: int) -> DegreeMultiset:
-    """Exact degree multiset of Irr(GL_n(q)).
+    """Exact degree multiset of Irr(GL_n(q)), built one class type at a time.
 
     Completeness of Green's parameterization is enforced by the multiset
     constructor: sum of squared degrees must equal |GL_n(q)|.
     """
+    top = _gl_pprime_part(n, q)
     counts: Counter = Counter()
-    for label, count in enumerate_series_labels(n, q):
-        counts[green_degree(label, q)] += count
+    for ctype, class_count in enumerate_class_types(n, q):
+        if class_count == 0:
+            continue
+        index, rem = divmod(top, prod(_gl_pprime_part(m, q**d) for d, m in ctype.entries))
+        if rem:
+            raise CrossCheckError("p'-part of the centralizer index is not integral")
+        partial = {index: class_count}
+        for d, m in ctype.entries:
+            product: Counter = Counter()
+            for degree, mult in partial.items():
+                for unipotent, k in _unipotent_counts(m, q**d):
+                    product[degree * unipotent] += mult * k
+            partial = product
+        counts.update(partial)
     return DegreeMultiset.from_counter(counts, gl_order(n, q))
 
 

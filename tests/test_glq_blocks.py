@@ -1,8 +1,12 @@
 import math
+import time
+import tracemalloc
 
 import pytest
 
 from blockcraft import glq_blocks
+from blockcraft.arith import multiplicative_order
+from blockcraft.cli import main
 from blockcraft.errors import CrossCheckError
 from blockcraft.glq_blocks import (
     EllContext,
@@ -38,6 +42,53 @@ def test_d_ell_examples():
         d_ell(6, 3)
     with pytest.raises(ValueError):
         d_ell(5, 4)  # not prime
+
+
+def _order_by_powers(a, m):
+    order, x = 1, a % m
+    while x != 1:
+        x = x * a % m
+        order += 1
+    return order
+
+
+def test_multiplicative_order_matches_brute_force():
+    for m in range(2, 300):
+        for a in range(m):
+            if math.gcd(a, m) != 1:
+                with pytest.raises(ValueError, match=f"{a} is not invertible modulo {m}"):
+                    multiplicative_order(a, m)
+            else:
+                assert multiplicative_order(a, m) == _order_by_powers(a, m)
+    assert multiplicative_order(-1, 7) == 2
+    with pytest.raises(ValueError):
+        multiplicative_order(3, 1)
+
+
+def test_cli_gl_mckay_at_a_huge_prime_ell_ends_quickly(capsys):
+    # d_ell(2, 10^9 + 7) is 5 * 10^8 + 3: the order must not be found by
+    # stepping through the powers of q.
+    start = time.perf_counter()
+    assert main(["gl", "mckay", "--n", "2", "--q", "2", "--ell", "1000000007"]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.startswith("[PASS] gl_mckay ell=1000000007 n=2 q=2:")
+
+
+def test_unipotent_blocks_above_n_keep_the_abacus_small():
+    # d_ell(2, 1000003) = 1000002 > n: each partition is its own block of
+    # weight 0, found without an abacus of d runners per partition.
+    context = EllContext.of(2, 1000003)
+    tracemalloc.start()
+    try:
+        labels = unipotent_blocks(4, context)
+        sizes = [unipotent_block_series_size(label) for label in labels]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(label.core for label in labels) == sorted(enumerate_partitions(4))
+    assert all(label.weight == 0 and label.context.d == 1000002 for label in labels)
+    assert sizes == [1] * 5
+    assert peak < 1 << 20
 
 
 def test_ell_context():

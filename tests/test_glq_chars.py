@@ -1,3 +1,7 @@
+from collections import Counter
+from math import comb
+
+from blockcraft import glq_chars
 from blockcraft.arith import prime_power_radical
 from blockcraft.glq_chars import (
     ClassType,
@@ -63,6 +67,29 @@ def test_enumerate_class_types_gl2_f2():
     assert semisimple_class_count(2, 2) == 2
 
 
+def _class_count_by_comb(ctype, q):
+    # Per degree d: comb(available, repeats) for each multiplicity value in turn.
+    total = 1
+    by_degree: dict[int, Counter] = {}
+    for d, m in ctype.entries:
+        by_degree.setdefault(d, Counter())[m] += 1
+    for d, repeats in by_degree.items():
+        remaining = available_poly_count(d, q)
+        for repeat in repeats.values():
+            total *= comb(remaining, repeat)
+            if total == 0:
+                return 0
+            remaining -= repeat
+    return total
+
+
+def test_class_count_matches_comb_formula():
+    for n in range(11):
+        for q in (2, 3, 4):
+            for ctype, count in enumerate_class_types(n, q):
+                assert count == ctype.class_count(q) == _class_count_by_comb(ctype, q)
+
+
 def test_semisimple_class_census():
     for n in range(1, 7):
         for q in (2, 3, 4, 5, 7):
@@ -97,6 +124,36 @@ def test_green_degree_gl2_3():
     assert green_degree(label, 3) == 2
     # regular with torus centralizer: degree = |G:T|_{p'}
     assert green_degree(label, 3) == (48 // 3) // 8
+
+
+def _per_label_degrees(n, q):
+    """Degree multiset of Irr(GL_n(q)), one green_degree per series label.
+
+    A regression oracle for the per-type construction in all_degrees, not
+    an independent route: it shares unipotent_degree and the p'-index
+    formula with it, and differs only in visiting every label.
+    """
+    counts = Counter()
+    for label, count in enumerate_series_labels(n, q):
+        counts[green_degree(label, q)] += count
+    return tuple(sorted(counts.items()))
+
+
+def test_all_degrees_matches_per_label_oracle():
+    for n in range(8):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            assert all_degrees(n, q).entries == _per_label_degrees(n, q)
+
+
+def test_all_degrees_visits_no_series_label(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("all_degrees must build degrees per class type")
+
+    monkeypatch.setattr(glq_chars, "green_degree", refuse)
+    monkeypatch.setattr(glq_chars, "enumerate_series_labels", refuse)
+    monkeypatch.setattr(glq_chars, "SeriesLabel", refuse)
+    ms = all_degrees.__wrapped__(6, 3)
+    assert ms.group_order == gl_order(6, 3)
 
 
 def test_all_degrees_gl2():

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -200,6 +201,17 @@ def test_cli_output_file(tmp_path, capsys):
     assert data[0]["passed"] is True
 
 
+def test_cli_output_to_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert main(["gl", "mckay", "--n", "2", "--q", "2", "--ell", "3",
+                 "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_cli_stable_zeroes_timing(capsys):
     assert main(["sym", "bhz", "--n", "8", "--p", "2", "--format", "json", "--stable"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -376,6 +388,11 @@ def test_cli_fuzz_small_sym_and_oracle_vectors(name, n, p):
     argv = [check.group, check.command, "--n", str(n)]
     if "p" in check.params:
         argv += ["--p", str(p)]
+    _assert_one_clean_exit(argv)
+
+
+def _assert_one_clean_exit(argv):
+    """Run the CLI on argv: exit 0, 1 or 2, no traceback, at most one stderr line."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
         os.environ.pop("BLOCKCRAFT_MAX_N", None)
@@ -383,6 +400,37 @@ def test_cli_fuzz_small_sym_and_oracle_vectors(name, n, p):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1
+
+
+GL = sorted(name for name, check in CHECKS.items() if check.group == "gl")
+GL_VECTORS = {
+    "n": st.integers(-3, 8),
+    "q": st.sampled_from([-1, 0, 1, 2, 3, 4, 6, 9, 1024]),
+    # small primes, non-primes, and a prime far beyond any table
+    "ell": st.sampled_from([2, 3, 5, 7, 11, -3, 0, 1, 4, 9, 1000000007]),
+}
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(name=st.sampled_from(GL), **GL_VECTORS)
+def test_cli_fuzz_small_gl_vectors(name, n, q, ell):
+    check = CHECKS[name]
+    values = {"n": n, "q": q, "ell": ell}
+    argv = [check.group, check.command]
+    for param in check.params:
+        argv += [f"--{param}", str(values[param])]
+    _assert_one_clean_exit(argv)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(name=st.sampled_from(sorted(CHECKS)), p=st.integers(-3, 12), **GL_VECTORS)
+def test_cli_fuzz_one_cell_sweeps(name, n, p, q, ell):
+    values = {"n": n, "p": p, "q": q, "ell": ell}
+    cell = {"check": name, **{param: values[param] for param in CHECKS[name].params}}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sweep.json"
+        config.write_text(json.dumps({"cells": [cell]}))
+        _assert_one_clean_exit(["sweep", "--config", str(config), "--format", "csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +468,22 @@ def test_expand_sweep_config_rejects_malformed_cells(cells):
 def test_expand_sweep_config_rejects_non_integer_range(grid):
     with pytest.raises(UsageError, match="bad grid value"):
         expand_sweep_config({"cells": [{"check": "sym_mckay", "n": grid}]})
+
+
+@pytest.mark.parametrize("grid", [True, False, [1, True], [False]])
+def test_expand_sweep_config_rejects_booleans(grid):
+    with pytest.raises(UsageError, match="bad grid value"):
+        expand_sweep_config({"cells": [{"check": "sym_mckay", "n": grid}]})
+
+
+def test_cli_sweep_boolean_grid_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"cells": [{"check": "sym_mckay", "n": True}]}))
+    assert main(["sweep", "--config", str(path), "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad grid value True")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid", ["5..3", []])
