@@ -47,10 +47,12 @@ from .partitions import (
     from_core_and_quotient,
     hook_lengths,
     hook_valuation,
+    is_core,
     mn_character_value,
     partition_count,
     partition_tuple_count,
     partitions_by_core,
+    valuation_census,
 )
 from .report import VerificationReport, emit_reports
 from .sym_blocks import (
@@ -59,6 +61,7 @@ from .sym_blocks import (
     am_verify_abelian,
     bhz_verify,
     bhz_witness_search,
+    block_heights,
     block_labels,
     block_members_and_heights,
     block_of,

@@ -1,7 +1,10 @@
 """Exact integer arithmetic helpers: valuations, primes, orders, Moebius.
 
 Everything works on plain Python ints (arbitrary precision) and is sized for
-desk-scale inputs; no probabilistic methods, no floating point.
+desk-scale inputs; no probabilistic methods, no floating point.  Primality
+is a Miller-Rabin test with a fixed base set that is exact below about
+3.3e24, so it costs O(log n) multiplications there; factorization is still
+trial division, O(sqrt n).
 """
 
 from __future__ import annotations
@@ -38,18 +41,40 @@ def nu_factorial(n: int, p: int) -> int:
     return v
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below the smallest
+# strong pseudoprime to all of them, 3317044064679887385961981 (about 3.3e24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Primality of n: deterministic Miller-Rabin below _MR_LIMIT, trial division above."""
     if n < 2:
         return False
-    if n < 4:
+    for base in _MR_BASES:
+        if n % base == 0:
+            return n == base
+    if n >= _MR_LIMIT:
+        f = _MR_BASES[-1] + 2
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for base in _MR_BASES:
+        x = pow(base, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # base witnesses that n is composite
     return True
 
 

@@ -37,7 +37,7 @@ from itertools import product
 from math import factorial
 from typing import Callable
 
-from .arith import is_prime, nu_factorial, prime_power_radical
+from .arith import is_prime, prime_power_radical
 from .errors import (
     CrossCheckError,
     ResourceLimitError,
@@ -54,7 +54,7 @@ from .glq_blocks import (
     verify_gl_mckay_defining,
 )
 from .glq_chars import all_degrees, gl_order
-from .partitions import partition_count, partitions_by_core
+from .partitions import partition_count, partitions_by_core, valuation_census
 from .report import VerificationReport, emit_reports, format_partition, strip_timings
 from .sym_blocks import am_verify_abelian, bhz_verify, block_labels
 from .sym_chars import (
@@ -196,15 +196,15 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
 @_register("sym_blocks", "sym blocks", precondition=_within_census_bound)
 def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     start = time.perf_counter()
-    groups = partitions_by_core(n, p)
+    census = valuation_census(n, p)
     notes = []
     total = 0
     for label in block_labels(n, p):
-        members = len(groups[label.core])
+        members = sum(count for _, count in census[label.core])
         total += members
         notes.append(
             f"core={format_partition(label.core)} weight={label.weight} "
-            f"members={members} defect_order={p ** nu_factorial(p * label.weight, p)}"
+            f"members={members} defect_order={p ** label.defect_valuation}"
         )
     elapsed = int((time.perf_counter() - start) * 1000)
     return [

@@ -43,7 +43,7 @@ from .glq_chars import (
 from .partitions import (
     Partition,
     count_partitions_with_core,
-    d_core_and_quotient,
+    d_core,
     partition_tuple_count,
     partitions_by_core,
 )
@@ -139,7 +139,7 @@ def hook_tower_criterion(lam: Partition, d: int, ell: int) -> bool:
     n = sum(lam)
     length = d if d > 1 else ell
     while length <= n:
-        weight = (n - sum(d_core_and_quotient(lam, length).core)) // length
+        weight = (n - sum(d_core(lam, length))) // length
         if weight != n // length:
             return False
         length *= ell
@@ -303,16 +303,6 @@ class GlUnipotentBlockLabel:
             raise ValueError("core size + d * weight must equal n")
 
 
-def _abacus_size(d: int, n: int) -> int:
-    """Runners of the abacus for the d-cores of partitions of n: d, capped at n + 1.
-
-    No partition of n has a hook longer than n, so for every d > n each
-    partition is its own d-core, of weight 0, just as for d = n + 1.  The
-    cap keeps the abacus small when d, the order of q mod ell, is huge.
-    """
-    return min(d, n + 1)
-
-
 def unipotent_block_of(
     lam: Partition, context: EllContext, min_ell: int = DEFAULT_MIN_ELL
 ) -> GlUnipotentBlockLabel:
@@ -322,11 +312,11 @@ def unipotent_block_of(
     core), with r = |core|.  For ell < min_ell the label is returned flagged
     unverified instead of raising.
     """
-    cq = d_core_and_quotient(lam, _abacus_size(context.d, sum(lam)))
+    core = d_core(lam, context.d)
     return GlUnipotentBlockLabel(
         context=context,
-        core=cq.core,
-        weight=cq.weight,
+        core=core,
+        weight=(sum(lam) - sum(core)) // context.d,
         n=sum(lam),
         verified=context.ell >= min_ell,
     )
@@ -339,7 +329,7 @@ def unipotent_blocks(
 
     One label per d-core group of partitions of n, named by its first member.
     """
-    groups = partitions_by_core(n, _abacus_size(context.d, n)).values()
+    groups = partitions_by_core(n, context.d).values()
     labels = (unipotent_block_of(members[0], context, min_ell) for members in groups)
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
@@ -350,7 +340,7 @@ def unipotent_block_series_size(label: GlUnipotentBlockLabel) -> int:
     Partition census with the given d-core; |Irr(C_d wr S_w)| (the relative
     Weyl group G(d,1,w)); and the d-tuple convolution count.  All must agree.
     """
-    d, w = _abacus_size(label.context.d, label.n), label.weight
+    d, w = label.context.d, label.weight
     census = count_partitions_with_core(label.n, d, label.core)
     weyl = cyclic_wreath_character_count(d, w)
     tuples = partition_tuple_count(d, w)

@@ -26,27 +26,35 @@ and only the lower beads on b's runner of the p-abacus (c = b mod p) give
 nonzero terms.  Adding rows from the bottom up, the row at depth k with part
 a has bead a + k whatever lies above it, so its term is final as soon as
 the rows below it are known: ``hook_valuation`` sums these terms for one
-partition, and a depth-first walk over rows (``sym_chars``) sums them along
-every partition without listing any.
+partition, and ``valuation_census`` sums them along every partition in one
+depth-first walk over runs of equal rows, without listing any.
+
+No partition of n has a hook longer than n, so for d > n each one is its
+own d-core: ``d_core``, ``is_core`` and the censuses never build an abacus
+of more than n + 1 runners, however large d is.
 
 Everything here is pure and deterministic.  The memo tables are
 module-level ``functools`` caches of immutable values, so concurrent
 readers always observe consistent results.  They hold the
 Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle-type suffix); the
 tables of nu_p(m) and nu_p(m!) behind every hook valuation, one per p and
-power-of-two size; and the grouped census ``partitions_by_core``: one pass
-per (n, d) that groups the partitions of n by d-core, read-only, so every
-block census reads its members instead of rescanning all p(n) partitions.
+power-of-two size; and two read-only censuses, each one pass per (n, d):
+``partitions_by_core`` lists the partitions of n grouped by d-core (the
+per-member route: Nakayama oracle, gl blocks, block_members_and_heights),
+and ``valuation_census`` counts them by d-core and hook valuation, which is
+all the S_n block, height and p'-degree checks read.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from types import MappingProxyType
 
+from .arith import is_prime, nu_factorial
 from .errors import CrossCheckError
 
 Partition = tuple[int, ...]
@@ -255,14 +263,24 @@ def d_core_and_quotient(lam: Partition, d: int) -> CoreQuotient:
 
 
 def d_core(lam: Partition, d: int) -> Partition:
-    return d_core_and_quotient(lam, d).core
+    """The d-core of lam; for d > |lam| that is lam, found on an (|lam| + 1)-runner abacus."""
+    return d_core_and_quotient(lam, min(d, sum(lam) + 1)).core
+
+
+def is_core(lam: Partition, d: int) -> bool:
+    """Whether lam is a d-core: no bead of its beta-set has an empty position d below it."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    validate_partition(lam)
+    bits = _beta_bits(lam)
+    return not (bits >> d) & ~bits
 
 
 def from_core_and_quotient(core: Partition, quotient: tuple[Partition, ...], d: int) -> Partition:
     """Reinsert a d-quotient onto the abacus of a d-core; inverse of d_core_and_quotient."""
     if d < 1 or len(quotient) != d:
         raise ValueError("quotient must have exactly d components")
-    if d_core(core, d) != core:
+    if not is_core(core, d):
         raise ValueError(f"{core!r} is not a {d}-core")
     weight = sum(sum(mu) for mu in quotient)
     rows = max(1, len(core))
@@ -282,6 +300,8 @@ def partition_tuple_count(d: int, w: int) -> int:
     """Number of d-tuples of partitions with total size w."""
     if d < 1 or w < 0:
         raise ValueError("need d >= 1 and w >= 0")
+    if w == 0:  # one tuple of empty partitions, however large d is
+        return 1
     coeffs = [1] + [0] * w
     for _ in range(d):
         coeffs = [
@@ -300,20 +320,104 @@ def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ..
     fixed by how many beads lie on each runner of the d-abacus, so the pass
     keys each partition by those counts, lowered by the smallest one (the
     full bottom levels, which depend on the bead count only), and turns each
-    distinct key into a core once.  The mapping is read-only, since every
-    caller shares the cached value.
+    distinct key into a core once.  No partition of n has a hook longer than
+    n, so for d > n each one is its own d-core, as on n + 1 runners: the
+    abacus is capped there, and a huge d costs no more than d = n + 1.  The
+    mapping is read-only, since every caller shares the cached value.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
+    runners = min(d, n + 1)
     groups: dict[tuple[int, ...], list[Partition]] = {}
     for lam in enumerate_partitions(n):
-        counts = [0] * d
-        for pos in beta_set(lam, len(lam) + -len(lam) % d):  # a multiple of d beads
-            counts[pos % d] += 1
+        counts = [0] * runners
+        for pos in beta_set(lam, len(lam) + -len(lam) % runners):  # a multiple of runners beads
+            counts[pos % runners] += 1
         low = min(counts)
         groups.setdefault(tuple(c - low for c in counts), []).append(lam)
     return MappingProxyType(
-        {_core_of_counts(key, d): tuple(members) for key, members in groups.items()}
+        {_core_of_counts(key, runners): tuple(members) for key, members in groups.items()}
+    )
+
+
+@lru_cache(maxsize=None)
+def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[tuple[int, int], ...]]:
+    """For each p-core of a partition of n, the sorted (hook valuation, count) pairs of its group.
+
+    The hook valuation of lam is nu_p of its hook product, so lam has height
+    nu_p((pw)!) - valuation in its block of weight w, and p'-degree iff the
+    valuation is nu_p(n!).  One walk over rows, bottom up, reaches every
+    partition without listing any: a call places the rows of one part, and
+    each larger part starts a new call, so the recursion depth is the number
+    of distinct parts, O(sqrt n), and the memory O(n).  Each row's term of
+    the hook valuation is final once the rows below it are placed, and no
+    term is negative, so a prefix sum above nu_p(n!), which would make some
+    degree fractional, shows at every leaf above it, where it raises
+    CrossCheckError.  At each leaf the partition is keyed by its bead
+    count on each runner, min(p, n + 1) of them (for p > n every partition
+    is its own p-core), packed into one int together with its valuation;
+    each distinct count vector becomes a core once, as in partitions_by_core.
+    The mapping is read-only, since every caller shares the cached value.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if not is_prime(p):
+        raise ValueError("p must be prime")
+    target = nu_factorial(n, p)
+    nu, nu_fact = _valuation_tables(p, n.bit_length())  # beads never pass n
+    runners: list[list[int]] = [[] for _ in range(min(p, n + 1))]
+    # The low value_bits bits of a leaf's slot hold its valuation (at most
+    # target); above them, count_bits bits per runner hold its bead count.
+    value_bits, count_bits = target.bit_length(), n.bit_length()
+    unit = [1 << (value_bits + count_bits * r) for r in range(len(runners))]
+    tally: dict[int, int] = defaultdict(int)
+
+    def walk(remaining: int, low: int, depth: int, below: int, key: int) -> None:
+        # The top row placed so far has part low (low = 1 at the root).  Each
+        # larger part starts a run in a new call; one more row of part low
+        # goes on in this call's loop, so the depth grows with runs, not rows.
+        placed = []
+        while True:
+            for part in range(low + 1, remaining // 2 + 1):  # leaves room for a row >= part
+                bead = part + depth
+                lower = runners[bead % p]
+                total = below + _row_hook_valuation(bead, lower, nu, nu_fact)
+                lower.append(bead)
+                walk(remaining - part, part, depth + 1, total, key + unit[bead % p])
+                lower.pop()
+            bead = remaining + depth  # the top row takes all that remains
+            total = below + _row_hook_valuation(bead, runners[bead % p], nu, nu_fact)
+            if total > target:
+                raise CrossCheckError(f"hook valuation {total} exceeds nu_{p}({n}!) = {target}")
+            tally[key + unit[bead % p] + total] += 1
+            if 2 * low > remaining:
+                break
+            bead = low + depth
+            lower = runners[bead % p]
+            below += _row_hook_valuation(bead, lower, nu, nu_fact)
+            key += unit[bead % p]
+            lower.append(bead)
+            placed.append(lower)
+            remaining -= low
+            depth += 1
+        for lower in placed:
+            lower.pop()
+
+    if n:
+        walk(n, 1, 0, 0, 0)
+    else:
+        tally[0] = 1  # the empty partition, with no beads
+    cores: dict[int, Partition] = {}  # packed bead counts -> core
+    census: dict[Partition, Counter] = {}
+    count_mask = (1 << count_bits) - 1
+    for slot, count in tally.items():
+        packed = slot >> value_bits
+        if packed not in cores:
+            counts = [packed >> (count_bits * r) & count_mask for r in range(len(runners))]
+            cores[packed] = _core_of_counts(counts, len(runners))
+        census.setdefault(cores[packed], Counter())[slot & ((1 << value_bits) - 1)] += count
+    return MappingProxyType(
+        {core: tuple(sorted(values.items())) for core, values in census.items()}
     )
 
 
@@ -328,7 +432,7 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    if d_core(core, d) != core:
+    if not is_core(core, d):
         raise ValueError(f"{core!r} is not a {d}-core")
     rest = n - sum(core)
     if rest < 0 or rest % d != 0:

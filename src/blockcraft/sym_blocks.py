@@ -8,36 +8,49 @@ rank w when pw < p^2 and contains a wreathed C_p wr C_p otherwise).
 
 Heights are pure valuation arithmetic:
 
-    height(lam) = nu_p((pw)!) - nu_p(prod of the hooks of lam),
+    height(lam) = nu_p((pw)!) - nu_p(prod of the hooks of lam).
 
-with the hook valuation read off the beta-set of lam
-(``partitions.hook_valuation``).
+The checks (block_labels, bhz_verify, am_verify_abelian, and the sym blocks
+census) need only how many members of each block have each height, so they
+read ``partitions.valuation_census(n, p)``: one streaming walk per (n, p)
+that lists no partitions.  block_members_and_heights is the per-member
+route, with hook_valuation on each member of ``partitions_by_core``.
 
 Alperin-McKay counting is implemented in the abelian-defect regime w < p,
-where the Brauer correspondent's character count is |Irr((C_p x| C_{p-1}) wr S_w)|;
-the global side is an explicit partition census, so the two sides of the
-comparison never share code.
+where the Brauer correspondent's character count is |Irr((C_p x| C_{p-1}) wr S_w)|,
+built from explicit degree enumeration once per (p, w); the global side is
+the census count, checked against the d-quotient count of p-tuples of
+partitions, so the two sides of the comparison never share code.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import is_prime, nu_factorial, primitive_root
 from .errors import CrossCheckError, UnsupportedRegimeError
 from .partitions import (
     Partition,
-    count_partitions_with_core,
     d_core,
-    d_core_and_quotient,
     enumerate_partitions,
     hook_valuation,
+    is_core,
+    partition_tuple_count,
     partitions_by_core,
+    valuation_census,
 )
 from .report import VerificationReport
 from .sym_chars import sym_degree
-from .wreath_local import MetacyclicSpec, irr_lprime_count, metacyclic_degrees, wreath_degrees
+from .wreath_local import (
+    TRIVIAL_GROUP,
+    DegreeMultiset,
+    MetacyclicSpec,
+    irr_lprime_count,
+    metacyclic_degrees,
+    wreath_degrees,
+)
 
 
 @dataclass(frozen=True)
@@ -53,27 +66,51 @@ class SymBlockLabel:
             raise ValueError("p must be prime")
         if self.weight < 0:
             raise ValueError("weight must be nonnegative")
-        if d_core(self.core, self.p) != self.core:
+        if not is_core(self.core, self.p):
             raise ValueError(f"{self.core!r} is not a {self.p}-core")
 
     @property
     def n(self) -> int:
         return sum(self.core) + self.p * self.weight
 
+    @property
+    def defect_valuation(self) -> int:
+        """nu_p of the defect group order: nu_p((pw)!)."""
+        return nu_factorial(self.p * self.weight, self.p)
+
 
 def block_of(lam: Partition, p: int) -> SymBlockLabel:
     """The block containing chi^lam: core and weight from rim p-hook removal."""
-    cq = d_core_and_quotient(lam, p)
-    return SymBlockLabel(p=p, core=cq.core, weight=cq.weight)
+    core = d_core(lam, p)
+    return SymBlockLabel(p=p, core=core, weight=(sum(lam) - sum(core)) // p)
 
 
 def block_labels(n: int, p: int) -> tuple[SymBlockLabel, ...]:
-    """All p-blocks of S_n, largest weight first.
-
-    One label per p-core group of partitions of n, named by its first member.
-    """
-    labels = (block_of(members[0], p) for members in partitions_by_core(n, p).values())
+    """All p-blocks of S_n, largest weight first: one label per p-core of valuation_census(n, p)."""
+    labels = []
+    for core in valuation_census(n, p):
+        weight, rest = divmod(n - sum(core), p)
+        if rest:
+            raise CrossCheckError(f"{p}-core {core!r} of a partition of {n} leaves {rest} boxes")
+        labels.append(SymBlockLabel(p=p, core=core, weight=weight))
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
+
+
+def block_heights(label: SymBlockLabel) -> tuple[tuple[int, int], ...]:
+    """(height, members) pairs of the block, smallest height first, from valuation_census.
+
+    Raises CrossCheckError on a negative height or on a block with no
+    height-zero member, as block_members_and_heights does member by member.
+    """
+    pairs = tuple(
+        (label.defect_valuation - valuation, members)
+        for valuation, members in reversed(valuation_census(label.n, label.p)[label.core])
+    )
+    if pairs[0][0] < 0:
+        raise CrossCheckError(f"negative height {pairs[0][0]} in block {label}")
+    if pairs[0][0] != 0:
+        raise CrossCheckError(f"block {label} has no height-zero character")
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -90,8 +127,7 @@ class BlockCharacterData:
 
 def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:
     """Members (same p-core), their heights, and the defect group order."""
-    p, w = label.p, label.weight
-    defect_valuation = nu_factorial(p * w, p)
+    p, defect_valuation = label.p, label.defect_valuation
     members = partitions_by_core(label.n, p)[label.core]
     heights = {}
     for lam in members:
@@ -110,8 +146,9 @@ def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:
 def bhz_verify(label: SymBlockLabel) -> VerificationReport:
     """Brauer height zero for one block: all heights zero <=> weight < p."""
     start = time.perf_counter()
-    data = block_members_and_heights(label)
-    all_height_zero = all(h == 0 for h in data.heights.values())
+    heights = block_heights(label)
+    max_height = heights[-1][0]
+    all_height_zero = max_height == 0
     abelian_defect = label.weight < label.p
     elapsed = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
@@ -127,8 +164,8 @@ def bhz_verify(label: SymBlockLabel) -> VerificationReport:
         passed=all_height_zero == abelian_defect,
         elapsed_ms=elapsed,
         notes=(
-            f"defect group order {data.defect_group_order}",
-            f"members {len(data.members)}, max height {max(data.heights.values())}",
+            f"defect group order {label.p ** label.defect_valuation}",
+            f"members {sum(members for _, members in heights)}, max height {max_height}",
         ),
     )
 
@@ -152,10 +189,19 @@ def bhz_witness_search(w: int, p: int = 2) -> Partition:
     )
 
 
+@lru_cache(maxsize=None)
+def _am_local_group(p: int, w: int) -> DegreeMultiset:
+    """(C_p x| C_{p-1}) wr S_w, built once per (p, w); at w = 0 the trivial group, with no base."""
+    if w == 0:
+        return TRIVIAL_GROUP
+    return wreath_degrees(metacyclic_degrees(MetacyclicSpec(m=p, d=p - 1, u=primitive_root(p))), w)
+
+
 def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
     """Alperin-McKay count for an abelian-defect block (weight < p).
 
-    Global side: census of partitions of n with the block's p-core.  Local
+    Global side: the block's members in valuation_census, checked against
+    the d-quotient count of p-tuples of partitions of total size w.  Local
     side: |Irr((C_p x| C_{p-1}) wr S_w)| built from explicit degree
     enumeration; with w < p the defect group is C_p^w and this wreath product
     is the relevant local quotient.  Also checks that all local degrees are
@@ -167,15 +213,19 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
         )
     start = time.perf_counter()
     p, w = label.p, label.weight
-    global_count = count_partitions_with_core(label.n, p, label.core)
+    heights = block_heights(label)
+    global_count = sum(members for _, members in heights)
+    expected = partition_tuple_count(p, w)
+    if global_count != expected:
+        raise CrossCheckError(
+            f"core census {global_count} != d-quotient count {expected} for block {label}"
+        )
 
-    base = metacyclic_degrees(MetacyclicSpec(m=p, d=p - 1, u=primitive_root(p)))
-    local = wreath_degrees(base, w)
+    local = _am_local_group(p, w)
     local_count = local.character_count
     local_all_pprime = irr_lprime_count(local, p) == local.character_count
 
-    data = block_members_and_heights(label)
-    members_height_zero = all(h == 0 for h in data.heights.values())
+    members_height_zero = heights[-1][0] == 0
 
     elapsed = int((time.perf_counter() - start) * 1000)
     notes = [

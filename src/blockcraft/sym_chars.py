@@ -3,9 +3,10 @@
 Degrees come from the hook formula n!/prod(hooks); p'-degree counting uses
 valuations (Legendre on n!, and on the hooks the beta-set formula of
 ``partitions.hook_valuation`` with its tables of nu_p(m) and nu_p(m!)), so
-no large factorial is ever formed.  The p'-degree count is a depth-first
-walk over rows that never lists the partitions; macdonald_count counts the
-odd degrees in closed form.  Character values come from the
+no large factorial is ever formed.  The p'-degree count reads the hook
+valuations of ``partitions.valuation_census``, the one walk over rows, which
+lists no partitions and which the block checks read too; macdonald_count
+counts the odd degrees in closed form.  Character values come from the
 Murnaghan-Nakayama rule.
 
 The block oracle implements the central-character criterion: chi and psi lie
@@ -42,10 +43,9 @@ from .partitions import (
     Partition,
     _beta_bits,
     _mn,
-    _row_hook_valuation,
-    _valuation_tables,
     enumerate_partitions,
     hook_lengths,
+    valuation_census,
 )
 
 DEFAULT_TABLE_BOUND = 10
@@ -87,44 +87,19 @@ def sym_degree(lam: Partition) -> int:
 def irr_pprime_count_sym(n: int, p: int) -> int:
     """|Irr_{p'}(S_n)|: partitions of n whose hook product has the p-valuation of n!.
 
-    A depth-first walk adds rows from the bottom up, keeping only the beads
-    placed so far, so it uses O(n) memory and lists no partitions.  The row
-    at depth k with part a has bead a + k, and its hook valuation depends
-    only on the rows below it, so every prefix sum is final: one above
-    nu_p(n!) would make some degree fractional, and raises CrossCheckError.
+    Read off the streaming census ``partitions.valuation_census``, which
+    lists no partitions; a valuation above nu_p(n!) would make a degree
+    fractional, and raises CrossCheckError.
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
+    census = valuation_census(n, p)
     target = nu_factorial(n, p)
-    nu, nu_fact = _valuation_tables(p, n.bit_length())  # beads never pass n
-    runners: list[list[int]] = [[] for _ in range(min(p, n + 1))]
     count = 0
-
-    def add_row(bead: int, below: int) -> int:
-        total = below + _row_hook_valuation(bead, runners[bead % p], nu, nu_fact)
-        if total > target:
-            raise CrossCheckError(f"hook valuation {total} exceeds nu_{p}({n}!) = {target}")
-        return total
-
-    def walk(remaining: int, low: int, depth: int, below: int) -> None:
-        # Rows above this one have parts >= low; a part a < remaining must
-        # leave room for another such row, so a <= remaining - a.
-        nonlocal count
-        for part in range(low, remaining // 2 + 1):
-            bead = part + depth
-            total = add_row(bead, below)
-            lower = runners[bead % p]
-            lower.append(bead)
-            walk(remaining - part, part, depth + 1, total)
-            lower.pop()
-        if remaining >= low:  # the top row takes all that remains
-            count += add_row(remaining + depth, below) == target
-
-    walk(n, 1, 0, 0)
+    for pairs in census.values():
+        for valuation, members in pairs:
+            if valuation > target:
+                raise CrossCheckError(f"hook valuation {valuation} exceeds nu_{p}({n}!) = {target}")
+            if valuation == target:
+                count += members
     return count
 
 

@@ -76,6 +76,10 @@ class DegreeMultiset:
                 yield d
 
 
+# The trivial group, which is also B wr S_0 for every base group B.
+TRIVIAL_GROUP = DegreeMultiset(((1, 1),), 1)
+
+
 @dataclass(frozen=True)
 class MetacyclicSpec:
     """C_m x| C_d with the generator of C_d acting on Z_m as x -> u*x."""
@@ -160,7 +164,8 @@ def wreath_degrees(base: DegreeMultiset, w: int) -> DegreeMultiset:
 
 @lru_cache(maxsize=None)
 def _cyclic_wreath_degrees(m: int, w: int) -> DegreeMultiset:
-    return wreath_degrees(cyclic_degrees(m), w)
+    """C_m wr S_w; at w = 0 the trivial group, without listing the m characters of C_m."""
+    return wreath_degrees(cyclic_degrees(m), w) if w else TRIVIAL_GROUP
 
 
 def cyclic_wreath_character_count(d: int, w: int) -> int:

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -19,12 +21,14 @@ from blockcraft.partitions import (
     from_core_and_quotient,
     hook_lengths,
     hook_valuation,
+    is_core,
     mn_character_value,
     partition_count,
     partition_from_beta,
     partition_tuple_count,
     partitions_by_core,
     rim_hook_removals,
+    valuation_census,
 )
 from blockcraft.sym_chars import build_table
 
@@ -366,6 +370,101 @@ def test_partition_tuple_count_small():
     assert partition_tuple_count(5, 2) == 20
     assert partition_tuple_count(2, 2) == 5
     assert partition_tuple_count(3, 0) == 1
+    assert partition_tuple_count(10**18, 0) == 1  # no loop over the d factors
+
+
+def test_is_core_matches_rim_hook_removal():
+    for n in range(0, 13):
+        for lam in enumerate_partitions(n):
+            for d in range(1, n + 3):
+                assert is_core(lam, d) == (d_core(lam, d) == lam), (lam, d)
+    assert is_core((3, 1), 10**18)
+    with pytest.raises(ValueError):
+        is_core((1, 2), 3)
+    with pytest.raises(ValueError):
+        is_core((1,), 0)
+
+
+def test_huge_d_costs_no_more_than_d_equal_to_n_plus_1():
+    # For d > n every partition of n is its own d-core, of weight 0.
+    tracemalloc.start()
+    try:
+        groups = partitions_by_core(5, 1000000007)
+        cores = [d_core(lam, 1000000007) for lam in enumerate_partitions(6)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dict(groups) == {lam: (lam,) for lam in enumerate_partitions(5)}
+    assert cores == list(enumerate_partitions(6))
+    assert count_partitions_with_core(5, 1000000007, (3, 2)) == 1
+    assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# The streaming valuation census
+# ---------------------------------------------------------------------------
+
+def oracle_valuation_census(n, p):
+    """The census by listing: partitions_by_core groups, hook_valuation per member."""
+    return {
+        core: tuple(sorted(Counter(hook_valuation(lam, p) for lam in members).items()))
+        for core, members in partitions_by_core(n, p).items()
+    }
+
+
+def test_valuation_census_matches_listing_oracle():
+    for n in range(0, 23):
+        for p in (2, 3, 5, 7, 11, 29):
+            assert dict(valuation_census(n, p)) == oracle_valuation_census(n, p), (n, p)
+
+
+def test_valuation_census_examples_and_guards():
+    assert dict(valuation_census(0, 2)) == {(): ((0, 1),)}
+    # S_4 at p = 2: one block; degrees 1, 3, 2, 3, 1 have hook valuations 3, 3, 2, 3, 3.
+    assert dict(valuation_census(4, 2)) == {(): ((2, 1), (3, 4))}
+    census = valuation_census(4, 3)
+    assert dict(census) == {(1,): ((1, 3),), (3, 1): ((0, 1),), (2, 1, 1): ((0, 1),)}
+    with pytest.raises(TypeError):
+        census[()] = ()
+    with pytest.raises(ValueError):
+        valuation_census(-1, 2)
+    with pytest.raises(ValueError):
+        valuation_census(4, 1)
+
+
+def test_valuation_census_lists_no_partitions():
+    enumerate_partitions.cache_clear()
+    valuation_census.cache_clear()
+    valuation_census(23, 3)
+    assert enumerate_partitions.cache_info().currsize == 0
+
+
+def test_valuation_census_walk_depth_does_not_grow_with_rows():
+    # (1^40) has 40 rows; a walk that recursed once per row would need 40 frames.
+    valuation_census.cache_clear()
+    depth = 0
+    frame = sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        census = valuation_census(40, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(count for pairs in census.values() for _, count in pairs) == partition_count(40)
+
+
+def test_valuation_census_at_a_huge_prime_is_one_core_per_partition():
+    p = 2305843009213693951  # 2^61 - 1
+    tracemalloc.start()
+    try:
+        census = valuation_census(6, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dict(census) == {lam: ((0, 1),) for lam in enumerate_partitions(6)}
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

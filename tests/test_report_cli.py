@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import resource
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockcraft.cli as cli
+from blockcraft import partitions, sym_blocks
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.report import VerificationReport, emit_reports, sort_reports
@@ -268,6 +271,75 @@ def test_sym_blocks_cell_computes_no_hooks_or_heights(monkeypatch):
     assert all(not made for made in calls.values()), {k: len(v) for k, v in calls.items()}
 
 
+@pytest.mark.parametrize("command", [["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]])
+def test_census_cells_list_no_partitions(command, monkeypatch):
+    # Heights and member counts come from the streaming census.  Only the
+    # Alperin-McKay local side lists partitions: those of t <= w < p, for S_w.
+    partitions.valuation_census.cache_clear()
+    sym_blocks._am_local_group.cache_clear()
+    calls = _count_calls(
+        monkeypatch, "enumerate_partitions", "hook_valuation", "block_members_and_heights"
+    )
+    assert main([*command, "--n", "16", "--p", "5"]) == 0
+    listed = calls.pop("enumerate_partitions")
+    assert all(t < 5 for (t,) in listed) and (command[1] == "am" or not listed)
+    assert all(not made for made in calls.values()), {k: len(v) for k, v in calls.items()}
+
+
+def test_sym_am_builds_each_local_group_once(monkeypatch):
+    sym_blocks._am_local_group.cache_clear()
+    calls = _count_calls(monkeypatch, "wreath_degrees")
+    assert main(["sym", "am", "--n", "18", "--p", "5"]) == 0
+    assert main(["sym", "am", "--n", "13", "--p", "5"]) == 0
+    # Weights 1, 2 and 3 occur; weight 0 is the trivial group, built from no base.
+    assert sorted(w for _, w in calls["wreath_degrees"]) == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "command", [["sym", "mckay"], ["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]]
+)
+def test_planted_over_valuation_is_a_cross_check_failure(command, capsys, monkeypatch):
+    # One more factor p in every row's hooks: some prefix passes nu_p(n!).
+    real_tables = partitions._valuation_tables
+
+    def inflated(p, bits):
+        nu, nu_fact = real_tables(p, bits)
+        return nu, tuple(value + 1 for value in nu_fact)
+
+    partitions.valuation_census.cache_clear()
+    monkeypatch.setattr(partitions, "_valuation_tables", inflated)
+    try:
+        assert main([*command, "--n", "6", "--p", "2"]) == 2
+    finally:
+        partitions.valuation_census.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cross-check failure: hook valuation ")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "command", [["sym", "blocks"], ["sym", "bhz"], ["sym", "am"], ["oracle", "nakayama"]]
+)
+def test_cli_sym_checks_at_a_huge_prime_run_small_and_quick(command):
+    # For p > n every partition is its own p-core: nothing may be sized by p.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("BLOCKCRAFT_MAX_N", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "blockcraft.cli", *command, "--n", "5", "--p", "1000000007"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=5,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # The check registry: one entry drives the CLI command and the sweep cell
 # ---------------------------------------------------------------------------
@@ -374,6 +446,8 @@ def test_sweep_calls_the_runner_in_the_registry(tmp_path, capsys, monkeypatch):
     assert calls == [{"n": 3, "p": 2}, {"n": 5, "p": 2}]
 
 
+# Primes far beyond n: 10^9 + 7 and 2^61 - 1.
+HUGE_PRIMES = [1000000007, 2305843009213693951]
 SYM_AND_ORACLE = sorted(name for name, check in CHECKS.items() if check.group in ("sym", "oracle"))
 
 
@@ -381,7 +455,7 @@ SYM_AND_ORACLE = sorted(name for name, check in CHECKS.items() if check.group in
 @given(
     name=st.sampled_from(SYM_AND_ORACLE),
     n=st.one_of(st.integers(-3, 24), st.sampled_from([61, 70, 500])),
-    p=st.integers(-3, 12),
+    p=st.one_of(st.integers(-3, 12), st.sampled_from(HUGE_PRIMES)),
 )
 def test_cli_fuzz_small_sym_and_oracle_vectors(name, n, p):
     check = CHECKS[name]
@@ -423,7 +497,11 @@ def test_cli_fuzz_small_gl_vectors(name, n, q, ell):
 
 
 @settings(max_examples=200, deadline=timedelta(seconds=5))
-@given(name=st.sampled_from(sorted(CHECKS)), p=st.integers(-3, 12), **GL_VECTORS)
+@given(
+    name=st.sampled_from(sorted(CHECKS)),
+    p=st.one_of(st.integers(-3, 12), st.sampled_from(HUGE_PRIMES)),
+    **GL_VECTORS,
+)
 def test_cli_fuzz_one_cell_sweeps(name, n, p, q, ell):
     values = {"n": n, "p": p, "q": q, "ell": ell}
     cell = {"check": name, **{param: values[param] for param in CHECKS[name].params}}

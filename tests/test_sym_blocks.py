@@ -1,12 +1,16 @@
+from collections import Counter
+
 import pytest
 
-from blockcraft.errors import UnsupportedRegimeError
+from blockcraft import sym_blocks
+from blockcraft.errors import CrossCheckError, UnsupportedRegimeError
 from blockcraft.partitions import enumerate_partitions, partition_count
 from blockcraft.sym_blocks import (
     SymBlockLabel,
     am_verify_abelian,
     bhz_verify,
     bhz_witness_search,
+    block_heights,
     block_labels,
     block_members_and_heights,
     block_of,
@@ -122,3 +126,37 @@ def test_am_small_grid():
             for label in block_labels(n, p):
                 if label.weight < p:
                     assert am_verify_abelian(label).passed
+
+
+def test_block_heights_match_per_member_heights():
+    for n in range(0, 19):
+        for p in (2, 3, 5, 7):
+            for label in block_labels(n, p):
+                per_member = Counter(block_members_and_heights(label).heights.values())
+                assert block_heights(label) == tuple(sorted(per_member.items())), label
+
+
+def test_block_heights_checks(monkeypatch):
+    label = SymBlockLabel(p=2, core=(), weight=2)  # nu_2(4!) = 3
+    monkeypatch.setattr(sym_blocks, "valuation_census", lambda n, p: {(): ((2, 1), (4, 4))})
+    with pytest.raises(CrossCheckError, match="negative height -1"):
+        block_heights(label)
+    monkeypatch.setattr(sym_blocks, "valuation_census", lambda n, p: {(): ((2, 5),)})
+    with pytest.raises(CrossCheckError, match="no height-zero character"):
+        block_heights(label)
+
+
+def test_am_census_is_checked_against_the_quotient_count(monkeypatch):
+    label = SymBlockLabel(p=5, core=(), weight=2)
+    monkeypatch.setattr(sym_blocks, "valuation_census", lambda n, p: {(): ((2, 19),)})
+    with pytest.raises(CrossCheckError, match="core census 19 != d-quotient count 20"):
+        am_verify_abelian(label)
+
+
+def test_block_labels_at_a_huge_prime():
+    p = 1000000007
+    labels = block_labels(4, p)
+    assert sorted(label.core for label in labels) == sorted(enumerate_partitions(4))
+    assert all(label.weight == 0 for label in labels)
+    assert block_of((2, 1, 1), p) == SymBlockLabel(p=p, core=(2, 1, 1), weight=0)
+    assert all(am_verify_abelian(label).passed for label in labels)
