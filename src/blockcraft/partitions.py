@@ -15,7 +15,12 @@ beads, so position 0 is empty and each partition has exactly one mask
 (``()`` is 0).  Removing a rim t-hook moves one bead from pos to the empty
 pos - t, which is two XORs; the leg length is the number of beads strictly
 between them.  A bead that lands on position 0 gives zero parts, and that
-low run of set bits is shifted out to keep the mask unique.
+low run of set bits is shifted out to keep the mask unique.  The character
+tables use the rule on whole columns, through ``_rim_hook_map(m, k)``: for
+each partition of m, the positions among the partitions of m - k that one
+rim k-hook takes it to, split by leg parity.  ``mn_character_value`` is the
+per-value route, which carries signed coefficients on masks through the parts
+of the cycle type without recursion.
 
 Hook valuations are read off the beta-set too.  In the row with bead b the
 hooks are {1, ..., b} minus {b - c : c a lower bead}, so
@@ -35,10 +40,12 @@ of more than n + 1 runners, however large d is.
 
 Everything here is pure and deterministic.  The memo tables are
 module-level ``functools`` caches of immutable values, so concurrent
-readers always observe consistent results.  They hold the
-Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle-type suffix); the
-tables of nu_p(m) and nu_p(m!) behind every hook valuation, one per p and
-power-of-two size; and two read-only censuses, each one pass per (n, d):
+readers always observe consistent results.  They hold the last 1024
+Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle type); the rim-hook
+maps behind the character tables, one per (m, k), with the position of each
+mask among the partitions of m; the tables of nu_p(m) and nu_p(m!) behind
+every hook valuation, one per p and power-of-two size; and two read-only
+censuses, each one pass per (n, d):
 ``partitions_by_core`` lists the partitions of n grouped by d-core (the
 per-member route: Nakayama oracle, gl blocks, block_members_and_heights),
 and ``valuation_census`` counts them by d-core and hook valuation, which is
@@ -476,6 +483,31 @@ def _rim_hooks(bits: int, length: int):
         targets ^= target
 
 
+@cache
+def _mask_positions(m: int) -> Mapping[int, int]:
+    """The beta-set mask of each partition of m, mapped to its position in the canonical order."""
+    return MappingProxyType({_beta_bits(lam): i for i, lam in enumerate(enumerate_partitions(m))})
+
+
+@cache
+def _rim_hook_map(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Where one rim k-hook takes each partition of m, in canonical order.
+
+    Entry i is (even, odd): the positions in enumerate_partitions(m - k) of
+    the i-th partition of m with one rim k-hook removed, split by the parity
+    of the hook's leg length.
+    """
+    position = _mask_positions(m - k)
+    out = []
+    for bits in _mask_positions(m):
+        even: list[int] = []
+        odd: list[int] = []
+        for moved, leg in _rim_hooks(bits, k):
+            (odd if leg & 1 else even).append(position[moved])
+        out.append((tuple(even), tuple(odd)))
+    return tuple(out)
+
+
 def rim_hook_removals(lam: Partition, length: int) -> tuple[tuple[Partition, int], ...]:
     """All ways to remove one rim hook of the given length from lam.
 
@@ -503,14 +535,19 @@ def mn_character_value(lam: Partition, rho: Partition) -> int:
     return _mn(_beta_bits(lam), tuple(sorted(rho, reverse=True)))
 
 
-@cache
+@lru_cache(maxsize=1024)
 def _mn(bits: int, rho: Partition) -> int:
-    """chi(rho) for the partition with beta-set mask bits; rho sorted decreasing."""
-    if not rho:
-        return 1
-    cycle, rest = rho[0], rho[1:]
-    total = 0
-    for moved, leg in _rim_hooks(bits, cycle):
-        term = _mn(moved, rest)
-        total += -term if leg & 1 else term
-    return total
+    """chi(rho) for the partition with beta-set mask bits; rho sorted decreasing.
+
+    One rim hook comes off per part of rho.  The frontier maps each mask
+    reached so far to its signed coefficient, equal masks merge and zero
+    coefficients drop, so no recursion runs however many parts rho has.
+    """
+    frontier = {bits: 1}
+    for cycle in rho:
+        reached: dict[int, int] = defaultdict(int)
+        for mask, coeff in frontier.items():
+            for moved, leg in _rim_hooks(mask, cycle):
+                reached[moved] += -coeff if leg & 1 else coeff
+        frontier = {mask: coeff for mask, coeff in reached.items() if coeff}
+    return frontier.get(0, 0)

@@ -6,8 +6,12 @@ valuations (Legendre on n!, and on the hooks the beta-set formula of
 no large factorial is ever formed.  The p'-degree count reads the hook
 valuations of ``partitions.valuation_census``, the one walk over rows, which
 lists no partitions and which the block checks read too; macdonald_count
-counts the odd degrees in closed form.  Character values come from the
-Murnaghan-Nakayama rule.
+counts the odd degrees in closed form.  Character tables come from the
+Murnaghan-Nakayama rule applied to whole columns: the column of S_n at a
+cycle type rho is gathered, through the rim rho_1-hooks of each label, from
+one column of the table of S_{n - rho_1}, so the tables are built column by
+column in increasing n, each smaller one once, with no per-entry recursion
+or memo.
 
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
@@ -41,8 +45,7 @@ from .arith import is_prime, nu_factorial
 from .errors import CrossCheckError, ResourceLimitError, UsageError
 from .partitions import (
     Partition,
-    _beta_bits,
-    _mn,
+    _rim_hook_map,
     enumerate_partitions,
     hook_lengths,
     valuation_census,
@@ -155,16 +158,40 @@ def build_table(n: int, bound: int | None = None) -> SymCharacterTable:
 
 
 @cache
+def _columns(n: int) -> Mapping[Partition, tuple[int, ...]]:
+    """The table of S_n by columns: each class maps to its values over enumerate_partitions(n).
+
+    This is the Murnaghan-Nakayama rule on whole columns: chi^lam(rho) is
+    the signed sum of chi^mu(rho[1:]) over the rim rho[0]-hooks lam -> mu,
+    and rho[1:] is a class of S_{n - rho[0]}, so the column at rho gathers
+    one column of a smaller table through _rim_hook_map(n, rho[0]).  The
+    smaller tables are built first, in increasing n, so each is computed
+    once, shared by every larger n, and the memo never nests deeper than
+    two calls.
+    """
+    if not n:
+        return MappingProxyType({(): (1,)})
+    smaller = [_columns(m) for m in range(n)]
+    columns = {}
+    for rho in enumerate_partitions(n):
+        take = smaller[n - rho[0]][rho[1:]].__getitem__
+        columns[rho] = tuple(
+            sum(map(take, even)) - sum(map(take, odd)) for even, odd in _rim_hook_map(n, rho[0])
+        )
+    return MappingProxyType(columns)
+
+
+@cache
 def _table(n: int) -> SymCharacterTable:
     """The memo behind build_table, keyed on n alone; callers check the bound."""
     classes = enumerate_partitions(n)
     class_sizes = {rho: cycle_type_class_size(rho) for rho in classes}
     if sum(class_sizes.values()) != factorial(n):
         raise CrossCheckError("class sizes do not sum to n!")
-    rows = {}
-    for lam in classes:  # valid labels and sorted cycle types: call the MN kernel directly
-        bits = _beta_bits(lam)
-        rows[lam] = MappingProxyType({rho: _mn(bits, rho) for rho in classes})
+    rows = {  # the columns come in class order, so transposing them gives the rows
+        lam: MappingProxyType(dict(zip(classes, values)))
+        for lam, values in zip(classes, zip(*_columns(n).values()))
+    }
     return SymCharacterTable(
         n=n, classes=classes, class_sizes=MappingProxyType(class_sizes), rows=MappingProxyType(rows)
     )

@@ -30,7 +30,8 @@ from blockcraft.partitions import (
     rim_hook_removals,
     valuation_census,
 )
-from blockcraft.sym_chars import build_table
+from blockcraft import partitions, sym_chars
+from blockcraft.sym_chars import build_table, column_orthogonality_holds
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +510,43 @@ def test_build_table_matches_tuple_oracle():
             lam: {rho: oracle_mn(lam, rho) for rho in enumerate_partitions(n)}
             for lam in enumerate_partitions(n)
         }
+
+
+def test_table_matches_per_value_route():
+    for n in range(10, 13):
+        table = sym_chars._table(n)
+        for lam in table.classes:
+            assert table.rows[lam] == {rho: mn_character_value(lam, rho) for rho in table.classes}
+
+
+def test_table_does_not_depend_on_build_order():
+    sym_chars._table.cache_clear()
+    sym_chars._columns.cache_clear()
+    sym_chars._table(13)
+    table = build_table(8)
+    assert table.rows == {
+        lam: {rho: oracle_mn(lam, rho) for rho in enumerate_partitions(8)}
+        for lam in enumerate_partitions(8)
+    }
+
+
+def test_column_orthogonality_of_larger_tables():
+    for n in (11, 12):
+        assert column_orthogonality_holds(sym_chars._table(n))
+
+
+def test_build_table_fills_no_mn_memo():
+    for memo in (sym_chars._table, sym_chars._columns, partitions._mn):
+        memo.cache_clear()
+    build_table(9)
+    assert partitions._mn.cache_info().currsize == 0
+    assert partitions._mn.cache_info().maxsize is not None
+
+
+def test_mn_value_with_many_parts_does_not_recurse():
+    assert mn_character_value((1200,), (1,) * 1200) == 1
+    assert mn_character_value((1,) * 1200, (1,) * 1200) == 1
+    assert mn_character_value((1199, 1), (2,) * 600) == -1  # fixed points minus 1
 
 
 def test_mn_examples():
