@@ -15,8 +15,6 @@ from .glq_blocks import (
     EllContext,
     GlUnipotentBlockLabel,
     d_ell,
-    local_overgroup_count,
-    phi_divisibility,
     series_is_lprime,
     unipotent_block_of,
     unipotent_block_series_size,
@@ -34,17 +32,14 @@ from .glq_chars import (
     green_degree,
     irr_pprime_count_gl,
     irreducible_poly_count,
-    torus_order,
     unipotent_degree,
 )
 from .partitions import (
     CoreQuotient,
-    count_hooks,
     count_partitions_with_core,
     d_core,
     d_core_and_quotient,
     enumerate_partitions,
-    from_core_and_quotient,
     hook_lengths,
     hook_valuation,
     is_core,

@@ -1,16 +1,21 @@
 """Exact integer arithmetic helpers: valuations, primes, orders, Moebius.
 
-Everything works on plain Python ints (arbitrary precision) and is sized for
-desk-scale inputs; no probabilistic methods, no floating point.  Primality
-is a Miller-Rabin test with a fixed base set that is exact below about
-3.3e24, so it costs O(log n) multiplications there; factorization is still
-trial division, O(sqrt n).
+Everything works on plain Python ints (arbitrary precision); no floating
+point, and no randomness.  Primality is a Miller-Rabin test with a fixed
+base set, exact below _MR_LIMIT (about 3.3e24), where it costs O(log n)
+multiplications; above that limit is_prime raises ValueError rather than
+guess, and the CLI refuses such a p, q or ell.  factorize trial-divides by
+2 and the odd numbers below 1024 only, then splits what is left with
+Pollard's rho in Brent's form, x -> x^2 + c from x = 2 for c = 1, 2, ...,
+testing each factor with Miller-Rabin: about n^(1/4) steps for the smallest
+prime factor of n left after trial division, where trial division took
+sqrt(n).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 
 def nu(n: int, p: int) -> int:
@@ -48,19 +53,14 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: deterministic Miller-Rabin below _MR_LIMIT, trial division above."""
+    """Primality of n by deterministic Miller-Rabin; ValueError at or above _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the exact primality range (below {_MR_LIMIT})")
     if n < 2:
         return False
     for base in _MR_BASES:
         if n % base == 0:
             return n == base
-    if n >= _MR_LIMIT:
-        f = _MR_BASES[-1] + 2
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     odd, twos = n - 1, 0
     while odd % 2 == 0:
         odd //= 2
@@ -78,32 +78,56 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_BOUND = 1024
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n, which has no prime factor below _TRIAL_BOUND.
+
+    Pollard's rho with Brent's cycle finding: the walk y -> y^2 + c mod n
+    from y = 2, compared with its value x at the last power of two, for
+    c = 1, 2, ... in turn until some walk meets itself mod a factor first.
+    """
+    for c in range(1, n):
+        y, power, found = 2, 1, 1
+        while found == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+                found = gcd(x - y, n)
+                if found != 1:
+                    break
+            power *= 2
+        if found != n:
+            return found
+    raise AssertionError(f"no rho walk splits {n}")
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) with p increasing."""
+    """Prime factorization of n >= 1 as ((p, e), ...) with p increasing.
+
+    Raises ValueError if a factor at or above _MR_LIMIT is left whose
+    primality Miller-Rabin cannot settle exactly.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for p in (2, 3):
-        e = 0
+    exponents: dict[int, int] = {}
+    for p in (2, *range(3, _TRIAL_BOUND, 2)):  # an odd composite p divides nothing left
+        if p * p > n:
+            break
         while n % p == 0:
             n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                out.append((p, e))
-        f += 6
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+            exponents[p] = exponents.get(p, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:  # every factor here is free of primes below _TRIAL_BOUND
+        m = pending.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+            exponents[m] = exponents.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
+    return tuple(sorted(exponents.items()))
 
 
 def divisors(n: int) -> tuple[int, ...]:
@@ -157,11 +181,7 @@ def prime_power_radical(q: int) -> int:
     """The prime p with q = p^f, or raise if q is not a prime power."""
     if q < 2:
         raise ValueError("q must be at least 2")
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            if q != 1:
-                raise ValueError("q is not a prime power")
-            return p
-    return q  # q itself is prime
+    factors = factorize(q)
+    if len(factors) != 1:
+        raise ValueError("q is not a prime power")
+    return factors[0][0]

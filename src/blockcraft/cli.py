@@ -32,12 +32,12 @@ import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from math import factorial
 from typing import Callable
 
-from .arith import is_prime, prime_power_radical
+from .arith import _MR_LIMIT, is_prime, prime_power_radical
 from .errors import (
     CrossCheckError,
     ResourceLimitError,
@@ -85,11 +85,14 @@ class Check:
         """Why the cell with these parameter values cannot run, or None if it can.
 
         Whichever check takes them, n must be nonnegative, p and ell prime
-        and q a prime power.
+        and q a prime power, each below the range where primality is exact.
         """
         n, p, q, ell = params.get("n"), params.get("p"), params.get("q"), params.get("ell")
         if n is not None and n < 0:
             return "n must be nonnegative"
+        for name in ("p", "q", "ell"):
+            if params.get(name, 0) >= _MR_LIMIT:
+                return f"{name}={params[name]} is not below {_MR_LIMIT}, where primality is exact"
         if p is not None and not is_prime(p):
             return f"p={p} is not prime"
         if q is not None:
@@ -131,7 +134,9 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
 
     The runner's parameters and their defaults are the check's.  The runner
     returned raises UsageError, before any work, for a cell that fails the
-    check's precondition, however it is called.
+    check's precondition, however it is called.  It is also the one place a
+    check is timed: every report of a cell carries the cell's wall time, in
+    whole milliseconds, as elapsed_ms.
     """
     group, command = path.split()
 
@@ -157,7 +162,10 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
             reason = check.refusal(cell.arguments)
             if reason:
                 raise UsageError(reason)
-            return runner(*args, **kwargs)
+            start = time.perf_counter()
+            reports = runner(*args, **kwargs)
+            elapsed = int((time.perf_counter() - start) * 1000)
+            return [replace(report, elapsed_ms=elapsed) for report in reports]
 
         CHECKS[name] = check
         _SWEEP_RUNNERS[name] = guarded
@@ -175,11 +183,9 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
     ),
 )
 def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
-    start = time.perf_counter()
     global_count = irr_pprime_count_sym(n, 2)
     local_count = sylow2_local_count(n)
     macdonald = macdonald_count(n)
-    elapsed = int((time.perf_counter() - start) * 1000)
     return [
         VerificationReport(
             conjecture="mckay",
@@ -187,7 +193,6 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
             global_count=global_count,
             local_count=local_count,
             passed=global_count == local_count == macdonald,
-            elapsed_ms=elapsed,
             notes=(f"binary-expansion count {macdonald}",),
         )
     ]
@@ -195,7 +200,6 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
 
 @_register("sym_blocks", "sym blocks", precondition=_within_census_bound)
 def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
-    start = time.perf_counter()
     census = valuation_census(n, p)
     notes = []
     total = 0
@@ -206,7 +210,6 @@ def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
             f"core={format_partition(label.core)} weight={label.weight} "
             f"members={members} defect_order={p ** label.defect_valuation}"
         )
-    elapsed = int((time.perf_counter() - start) * 1000)
     return [
         VerificationReport(
             conjecture="block_census",
@@ -214,7 +217,6 @@ def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
             global_count=partition_count(n),
             local_count=total,
             passed=partition_count(n) == total,
-            elapsed_ms=elapsed,
             notes=tuple(notes),
         )
     ]
@@ -222,7 +224,6 @@ def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
 
 @_register("sym_table", "sym table", precondition=_within_table_bound)
 def run_sym_table(n: int) -> list[VerificationReport]:
-    start = time.perf_counter()
     table = build_table(n)
     rows_ok = row_orthogonality_holds(table)
     cols_ok = column_orthogonality_holds(table)
@@ -230,7 +231,6 @@ def run_sym_table(n: int) -> list[VerificationReport]:
         table.degree(lam) ** 2 for lam in table.classes
     )
     order = factorial(n)
-    elapsed = int((time.perf_counter() - start) * 1000)
     notes = [f"row orthogonality exact: {rows_ok}", f"column orthogonality exact: {cols_ok}"]
     notes.append("classes: " + " ".join(format_partition(r) for r in table.classes))
     for lam in table.classes:
@@ -243,7 +243,6 @@ def run_sym_table(n: int) -> list[VerificationReport]:
             global_count=square_sum,
             local_count=order,
             passed=square_sum == order and rows_ok and cols_ok,
-            elapsed_ms=elapsed,
             notes=tuple(notes),
         )
     ]
@@ -251,11 +250,9 @@ def run_sym_table(n: int) -> list[VerificationReport]:
 
 @_register("nakayama", "oracle nakayama", precondition=_within_table_bound)
 def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
-    start = time.perf_counter()
     oracle = central_character_blocks(n, p)
     nakayama = {frozenset(members) for members in partitions_by_core(n, p).values()}
     agree = set(oracle.blocks) == nakayama
-    elapsed = int((time.perf_counter() - start) * 1000)
     return [
         VerificationReport(
             conjecture="nakayama_oracle",
@@ -263,7 +260,6 @@ def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
             global_count=len(oracle.blocks),
             local_count=len(nakayama),
             passed=agree,
-            elapsed_ms=elapsed,
             notes=(f"central-character partition matches p-core partition: {agree}",),
         )
     ]
@@ -285,11 +281,9 @@ def run_sym_am(n: int, p: int) -> list[VerificationReport]:
 
 @_register("gl_degrees", "gl degrees")
 def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
-    start = time.perf_counter()
     ms = all_degrees(n, q)
     square_sum = sum(m * d * d for d, m in ms.entries)
     order = gl_order(n, q)
-    elapsed = int((time.perf_counter() - start) * 1000)
     rendered = " ".join(f"{d}^{m}" for d, m in ms.entries)
     return [
         VerificationReport(
@@ -298,7 +292,6 @@ def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
             global_count=square_sum,
             local_count=order,
             passed=square_sum == order,
-            elapsed_ms=elapsed,
             notes=(f"characters {ms.character_count}", f"degrees {rendered}"),
         )
     ]
@@ -319,10 +312,8 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
     reports = []
     total = 0
     for label in blocks:
-        start = time.perf_counter()
         size = unipotent_block_series_size(label)  # raises if its three routes disagree
         total += size
-        elapsed = int((time.perf_counter() - start) * 1000)
         notes = [f"relative Weyl group count {size}"]
         if not label.verified:
             notes.append("ell < 7: d-core block distribution not certified in this regime")
@@ -340,7 +331,6 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
                 global_count=size,
                 local_count=size,
                 passed=True,
-                elapsed_ms=elapsed,
                 notes=tuple(notes),
             )
         )
@@ -351,7 +341,6 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
             global_count=partition_count(n),
             local_count=total,
             passed=partition_count(n) == total,
-            elapsed_ms=0,
             notes=(f"blocks {len(blocks)}",),
         )
     )

@@ -6,8 +6,8 @@ character rho^lam is ell' (for ell > 2) iff lam has the maximal number of
 hooks divisible by L for every tower length L in that same set; and a
 general character is ell' iff its semisimple part centralizes a Sylow
 ell-subgroup and all unipotent components are ell'.
-Each of these criteria is computed both structurally and by direct valuation
-of exact degrees, and the two routes must agree.
+Each of the two character criteria is computed both structurally and by
+direct valuation of exact degrees, and the two routes must agree.
 
 The McKay comparison is against the overgroup
 M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q), n = wd + r, which contains the
@@ -23,10 +23,8 @@ verified=False rather than being refused.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .arith import is_prime, multiplicative_order, nu, prime_power_radical
 from .errors import CrossCheckError
@@ -89,41 +87,6 @@ class EllContext:
     @classmethod
     def of(cls, q: int, ell: int) -> "EllContext":
         return cls(q=q, ell=ell, d=d_ell(q, ell))
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_value(m: int, q: int) -> int:
-    """Phi_m(q), by the exact recursion q^m - 1 = prod_{e | m} Phi_e(q)."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    value = q**m - 1
-    for e in range(1, m):
-        if m % e == 0:
-            value, rem = divmod(value, cyclotomic_value(e, q))
-            if rem:
-                raise CrossCheckError("cyclotomic recursion left a remainder")
-    return value
-
-
-def phi_divisibility(m: int, q: int, ell: int) -> bool:
-    """Whether ell divides Phi_m(q); dual route: big-integer value vs membership.
-
-    The membership criterion is m in {d, d*ell, d*ell^2, ...} with d = d_ell(q).
-    """
-    direct = cyclotomic_value(m, q) % ell == 0
-    d = d_ell(q, ell)
-    quotient, rem = divmod(m, d)
-    if rem:
-        member = False
-    else:
-        while quotient % ell == 0:
-            quotient //= ell
-        member = quotient == 1
-    if direct != member:
-        raise CrossCheckError(
-            f"Phi_{m}({q}) mod {ell}: direct evaluation and membership disagree"
-        )
-    return direct
 
 
 def hook_tower_criterion(lam: Partition, d: int, ell: int) -> bool:
@@ -204,16 +167,6 @@ def _local_degrees(n: int, context: EllContext) -> DegreeMultiset:
     return direct_product(wreath_degrees(base, w), all_degrees(r, q))
 
 
-def local_overgroup_count(n: int, context: EllContext) -> int:
-    """|Irr_{ell'}(M)| for the Sylow ell-overgroup M of GL_n(q).
-
-    Counted on M's full degree multiset: with n = wd + r a product of a
-    wreath degree and a GL_r(q) degree is ell' exactly when both factors are;
-    for w = 0 the overgroup degenerates to GL_n(q) itself.
-    """
-    return irr_lprime_count(_local_degrees(n, context), context.ell)
-
-
 def _mod_ell_signature(degrees: DegreeMultiset, ell: int) -> Counter:
     """Multiset of degree residues mod ell, folded up to sign, over ell'-degrees."""
     out: Counter = Counter()
@@ -234,7 +187,6 @@ def verify_gl_mckay(n: int, q: int, ell: int) -> VerificationReport:
     (the labelled bijection needed to verify that congruence properly is not
     constructed).
     """
-    start = time.perf_counter()
     context = EllContext.of(q, ell)
     global_count = irr_lprime_count_gl(n, q, ell)
     local = _local_degrees(n, context)
@@ -245,14 +197,12 @@ def verify_gl_mckay(n: int, q: int, ell: int) -> VerificationReport:
     local_sig = _mod_ell_signature(local, ell)
     congruent = global_sig == local_sig
 
-    elapsed = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         conjecture="gl_mckay",
         parameters={"n": n, "q": q, "ell": ell},
         global_count=global_count,
         local_count=local_count,
         passed=global_count == local_count,
-        elapsed_ms=elapsed,
         notes=(
             f"d={context.d} w={w} r={r}",
             f"degrees mod ell match up to sign: {congruent} (heuristic, unlabelled)",
@@ -267,19 +217,16 @@ def verify_gl_mckay_defining(n: int, q: int) -> VerificationReport:
     Local side: the closed-form count (q-1) q^(n-1) of the parameterization
     of Irr_{p'} of a Borel subgroup by degree-n characteristic polynomials.
     """
-    start = time.perf_counter()
     p = prime_power_radical(q)
     global_count = irr_lprime_count_gl(n, q, p)
     local_count = irr_pprime_count_gl(n, q)
     census = semisimple_class_count(n, q)
-    elapsed = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         conjecture="mckay",
         parameters={"n": n, "q": q, "ell": p},
         global_count=global_count,
         local_count=local_count,
         passed=global_count == local_count == census,
-        elapsed_ms=elapsed,
         notes=(f"defining characteristic p={p}", f"semisimple class census {census}"),
     )
 

@@ -19,10 +19,8 @@ prod_{j<=n} (q^j - 1), taken once per (n, q), by the same product over the
 centralizer's factors.  The type's Counter {index: class count} is then
 multiplied by the memoized Counter of unipotent degrees of GL_{m_i}(q^{d_i})
 for each component.  SeriesLabel and green_degree give the same degrees one
-label at a time, for callers that need the label.
-
-All arithmetic is exact; a polynomial-in-q mode exists solely for the
-q -> 1 degeneration cross-check against the symmetric-group hook formula.
+label at a time, for callers that need the label.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -48,12 +46,6 @@ def gl_order(n: int, q: int) -> int:
     if n < 0 or q < 2:
         raise ValueError("need n >= 0 and q >= 2")
     return q ** (n * (n - 1) // 2) * _gl_pprime_part(n, q)
-
-
-def torus_order(lam: Partition, q: int) -> int:
-    """Order of the maximal torus of type lam: prod (q^{lam_i} - 1)."""
-    validate_partition(lam)
-    return prod(q**part - 1 for part in lam)
 
 
 def irreducible_poly_count(d: int, q: int) -> int:
@@ -177,53 +169,6 @@ def unipotent_degree(lam: Partition, q: int) -> int:
     return q ** _a_stat(lam) * quotient
 
 
-# -- polynomial-in-q mode (only for the q -> 1 degeneration cross-check) -----
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    num_list = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        coeff = num_list[shift + len(den) - 1] // den[-1]
-        out[shift] = coeff
-        for j, cd in enumerate(den):
-            num_list[shift + j] -= coeff * cd
-    if any(num_list):
-        raise CrossCheckError("polynomial division left a remainder")
-    return tuple(out)
-
-
-def unipotent_degree_poly(lam: Partition) -> tuple[int, ...]:
-    """Coefficients (ascending powers of q) of the unipotent degree polynomial.
-
-    Evaluating at q recovers unipotent_degree(lam, q); evaluating at q = 1
-    recovers the symmetric-group hook-formula degree.
-    """
-    n = sum(lam)
-    numerator: tuple[int, ...] = (1,)
-    for m in range(1, n + 1):
-        numerator = _poly_mul(numerator, (1,) * m)
-    denominator: tuple[int, ...] = (1,)
-    for h in hook_lengths(lam):
-        denominator = _poly_mul(denominator, (1,) * h)
-    quotient = _poly_div_exact(numerator, denominator)
-    return (0,) * _a_stat(lam) + quotient
-
-
-def eval_poly(coeffs: tuple[int, ...], x: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
-
-
 @dataclass(frozen=True)
 class SeriesLabel:
     """Green label of one irreducible character: ((d_i, m_i, lam^i), ...).
@@ -315,11 +260,6 @@ def all_degrees(n: int, q: int) -> DegreeMultiset:
             partial = product
         counts.update(partial)
     return DegreeMultiset.from_counter(counts, gl_order(n, q))
-
-
-def character_count(n: int, q: int) -> int:
-    """Number of conjugacy classes of GL_n(q), from the parameterization."""
-    return all_degrees(n, q).character_count
 
 
 def irr_pprime_count_gl(n: int, q: int) -> int:

@@ -190,13 +190,6 @@ def hook_valuation(lam: Partition, p: int) -> int:
     return total
 
 
-def count_hooks(lam: Partition, d: int) -> int:
-    """Number of boxes of lam whose hook length is exactly d."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return sum(1 for h in hook_lengths(lam) if h == d)
-
-
 def beta_set(lam: Partition, beads: int) -> tuple[int, ...]:
     """First-column beta-numbers of lam with the given number of beads.
 
@@ -281,26 +274,6 @@ def is_core(lam: Partition, d: int) -> bool:
     validate_partition(lam)
     bits = _beta_bits(lam)
     return not (bits >> d) & ~bits
-
-
-def from_core_and_quotient(core: Partition, quotient: tuple[Partition, ...], d: int) -> Partition:
-    """Reinsert a d-quotient onto the abacus of a d-core; inverse of d_core_and_quotient."""
-    if d < 1 or len(quotient) != d:
-        raise ValueError("quotient must have exactly d components")
-    if not is_core(core, d):
-        raise ValueError(f"{core!r} is not a {d}-core")
-    weight = sum(sum(mu) for mu in quotient)
-    rows = max(1, len(core))
-    beads = d * ((rows + d - 1) // d) + d * weight
-    beta = beta_set(core, beads)
-    counts = [0] * d
-    for pos in beta:
-        counts[pos % d] += 1
-    positions = []
-    for r in range(d):
-        for level in beta_set(quotient[r], counts[r]):
-            positions.append(r + d * level)
-    return partition_from_beta(tuple(sorted(positions, reverse=True)))
 
 
 def partition_tuple_count(d: int, w: int) -> int:
@@ -458,12 +431,6 @@ def _beta_bits(lam: Partition) -> int:
     return sum(1 << pos for pos in beta_set(lam, len(lam)))
 
 
-def _partition_of_bits(bits: int) -> Partition:
-    """Inverse of _beta_bits."""
-    top = bits.bit_length() - 1
-    return partition_from_beta(tuple(pos for pos in range(top, -1, -1) if bits >> pos & 1))
-
-
 def _rim_hooks(bits: int, length: int):
     """(mask, leg) for each rim hook of the given length, top row first.
 
@@ -506,20 +473,6 @@ def _rim_hook_map(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...
             (odd if leg & 1 else even).append(position[moved])
         out.append((tuple(even), tuple(odd)))
     return tuple(out)
-
-
-def rim_hook_removals(lam: Partition, length: int) -> tuple[tuple[Partition, int], ...]:
-    """All ways to remove one rim hook of the given length from lam.
-
-    Returns (resulting partition, leg length) pairs; the leg length is the
-    number of rows the hook spans minus one.
-    """
-    validate_partition(lam)
-    if length < 1:
-        raise ValueError("hook length must be positive")
-    return tuple(
-        (_partition_of_bits(moved), leg) for moved, leg in _rim_hooks(_beta_bits(lam), length)
-    )
 
 
 def mn_character_value(lam: Partition, rho: Partition) -> int:

@@ -50,7 +50,9 @@ class VerificationReport:
 
     For counting conjectures passed means global_count == local_count; for
     the height-zero biconditional the two counts are 0/1 truth values of the
-    two sides, so the same equality convention applies.
+    two sides, so the same equality convention applies.  elapsed_ms is the
+    wall time of the whole cell, stamped by the CLI's check registry; a
+    verifier called directly leaves it 0.
     """
 
     conjecture: str

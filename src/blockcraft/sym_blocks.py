@@ -25,7 +25,6 @@ partitions, so the two sides of the comparison never share code.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,12 +144,10 @@ def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:
 
 def bhz_verify(label: SymBlockLabel) -> VerificationReport:
     """Brauer height zero for one block: all heights zero <=> weight < p."""
-    start = time.perf_counter()
     heights = block_heights(label)
     max_height = heights[-1][0]
     all_height_zero = max_height == 0
     abelian_defect = label.weight < label.p
-    elapsed = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         conjecture="bhz",
         parameters={
@@ -162,7 +159,6 @@ def bhz_verify(label: SymBlockLabel) -> VerificationReport:
         global_count=int(all_height_zero),
         local_count=int(abelian_defect),
         passed=all_height_zero == abelian_defect,
-        elapsed_ms=elapsed,
         notes=(
             f"defect group order {label.p ** label.defect_valuation}",
             f"members {sum(members for _, members in heights)}, max height {max_height}",
@@ -211,7 +207,6 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
         raise UnsupportedRegimeError(
             f"weight {label.weight} >= p {label.p}: local character theory not modelled"
         )
-    start = time.perf_counter()
     p, w = label.p, label.weight
     heights = block_heights(label)
     global_count = sum(members for _, members in heights)
@@ -227,7 +222,6 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
 
     members_height_zero = heights[-1][0] == 0
 
-    elapsed = int((time.perf_counter() - start) * 1000)
     notes = [
         f"local group (C_{p} x| C_{p - 1}) wr S_{w}, order {local.group_order}",
         f"local degrees all p': {local_all_pprime}",
@@ -244,6 +238,5 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
         global_count=global_count,
         local_count=local_count,
         passed=global_count == local_count and local_all_pprime and members_height_zero,
-        elapsed_ms=elapsed,
         notes=tuple(notes),
     )

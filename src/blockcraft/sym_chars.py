@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, prod
+from operator import mul
 from types import MappingProxyType
 
 from .arith import is_prime, nu_factorial
@@ -143,9 +144,6 @@ class SymCharacterTable:
     def degree(self, lam: Partition) -> int:
         return self.rows[lam][(1,) * self.n]
 
-    def value(self, lam: Partition, rho: Partition) -> int:
-        return self.rows[lam][rho]
-
 
 def build_table(n: int, bound: int | None = None) -> SymCharacterTable:
     """Full exact table of S_n via the Murnaghan-Nakayama rule."""
@@ -197,29 +195,31 @@ def _table(n: int) -> SymCharacterTable:
     )
 
 
+def _row_tuples(table: SymCharacterTable) -> list[tuple[int, ...]]:
+    """Each row of the table as a tuple in class order, read from table.rows."""
+    return [tuple(map(table.rows[lam].__getitem__, table.classes)) for lam in table.classes]
+
+
 def row_orthogonality_holds(table: SymCharacterTable) -> bool:
     """<chi, psi> = delta, computed exactly over class sizes."""
     order = factorial(table.n)
-    for i, lam in enumerate(table.classes):
-        for mu in table.classes[i:]:
-            inner = sum(
-                table.class_sizes[rho] * table.rows[lam][rho] * table.rows[mu][rho]
-                for rho in table.classes
-            )
-            if inner != (order if lam == mu else 0):
+    rows = _row_tuples(table)
+    sizes = tuple(map(table.class_sizes.__getitem__, table.classes))
+    for i, row in enumerate(rows):
+        weighted = tuple(map(mul, sizes, row))
+        for j in range(i, len(rows)):
+            if sum(map(mul, weighted, rows[j])) != (order if i == j else 0):
                 return False
     return True
 
 
 def column_orthogonality_holds(table: SymCharacterTable) -> bool:
     """Column sums equal the centralizer order on the diagonal, 0 off it."""
-    for i, rho in enumerate(table.classes):
-        for sigma in table.classes[i:]:
-            inner = sum(
-                table.rows[lam][rho] * table.rows[lam][sigma] for lam in table.classes
-            )
-            expected = cycle_type_centralizer_order(rho) if rho == sigma else 0
-            if inner != expected:
+    columns = list(zip(*_row_tuples(table)))
+    for i, (rho, column) in enumerate(zip(table.classes, columns)):
+        for j in range(i, len(columns)):
+            expected = cycle_type_centralizer_order(rho) if i == j else 0
+            if sum(map(mul, column, columns[j])) != expected:
                 return False
     return True
 

@@ -69,12 +69,6 @@ class DegreeMultiset:
     def character_count(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def degrees(self):
-        """Yield each degree with multiplicity."""
-        for d, m in self.entries:
-            for _ in range(m):
-                yield d
-
 
 # The trivial group, which is also B wr S_0 for every base group B.
 TRIVIAL_GROUP = DegreeMultiset(((1, 1),), 1)

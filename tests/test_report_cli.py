@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import resource
@@ -17,7 +18,9 @@ import blockcraft.cli as cli
 from blockcraft import partitions, sym_blocks
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
+from blockcraft.glq_blocks import verify_gl_mckay
 from blockcraft.report import VerificationReport, emit_reports, sort_reports
+from blockcraft.sym_blocks import bhz_verify, block_labels
 from blockcraft.sym_chars import census_bound
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
@@ -219,6 +222,27 @@ def test_cli_stable_zeroes_timing(capsys):
     assert main(["sym", "bhz", "--n", "8", "--p", "2", "--format", "json", "--stable"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert all(r["elapsed_ms"] == 0 for r in data)
+
+
+def _clock_that_moves_once(seconds):
+    """A perf_counter that reads 0 once, then `seconds` ever after."""
+    return itertools.chain([0.0], itertools.repeat(seconds)).__next__
+
+
+@pytest.mark.parametrize(
+    "runner, args", [(cli.run_sym_bhz, (12, 2)), (cli.run_gl_blocks, (6, 2, 7))]
+)
+def test_every_report_of_a_cell_carries_the_cell_time(runner, args, monkeypatch):
+    monkeypatch.setattr(cli.time, "perf_counter", _clock_that_moves_once(1.5))
+    reports = runner(*args)
+    assert len(reports) > 1
+    assert [r.elapsed_ms for r in reports] == [1500] * len(reports)
+
+
+def test_library_verifiers_leave_timing_to_the_registry(monkeypatch):
+    monkeypatch.setattr(cli.time, "perf_counter", _clock_that_moves_once(1.5))
+    assert verify_gl_mckay(3, 2, 7).elapsed_ms == 0
+    assert all(bhz_verify(label).elapsed_ms == 0 for label in block_labels(8, 2))
 
 
 def test_run_sym_am_skips_nonabelian_blocks():

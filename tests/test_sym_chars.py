@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,18 @@ def test_orthogonality_small():
         table = build_table(n)
         assert row_orthogonality_holds(table)
         assert column_orthogonality_holds(table)
+
+
+def test_orthogonality_catches_any_one_wrong_entry():
+    # Adding 1 to chi(rho) moves the row norm by |rho|(2 chi(rho) + 1) and the
+    # column norm by 2 chi(rho) + 1, neither of which is zero.
+    table = build_table(5)
+    for lam in table.classes:
+        for rho in table.classes:
+            row = {**table.rows[lam], rho: table.rows[lam][rho] + 1}
+            bad = replace(table, rows={**table.rows, lam: row})
+            assert not row_orthogonality_holds(bad)
+            assert not column_orthogonality_holds(bad)
 
 
 def test_table_bound(monkeypatch):

@@ -79,7 +79,7 @@ def oracle_c2_wreath_class_count(w):
 # ---------------------------------------------------------------------------
 
 def oracle_wreath_entries(base, w):
-    chars = list(base.degrees())
+    chars = [d for d, m in base.entries for _ in range(m)]
     counts = Counter()
 
     def assign(idx, remaining, num, denom):
