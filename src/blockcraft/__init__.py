@@ -16,7 +16,6 @@ from .glq_blocks import (
     GlUnipotentBlockLabel,
     d_ell,
     series_is_lprime,
-    unipotent_block_of,
     unipotent_block_series_size,
     unipotent_blocks,
     unipotent_is_lprime,

@@ -45,6 +45,7 @@ from .errors import (
     UsageError,
 )
 from .glq_blocks import (
+    CERTIFIED_MIN_ELL,
     LOCAL_BASE_BOUND,
     EllContext,
     d_ell,
@@ -304,8 +305,12 @@ def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
     return [verify_gl_mckay(n, q, ell)]
 
 
-@_register("gl_blocks", "gl blocks",
-           precondition=lambda n, q, ell: f"ell={ell} divides q={q}" if q % ell == 0 else None)
+@_register(
+    "gl_blocks", "gl blocks",
+    precondition=lambda n, q, ell: (
+        f"ell={ell} divides q={q}" if q % ell == 0 else _within_census_bound(n)
+    ),
+)
 def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
     context = EllContext.of(q, ell)
     blocks = unipotent_blocks(n, context)
@@ -316,7 +321,9 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
         total += size
         notes = [f"relative Weyl group count {size}"]
         if not label.verified:
-            notes.append("ell < 7: d-core block distribution not certified in this regime")
+            notes.append(
+                f"ell < {CERTIFIED_MIN_ELL}: d-core block distribution not certified in this regime"
+            )
         reports.append(
             VerificationReport(
                 conjecture="block_census",

@@ -14,17 +14,19 @@ M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q), n = wd + r, which contains the
 Sylow ell-normalizer; the wreath_local engine builds M's degree multiset
 (checked against |M|) and counts its ell'-characters, as it does GL_n(q)'s.
 
-Unipotent ell-blocks are labelled by d-cores; the series size of a block is
-computed three independent ways (partition census, |Irr(C_d wr S_w)|, and
-the d-tuple convolution) which must agree.  The d-core classification is
-backed by theory for ell >= 7; below that threshold labels carry
-verified=False rather than being refused.
+Unipotent ell-blocks are labelled by d-cores: the labels are the keys of
+the d-core census ``partitions_by_core(n, d)``, so no core is recomputed
+from a member.  The series size of a block is computed three independent
+ways (partition census, |Irr(C_d wr S_w)|, and the d-tuple convolution)
+which must agree.  The d-core classification is backed by theory for
+ell >= 7; below that threshold labels read verified=False rather than
+being refused.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import is_prime, multiplicative_order, nu, prime_power_radical
 from .errors import CrossCheckError
@@ -56,7 +58,8 @@ from .wreath_local import (
     wreath_degrees,
 )
 
-DEFAULT_MIN_ELL = 7
+# Smallest ell at which the d-core block classification is certified.
+CERTIFIED_MIN_ELL = 7
 # Largest q^d - 1 whose local base C_{q^d-1} x| C_d gl mckay will list: the
 # orbit scan of metacyclic_degrees is linear in it (about 0.4 s at 2^20).
 LOCAL_BASE_BOUND = 1 << 20
@@ -77,16 +80,15 @@ class EllContext:
 
     q: int
     ell: int
-    d: int
+    d: int = field(init=False)
 
     def __post_init__(self):
         prime_power_radical(self.q)
-        if d_ell(self.q, self.ell) != self.d:
-            raise ValueError(f"d={self.d} is not the order of {self.q} mod {self.ell}")
+        object.__setattr__(self, "d", d_ell(self.q, self.ell))
 
     @classmethod
     def of(cls, q: int, ell: int) -> "EllContext":
-        return cls(q=q, ell=ell, d=d_ell(q, ell))
+        return cls(q=q, ell=ell)
 
 
 def hook_tower_criterion(lam: Partition, d: int, ell: int) -> bool:
@@ -233,51 +235,35 @@ def verify_gl_mckay_defining(n: int, q: int) -> VerificationReport:
 
 @dataclass(frozen=True)
 class GlUnipotentBlockLabel:
-    """Unipotent ell-block label of GL_n(q): (context, d-core, weight).
+    """Unipotent ell-block label of GL_n(q): (context, d-core, weight), n = |core| + d*weight.
 
-    verified is False when ell is below the theory threshold (default 7);
-    the d-core combinatorics still applies but is not certified there.
+    The corresponding d-cuspidal pair is (GL_1(q^d)^w x GL_r(q)-shaped Levi,
+    core), with r = |core|.
     """
 
     context: EllContext
     core: Partition
     weight: int
-    n: int
-    verified: bool = True
 
-    def __post_init__(self):
-        if sum(self.core) + self.context.d * self.weight != self.n:
-            raise ValueError("core size + d * weight must equal n")
+    @property
+    def n(self) -> int:
+        return sum(self.core) + self.context.d * self.weight
 
-
-def unipotent_block_of(
-    lam: Partition, context: EllContext, min_ell: int = DEFAULT_MIN_ELL
-) -> GlUnipotentBlockLabel:
-    """Block label of the unipotent character rho^lam: its d-core and d-weight.
-
-    The corresponding d-cuspidal pair is (GL_1(q^d)^w x GL_r(q)-shaped Levi,
-    core), with r = |core|.  For ell < min_ell the label is returned flagged
-    unverified instead of raising.
-    """
-    core = d_core(lam, context.d)
-    return GlUnipotentBlockLabel(
-        context=context,
-        core=core,
-        weight=(sum(lam) - sum(core)) // context.d,
-        n=sum(lam),
-        verified=context.ell >= min_ell,
-    )
+    @property
+    def verified(self) -> bool:
+        """False below ell = 7, where the d-core combinatorics applies but is not certified."""
+        return self.context.ell >= CERTIFIED_MIN_ELL
 
 
-def unipotent_blocks(
-    n: int, context: EllContext, min_ell: int = DEFAULT_MIN_ELL
-) -> tuple[GlUnipotentBlockLabel, ...]:
+def unipotent_blocks(n: int, context: EllContext) -> tuple[GlUnipotentBlockLabel, ...]:
     """All unipotent block labels of GL_n(q) in the given context, largest weight first.
 
-    One label per d-core group of partitions of n, named by its first member.
+    One label per key of the d-core census of the partitions of n.
     """
-    groups = partitions_by_core(n, context.d).values()
-    labels = (unipotent_block_of(members[0], context, min_ell) for members in groups)
+    labels = (
+        GlUnipotentBlockLabel(context=context, core=core, weight=(n - sum(core)) // context.d)
+        for core in partitions_by_core(n, context.d)
+    )
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
 

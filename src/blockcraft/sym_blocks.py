@@ -166,15 +166,13 @@ def bhz_verify(label: SymBlockLabel) -> VerificationReport:
     )
 
 
-def bhz_witness_search(w: int, p: int = 2) -> Partition:
+def bhz_witness_search(w: int) -> Partition:
     """First partition of 2w (canonical order) with empty 2-core and even degree.
 
     Such a witness exists for every w >= 2; exhausting the search without
     finding one would falsify the height-zero statement for the principal
     2-block of S_{2w}, so that case raises CrossCheckError.
     """
-    if p != 2:
-        raise UnsupportedRegimeError("witness search is specific to p = 2")
     if w < 2:
         raise ValueError("w must be at least 2 (for w < 2 every degree is odd)")
     for lam in enumerate_partitions(2 * w):

@@ -26,8 +26,8 @@ multiplied via the integer structure constants of the class algebra.
 
 Resource bounds: tables are refused above n = 10, idempotent work above
 n = 6, and the censuses that walk every partition of n (the sym mckay,
-blocks, bhz and am checks) above n = 60 by default; the BLOCKCRAFT_MAX_N
-environment variable raises all three.
+blocks, bhz and am checks, and gl blocks) above n = 60 by default; the
+BLOCKCRAFT_MAX_N environment variable raises all three.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ class SymCharacterTable:
         return self.rows[lam][(1,) * self.n]
 
 
-def build_table(n: int, bound: int | None = None) -> SymCharacterTable:
+def build_table(n: int) -> SymCharacterTable:
     """Full exact table of S_n via the Murnaghan-Nakayama rule."""
-    limit = table_bound() if bound is None else bound
+    limit = table_bound()
     if n > limit:
         raise ResourceLimitError(f"character table for n={n} exceeds bound {limit}")
     if n < 0:
@@ -257,7 +257,7 @@ def _omega_rows(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def central_character_blocks(n: int, p: int, bound: int | None = None) -> BlockPartitionOracle:
+def central_character_blocks(n: int, p: int) -> BlockPartitionOracle:
     """Brute-force p-blocks of S_n: group labels by omega mod p signatures.
 
     Labels are scanned in canonical order, so blocks come out ordered by
@@ -265,7 +265,7 @@ def central_character_blocks(n: int, p: int, bound: int | None = None) -> BlockP
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
-    table = build_table(n, bound=bound)
+    table = build_table(n)
     by_signature: dict = {}
     for lam, omega in zip(table.classes, _omega_rows(n)):
         by_signature.setdefault(tuple(value % p for value in omega), []).append(lam)
@@ -338,13 +338,13 @@ def class_algebra_product(table: SymCharacterTable, left: dict, right: dict) -> 
     return out
 
 
-def block_idempotent_p_integral(n: int, p: int, block, bound: int | None = None) -> bool:
+def block_idempotent_p_integral(n: int, p: int, block) -> bool:
     """True iff e_B has p-integral coefficients and squares to itself exactly.
 
     The coefficient formula only sees p-regular classes; idempotency is
     checked by genuine multiplication in the exact rational class algebra.
     """
-    limit = idempotent_bound() if bound is None else bound
+    limit = idempotent_bound()
     if n > limit:
         raise ResourceLimitError(f"idempotent check for n={n} exceeds bound {limit}")
     if not is_prime(p):

@@ -15,7 +15,6 @@ from blockcraft.glq_blocks import (
     d_ell,
     irr_lprime_count_gl,
     series_is_lprime,
-    unipotent_block_of,
     unipotent_block_series_size,
     unipotent_blocks,
     unipotent_is_lprime,
@@ -23,7 +22,7 @@ from blockcraft.glq_blocks import (
     verify_gl_mckay_defining,
 )
 from blockcraft.glq_chars import enumerate_series_labels, gl_order, green_degree
-from blockcraft.partitions import enumerate_partitions, partition_count
+from blockcraft.partitions import d_core, enumerate_partitions, partition_count
 from blockcraft.wreath_local import (
     MetacyclicSpec,
     irr_lprime_count,
@@ -120,8 +119,7 @@ def test_unipotent_blocks_above_n_keep_the_abacus_small():
 def test_ell_context():
     ctx = EllContext.of(2, 7)
     assert (ctx.q, ctx.ell, ctx.d) == (2, 7, 3)
-    with pytest.raises(ValueError):
-        EllContext(q=2, ell=7, d=2)
+    assert EllContext(q=2, ell=7) == ctx
     with pytest.raises(ValueError):
         EllContext.of(6, 5)  # 6 is not a prime power
 
@@ -284,19 +282,27 @@ def test_verify_gl_mckay_defining():
         assert r.local_count == (q - 1) * q ** (n - 1)
 
 
+def oracle_block_of(lam, context):
+    """Oracle: the block label of rho^lam, from the d-core of lam itself."""
+    core = d_core(lam, context.d)
+    return GlUnipotentBlockLabel(
+        context=context, core=core, weight=(sum(lam) - sum(core)) // context.d
+    )
+
+
 def test_unipotent_block_of_examples():
     ctx = EllContext.of(2, 7)  # d = 3
-    label = unipotent_block_of((1, 1, 1, 1), ctx)
-    assert (label.core, label.weight) == ((1,), 1)
+    label = oracle_block_of((1, 1, 1, 1), ctx)
+    assert (label.core, label.weight, label.n) == ((1,), 1, 4)
     assert label.verified
 
-    label = unipotent_block_of((2, 1, 1), ctx)
+    label = oracle_block_of((2, 1, 1), ctx)
     assert (label.core, label.weight) == ((2, 1, 1), 0)
 
-    label = unipotent_block_of((2,), ctx)
+    label = oracle_block_of((2,), ctx)
     assert (label.core, label.weight) == ((2,), 0)
 
-    small = unipotent_block_of((1, 1, 1, 1), EllContext.of(2, 3), min_ell=7)
+    small = oracle_block_of((1, 1, 1, 1), EllContext.of(2, 3))
     assert not small.verified
 
 
@@ -312,25 +318,19 @@ def test_unipotent_blocks_partition_everything():
 def test_unipotent_blocks_match_per_partition_labels(q, ell):
     ctx = EllContext.of(q, ell)  # d = 1, 2, 3, 5, 7, and an unverified ell = 3
     for n in range(0, 17):
-        per_partition = {unipotent_block_of(lam, ctx) for lam in enumerate_partitions(n)}
+        per_partition = {oracle_block_of(lam, ctx) for lam in enumerate_partitions(n)}
         expected = sorted(per_partition, key=lambda lab: (lab.weight, lab.core), reverse=True)
         assert unipotent_blocks(n, ctx) == tuple(expected)
 
 
 def test_unipotent_block_series_size_examples():
     ctx = EllContext.of(2, 7)  # d = 3
-    label = GlUnipotentBlockLabel(context=ctx, core=(1,), weight=1, n=4)
+    label = GlUnipotentBlockLabel(context=ctx, core=(1,), weight=1)
     assert unipotent_block_series_size(label) == 3
 
-    label = GlUnipotentBlockLabel(context=ctx, core=(2, 1, 1), weight=0, n=4)
+    label = GlUnipotentBlockLabel(context=ctx, core=(2, 1, 1), weight=0)
     assert unipotent_block_series_size(label) == 1
 
     ctx2 = EllContext.of(13, 7)  # d = 2
-    label = GlUnipotentBlockLabel(context=ctx2, core=(), weight=2, n=4)
+    label = GlUnipotentBlockLabel(context=ctx2, core=(), weight=2)
     assert unipotent_block_series_size(label) == 5
-
-
-def test_block_label_validation():
-    ctx = EllContext.of(2, 7)
-    with pytest.raises(ValueError):
-        GlUnipotentBlockLabel(context=ctx, core=(1,), weight=1, n=5)

@@ -18,7 +18,7 @@ import blockcraft.cli as cli
 from blockcraft import partitions, sym_blocks
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
-from blockcraft.glq_blocks import verify_gl_mckay
+from blockcraft.glq_blocks import EllContext, verify_gl_mckay
 from blockcraft.report import VerificationReport, emit_reports, sort_reports
 from blockcraft.sym_blocks import bhz_verify, block_labels
 from blockcraft.sym_chars import census_bound
@@ -143,17 +143,19 @@ def test_non_integer_max_n_is_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: BLOCKCRAFT_MAX_N must be an integer, got 'ten'\n"
 
 
-CENSUS_CHECKS = ("sym_mckay", "sym_bhz", "sym_blocks", "sym_am")
+CENSUS_CHECKS = ("sym_mckay", "sym_bhz", "sym_blocks", "sym_am", "gl_blocks")
 
 
 @pytest.mark.parametrize("name", CENSUS_CHECKS)
 def test_census_checks_refuse_n_above_the_census_bound(name, monkeypatch):
     # Only the precondition is asked: over the bound, nothing may be enumerated.
     monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
-    assert CHECKS[name].refusal({"n": 70, "p": 2}) == "n=70 exceeds the census bound 60"
-    assert CHECKS[name].refusal({"n": 60, "p": 2}) is None
+    check = CHECKS[name]
+    values = {param: {"p": 2, "q": 2, "ell": 7}.get(param) for param in check.params}
+    assert check.refusal({**values, "n": 70}) == "n=70 exceeds the census bound 60"
+    assert check.refusal({**values, "n": 60}) is None
     monkeypatch.setenv("BLOCKCRAFT_MAX_N", "80")
-    assert CHECKS[name].refusal({"n": 70, "p": 2}) is None
+    assert check.refusal({**values, "n": 70}) is None
 
 
 def test_cli_no_command_is_usage_error(capsys):
@@ -295,6 +297,19 @@ def test_sym_blocks_cell_computes_no_hooks_or_heights(monkeypatch):
     assert all(not made for made in calls.values()), {k: len(v) for k, v in calls.items()}
 
 
+def test_gl_blocks_cell_computes_no_d_core(monkeypatch):
+    # Each block is labelled by its key in the d-core census; no core is recomputed.
+    calls = _count_calls(monkeypatch, "d_core")
+    assert main(["gl", "blocks", "--n", "12", "--q", "2", "--ell", "7"]) == 0
+    assert calls == {"d_core": []}
+
+
+def test_ell_context_works_out_d_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "d_ell")
+    assert EllContext.of(2, 7).d == 3
+    assert calls == {"d_ell": [(2, 7)]}
+
+
 @pytest.mark.parametrize("command", [["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]])
 def test_census_cells_list_no_partitions(command, monkeypatch):
     # Heights and member counts come from the streaming census.  Only the
@@ -430,6 +445,22 @@ def test_gl_mckay_refuses_a_local_base_above_the_bound(tmp_path, capsys):
     # No base is built below n = d, nor at the defining prime.
     assert CHECKS["gl_mckay"].refusal({**values, "n": 1}) is None
     assert CHECKS["gl_mckay"].refusal({**values, "ell": 2}) is None
+
+
+def test_gl_blocks_above_the_census_bound_is_cli_error_and_sweep_skip(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    # The defining prime is refused first, whatever n is.
+    assert CHECKS["gl_blocks"].refusal({"n": 70, "q": 9, "ell": 3}) == "ell=3 divides q=9"
+    values = {"n": 61, "q": 2, "ell": 7}
+    reason = "n=61 exceeds the census bound 60"
+    assert main(_cli_argv("gl_blocks", values)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+    assert main(_sweep_argv(tmp_path, "gl_blocks", values)) == 0
+    assert capsys.readouterr().err == f"skip gl_blocks ell=7 n=61 q=2: {reason}\n"
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))

@@ -100,8 +100,6 @@ def test_bhz_witness_search():
         assert sym_degree(lam) % 2 == 0
     with pytest.raises(ValueError):
         bhz_witness_search(1)
-    with pytest.raises(UnsupportedRegimeError):
-        bhz_witness_search(3, p=3)
 
 
 def test_am_verify_examples():

@@ -118,10 +118,6 @@ def test_build_table_small():
     assert t3.rows[(2, 1)] == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
 
 
-def test_build_table_cached_on_n_alone():
-    assert build_table(5) is build_table(5, bound=20)
-
-
 def test_memoized_table_is_read_only():
     table = build_table(3)
     with pytest.raises(TypeError):
