@@ -40,6 +40,7 @@ from typing import Callable
 from .arith import _MR_LIMIT, is_prime, prime_power_radical
 from .errors import (
     CrossCheckError,
+    RefusalError,
     ResourceLimitError,
     UnsupportedRegimeError,
     UsageError,
@@ -134,10 +135,11 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
     """Register the decorated runner as check `name`, run as `blockcraft <path>`.
 
     The runner's parameters and their defaults are the check's.  The runner
-    returned raises UsageError, before any work, for a cell that fails the
-    check's precondition, however it is called.  It is also the one place a
-    check is timed: every report of a cell carries the cell's wall time, in
-    whole milliseconds, as elapsed_ms.
+    returned raises RefusalError, before any work, for a cell that fails the
+    check's precondition, however it is called, so the CLI and sweeps check
+    each cell once.  It is also the one place a check is timed: every report
+    of a cell carries the cell's wall time, in whole milliseconds, as
+    elapsed_ms.
     """
     group, command = path.split()
 
@@ -162,7 +164,7 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
             cell.apply_defaults()
             reason = check.refusal(cell.arguments)
             if reason:
-                raise UsageError(reason)
+                raise RefusalError(reason)
             start = time.perf_counter()
             reports = runner(*args, **kwargs)
             elapsed = int((time.perf_counter() - start) * 1000)
@@ -228,15 +230,12 @@ def run_sym_table(n: int) -> list[VerificationReport]:
     table = build_table(n)
     rows_ok = row_orthogonality_holds(table)
     cols_ok = column_orthogonality_holds(table)
-    square_sum = sum(
-        table.degree(lam) ** 2 for lam in table.classes
-    )
+    square_sum = sum(degree**2 for degree in table.columns[(1,) * n])
     order = factorial(n)
     notes = [f"row orthogonality exact: {rows_ok}", f"column orthogonality exact: {cols_ok}"]
     notes.append("classes: " + " ".join(format_partition(r) for r in table.classes))
-    for lam in table.classes:
-        values = " ".join(str(table.rows[lam][rho]) for rho in table.classes)
-        notes.append(f"chi{format_partition(lam)}: {values}")
+    for lam, row in zip(table.classes, zip(*table.columns.values())):
+        notes.append(f"chi{format_partition(lam)}: {' '.join(map(str, row))}")
     return [
         VerificationReport(
             conjecture="sum_squares",
@@ -389,6 +388,10 @@ def expand_sweep_config(config: dict) -> list[tuple[str, dict]]:
         if name not in CHECKS:
             raise UsageError(f"unknown sweep check {name!r}")
         check = CHECKS[name]
+        unknown = sorted(set(entry) - {"check", *check.params})
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            raise UsageError(f"sweep check {name!r} has no parameter {names}")
         grids = []
         for param in check.params:
             if param in entry:
@@ -409,12 +412,11 @@ def run_sweep(config: dict) -> tuple[list[VerificationReport], list[str]]:
     reports: list[VerificationReport] = []
     skips = []
     for name, params in expand_sweep_config(config):
-        reason = CHECKS[name].refusal(params)
-        if reason:
-            rendered = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
-            skips.append(f"skip {name} {rendered}: {reason}")
-        else:
+        try:
             reports.extend(_SWEEP_RUNNERS[name](**params))
+        except RefusalError as refusal:
+            rendered = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+            skips.append(f"skip {name} {rendered}: {refusal}")
     return reports, sorted(skips)
 
 

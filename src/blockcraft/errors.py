@@ -23,3 +23,7 @@ class CrossCheckError(BlockcraftError):
 
 class UsageError(BlockcraftError):
     """Bad command-line arguments, unknown report format, or malformed config."""
+
+
+class RefusalError(UsageError):
+    """A check's parameters fail its precondition: an error on the CLI, a skip note in a sweep."""

@@ -153,11 +153,6 @@ def series_is_lprime(label: SeriesLabel, context: EllContext) -> bool:
     return direct
 
 
-def irr_lprime_count_gl(n: int, q: int, ell: int) -> int:
-    """|Irr_{ell'}(GL_n(q))| by full degree enumeration."""
-    return irr_lprime_count(all_degrees(n, q), ell)
-
-
 def _local_degrees(n: int, context: EllContext) -> DegreeMultiset:
     """Degree multiset of M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q), checked against |M|."""
     q, d = context.q, context.d
@@ -190,12 +185,13 @@ def verify_gl_mckay(n: int, q: int, ell: int) -> VerificationReport:
     constructed).
     """
     context = EllContext.of(q, ell)
-    global_count = irr_lprime_count_gl(n, q, ell)
+    degrees = all_degrees(n, q)
+    global_count = irr_lprime_count(degrees, ell)
     local = _local_degrees(n, context)
     local_count = irr_lprime_count(local, ell)
     w, r = n // context.d, n % context.d
 
-    global_sig = _mod_ell_signature(all_degrees(n, q), ell)
+    global_sig = _mod_ell_signature(degrees, ell)
     local_sig = _mod_ell_signature(local, ell)
     congruent = global_sig == local_sig
 
@@ -220,7 +216,7 @@ def verify_gl_mckay_defining(n: int, q: int) -> VerificationReport:
     of Irr_{p'} of a Borel subgroup by degree-n characteristic polynomials.
     """
     p = prime_power_radical(q)
-    global_count = irr_lprime_count_gl(n, q, p)
+    global_count = irr_lprime_count(all_degrees(n, q), p)
     local_count = irr_pprime_count_gl(n, q)
     census = semisimple_class_count(n, q)
     return VerificationReport(

@@ -11,7 +11,9 @@ Murnaghan-Nakayama rule applied to whole columns: the column of S_n at a
 cycle type rho is gathered, through the rim rho_1-hooks of each label, from
 one column of the table of S_{n - rho_1}, so the tables are built column by
 column in increasing n, each smaller one once, with no per-entry recursion
-or memo.
+or memo.  A table is stored once, as those columns: the degrees are its
+identity column, and code that reads rows (row orthogonality, central
+characters) transposes the columns for as long as the call runs.
 
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
@@ -128,21 +130,20 @@ def cycle_type_class_size(rho: Partition) -> int:
 
 @dataclass(frozen=True)
 class SymCharacterTable:
-    """Exact character table of S_n.
+    """Exact character table of S_n, stored once, by columns.
 
     classes holds the cycle types in canonical (reverse lexicographic)
-    order; rows maps each partition label to a {cycle type: value} mapping.
-    build_table hands the same table to every caller, so rows, each row and
+    order, which is also the order of the labels; columns maps each class
+    to its values over the labels in that order, so the identity column
+    (1^n) holds the degrees.  columns is the memo of _columns(n) itself:
+    build_table hands the same table to every caller, so columns and
     class_sizes are read-only.
     """
 
     n: int
     classes: tuple[Partition, ...]
     class_sizes: Mapping[Partition, int]
-    rows: Mapping[Partition, Mapping[Partition, int]]
-
-    def degree(self, lam: Partition) -> int:
-        return self.rows[lam][(1,) * self.n]
+    columns: Mapping[Partition, tuple[int, ...]]
 
 
 def build_table(n: int) -> SymCharacterTable:
@@ -186,25 +187,16 @@ def _table(n: int) -> SymCharacterTable:
     class_sizes = {rho: cycle_type_class_size(rho) for rho in classes}
     if sum(class_sizes.values()) != factorial(n):
         raise CrossCheckError("class sizes do not sum to n!")
-    rows = {  # the columns come in class order, so transposing them gives the rows
-        lam: MappingProxyType(dict(zip(classes, values)))
-        for lam, values in zip(classes, zip(*_columns(n).values()))
-    }
     return SymCharacterTable(
-        n=n, classes=classes, class_sizes=MappingProxyType(class_sizes), rows=MappingProxyType(rows)
+        n=n, classes=classes, class_sizes=MappingProxyType(class_sizes), columns=_columns(n)
     )
-
-
-def _row_tuples(table: SymCharacterTable) -> list[tuple[int, ...]]:
-    """Each row of the table as a tuple in class order, read from table.rows."""
-    return [tuple(map(table.rows[lam].__getitem__, table.classes)) for lam in table.classes]
 
 
 def row_orthogonality_holds(table: SymCharacterTable) -> bool:
     """<chi, psi> = delta, computed exactly over class sizes."""
     order = factorial(table.n)
-    rows = _row_tuples(table)
-    sizes = tuple(map(table.class_sizes.__getitem__, table.classes))
+    rows = list(zip(*table.columns.values()))
+    sizes = tuple(table.class_sizes.values())
     for i, row in enumerate(rows):
         weighted = tuple(map(mul, sizes, row))
         for j in range(i, len(rows)):
@@ -215,8 +207,8 @@ def row_orthogonality_holds(table: SymCharacterTable) -> bool:
 
 def column_orthogonality_holds(table: SymCharacterTable) -> bool:
     """Column sums equal the centralizer order on the diagonal, 0 off it."""
-    columns = list(zip(*_row_tuples(table)))
-    for i, (rho, column) in enumerate(zip(table.classes, columns)):
+    columns = list(table.columns.values())
+    for i, (rho, column) in enumerate(zip(table.columns, columns)):
         for j in range(i, len(columns)):
             expected = cycle_type_centralizer_order(rho) if i == j else 0
             if sum(map(mul, column, columns[j])) != expected:
@@ -224,19 +216,23 @@ def column_orthogonality_holds(table: SymCharacterTable) -> bool:
     return True
 
 
-def central_character_values(table: SymCharacterTable, lam: Partition) -> dict:
-    """omega_lam(K) = |K| chi(K) / chi(1) per class K; always a rational integer."""
-    degree = table.degree(lam)
-    out = {}
-    for rho in table.classes:
-        num = table.class_sizes[rho] * table.rows[lam][rho]
-        value, rem = divmod(num, degree)
-        if rem:
-            raise CrossCheckError(
-                f"central character of {lam!r} at {rho!r} is not integral"
-            )
-        out[rho] = value
-    return out
+def central_character_values(table: SymCharacterTable) -> tuple[tuple[int, ...], ...]:
+    """omega_lam(K) = |K| chi(K) / chi(1) for each label lam and class K, both in class order.
+
+    Every value is a rational integer; one that is not raises CrossCheckError.
+    """
+    degrees = table.columns[(1,) * table.n]
+    sizes = tuple(table.class_sizes.values())
+    out = []
+    for lam, degree, row in zip(table.classes, degrees, zip(*table.columns.values())):
+        omega = []
+        for rho, size, value in zip(table.classes, sizes, row):
+            quotient, rem = divmod(size * value, degree)
+            if rem:
+                raise CrossCheckError(f"central character of {lam!r} at {rho!r} is not integral")
+            omega.append(quotient)
+        out.append(tuple(omega))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -250,11 +246,8 @@ class BlockPartitionOracle:
 
 @cache
 def _omega_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """omega_lam in class order, for each lam in class order; the same for every p."""
-    table = _table(n)
-    return tuple(
-        tuple(central_character_values(table, lam).values()) for lam in table.classes
-    )
+    """The central characters of S_n, in class order; the same for every p."""
+    return central_character_values(_table(n))
 
 
 def central_character_blocks(n: int, p: int) -> BlockPartitionOracle:
@@ -279,14 +272,14 @@ def _is_p_regular(rho: Partition, p: int) -> bool:
 def block_idempotent(table: SymCharacterTable, p: int, block) -> dict:
     """Coefficients of e_B on class sums: exact rationals, zero off p-regular classes."""
     order = factorial(table.n)
-    coeffs = {}
-    for rho in table.classes:
-        if _is_p_regular(rho, p):
-            num = sum(table.degree(lam) * table.rows[lam][rho] for lam in block)
-            coeffs[rho] = Fraction(num, order)
-        else:
-            coeffs[rho] = Fraction(0)
-    return coeffs
+    weights = [
+        degree if lam in block else 0
+        for lam, degree in zip(table.classes, table.columns[(1,) * table.n])
+    ]
+    return {
+        rho: Fraction(sum(map(mul, weights, column)) if _is_p_regular(rho, p) else 0, order)
+        for rho, column in table.columns.items()
+    }
 
 
 @lru_cache(maxsize=None)
@@ -299,19 +292,15 @@ def _structure_constants(n: int) -> dict:
     """
     table = build_table(n)
     order = factorial(n)
+    degrees = table.columns[(1,) * n]
     constants = {}
-    for rho_k in table.classes:
-        for rho_l in table.classes:
+    for rho_k, column_k in table.columns.items():
+        for rho_l, column_l in table.columns.items():
             front = Fraction(table.class_sizes[rho_k] * table.class_sizes[rho_l], order)
-            for rho_m in table.classes:
+            for rho_m, column_m in table.columns.items():
                 total = sum(
-                    Fraction(
-                        table.rows[lam][rho_k]
-                        * table.rows[lam][rho_l]
-                        * table.rows[lam][rho_m],
-                        table.degree(lam),
-                    )
-                    for lam in table.classes
+                    Fraction(a * b * c, degree)
+                    for a, b, c, degree in zip(column_k, column_l, column_m, degrees)
                 )
                 value = front * total
                 if value.denominator != 1 or value < 0:

@@ -13,7 +13,6 @@ from blockcraft.glq_blocks import (
     EllContext,
     GlUnipotentBlockLabel,
     d_ell,
-    irr_lprime_count_gl,
     series_is_lprime,
     unipotent_block_series_size,
     unipotent_blocks,
@@ -21,7 +20,7 @@ from blockcraft.glq_blocks import (
     verify_gl_mckay,
     verify_gl_mckay_defining,
 )
-from blockcraft.glq_chars import enumerate_series_labels, gl_order, green_degree
+from blockcraft.glq_chars import all_degrees, enumerate_series_labels, gl_order, green_degree
 from blockcraft.partitions import d_core, enumerate_partitions, partition_count
 from blockcraft.wreath_local import (
     MetacyclicSpec,
@@ -226,7 +225,7 @@ def test_local_overgroup_count_examples():
     assert verify_gl_mckay(2, 2, 3).local_count == 3  # C_3 x| C_2
     assert verify_gl_mckay(3, 2, 7).local_count == 5  # C_7 x| C_3
     # w = 0 degenerates to the group itself: d = 4 > 2
-    assert verify_gl_mckay(2, 2, 5).local_count == irr_lprime_count_gl(2, 2, 5)
+    assert verify_gl_mckay(2, 2, 5).local_count == irr_lprime_count(all_degrees(2, 2), 5)
 
 
 OVERGROUP_CELLS = ((2, 3, 2), (4, 3, 5), (5, 4, 5), (5, 7, 3), (6, 2, 3), (7, 5, 3))
@@ -239,7 +238,8 @@ def test_local_overgroup_count_matches_factorised_count():
         w, r = divmod(n, ctx.d)
         m = q**ctx.d - 1
         base = metacyclic_degrees(MetacyclicSpec(m=m, d=ctx.d, u=q % m))
-        expected = irr_lprime_count(wreath_degrees(base, w), ell) * irr_lprime_count_gl(r, q, ell)
+        local_base = irr_lprime_count(wreath_degrees(base, w), ell)
+        expected = local_base * irr_lprime_count(all_degrees(r, q), ell)
         assert verify_gl_mckay(n, q, ell).local_count == expected
 
 

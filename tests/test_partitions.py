@@ -525,17 +525,17 @@ def test_rim_hook_removals_length_guards():
 def test_build_table_matches_tuple_oracle():
     for n in range(0, 10):
         table = build_table(n)
-        assert table.rows == {
-            lam: {rho: oracle_mn(lam, rho) for rho in enumerate_partitions(n)}
-            for lam in enumerate_partitions(n)
+        assert table.columns == {
+            rho: tuple(oracle_mn(lam, rho) for lam in enumerate_partitions(n))
+            for rho in enumerate_partitions(n)
         }
 
 
 def test_table_matches_per_value_route():
     for n in range(10, 13):
         table = sym_chars._table(n)
-        for lam in table.classes:
-            assert table.rows[lam] == {rho: mn_character_value(lam, rho) for rho in table.classes}
+        for rho, column in table.columns.items():
+            assert column == tuple(mn_character_value(lam, rho) for lam in table.classes)
 
 
 def test_table_does_not_depend_on_build_order():
@@ -543,9 +543,9 @@ def test_table_does_not_depend_on_build_order():
     sym_chars._columns.cache_clear()
     sym_chars._table(13)
     table = build_table(8)
-    assert table.rows == {
-        lam: {rho: oracle_mn(lam, rho) for rho in enumerate_partitions(8)}
-        for lam in enumerate_partitions(8)
+    assert table.columns == {
+        rho: tuple(oracle_mn(lam, rho) for lam in enumerate_partitions(8))
+        for rho in enumerate_partitions(8)
     }
 
 

@@ -487,6 +487,43 @@ def test_sweep_runners_are_the_public_runners_of_the_cli():
         assert getattr(cli, runner.__name__) is runner
 
 
+def test_sweep_works_out_each_cell_refusal_once(tmp_path, capsys, monkeypatch):
+    # The registry's wrapper is the one place a precondition is checked: a
+    # sweep cell makes one refusal call, and gl mckay works out d twice (its
+    # precondition, then EllContext.of), as on the command line.
+    refusals = []
+    original = cli.Check.refusal
+
+    def counted(check, params):
+        refusals.append(check.name)
+        return original(check, params)
+
+    monkeypatch.setattr(cli.Check, "refusal", counted)
+    calls = _count_calls(monkeypatch, "d_ell")
+    path = tmp_path / "sweep.json"
+    cells = [
+        {"check": "gl_mckay", "n": 4, "q": 7, "ell": 5},
+        {"check": "gl_mckay", "n": 2, "q": 4194304, "ell": 5},  # refused: local base too large
+        {"check": "sym_mckay", "n": [0, 3]},  # n = 0 refused
+    ]
+    path.write_text(json.dumps({"cells": cells}))
+    assert main(["sweep", "--config", str(path), "--format", "csv"]) == 0
+    assert refusals == ["gl_mckay", "gl_mckay", "sym_mckay", "sym_mckay"]
+    assert calls == {"d_ell": [(7, 5), (7, 5), (4194304, 5)]}
+    assert capsys.readouterr().err.count("skip ") == 2
+
+
+def test_sweep_under_a_bad_max_n_is_one_usage_error(tmp_path, capsys, monkeypatch):
+    # A bound that cannot be read is an error, not a refusal to skip.
+    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "ten")
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"cells": [{"check": "sym_table", "n": [2, 3]}]}))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BLOCKCRAFT_MAX_N must be an integer, got 'ten'\n"
+
+
 def test_sweep_calls_the_runner_in_the_registry(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -589,6 +626,24 @@ def test_expand_sweep_config_rejects_unknown_check():
         expand_sweep_config({"cells": [{"check": "collatz", "n": 1}]})
     with pytest.raises(UsageError):
         expand_sweep_config({"cells": [{"check": "gl_mckay", "n": 2}]})
+
+
+@pytest.mark.parametrize(
+    "cell, key",
+    [
+        ({"check": "sym_mckay", "n": 6, "pp": 3}, "'pp'"),
+        ({"check": "sym_bhz", "n": 5, "p": 3, "ell": 7}, "'ell'"),
+    ],
+)
+def test_sweep_cell_with_an_unknown_key_is_usage_error(cell, key, tmp_path, capsys):
+    with pytest.raises(UsageError, match=f"sweep check '{cell['check']}' has no parameter {key}"):
+        expand_sweep_config({"cells": [cell]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"cells": [cell]}))
+    assert main(["sweep", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: sweep check '{cell['check']}' has no parameter {key}\n"
 
 
 @pytest.mark.parametrize("cells", [[3], 3, "gl_mckay", [["gl_mckay"]], []])

@@ -110,24 +110,32 @@ def test_class_sizes_sum_to_group_order():
 
 
 def test_build_table_small():
+    # Labels run in class order: (2,), (1, 1) and (3,), (2, 1), (1, 1, 1).
     t2 = build_table(2)
-    assert t2.rows[(2,)] == {(2,): 1, (1, 1): 1}
-    assert t2.rows[(1, 1)] == {(2,): -1, (1, 1): 1}
+    assert t2.columns == {(2,): (1, -1), (1, 1): (1, 1)}
 
     t3 = build_table(3)
-    assert t3.rows[(2, 1)] == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
+    assert [column[1] for column in t3.columns.values()] == [-1, 0, 2]  # chi^(2,1)
+    assert t3.columns[(1, 1, 1)] == (1, 2, 1)  # the identity column holds the degrees
+
+
+def test_table_is_stored_once_as_its_columns():
+    for n in range(0, 8):
+        table = build_table(n)
+        assert table.columns is sym_chars._columns(n)
+        assert tuple(table.columns) == table.classes
 
 
 def test_memoized_table_is_read_only():
     table = build_table(3)
     with pytest.raises(TypeError):
-        table.rows[(3,)][(3,)] = 99
+        table.columns[(3,)][0] = 99
     with pytest.raises(TypeError):
-        table.rows[(3,)] = {}
+        table.columns[(3,)] = ()
     with pytest.raises(TypeError):
         table.class_sizes[(3,)] = 0
     fresh = build_table(3)
-    assert fresh.rows[(3,)] == {(3,): 1, (2, 1): 1, (1, 1, 1): 1}
+    assert [column[0] for column in fresh.columns.values()] == [1, 1, 1]  # chi^(3)
     assert fresh.class_sizes == {(3,): 2, (2, 1): 3, (1, 1, 1): 1}
 
 
@@ -142,10 +150,10 @@ def test_orthogonality_catches_any_one_wrong_entry():
     # Adding 1 to chi(rho) moves the row norm by |rho|(2 chi(rho) + 1) and the
     # column norm by 2 chi(rho) + 1, neither of which is zero.
     table = build_table(5)
-    for lam in table.classes:
-        for rho in table.classes:
-            row = {**table.rows[lam], rho: table.rows[lam][rho] + 1}
-            bad = replace(table, rows={**table.rows, lam: row})
+    for i in range(len(table.classes)):
+        for rho, column in table.columns.items():
+            wrong = column[:i] + (column[i] + 1,) + column[i + 1:]
+            bad = replace(table, columns={**table.columns, rho: wrong})
             assert not row_orthogonality_holds(bad)
             assert not column_orthogonality_holds(bad)
 
@@ -174,10 +182,21 @@ def test_env_var_raises_both_bounds(monkeypatch):
 
 def test_central_character_values_are_integers():
     table = build_table(5)
-    for lam in table.classes:
-        omega = central_character_values(table, lam)
-        assert all(isinstance(v, int) for v in omega.values())
-        assert omega[(1, 1, 1, 1, 1)] == 1  # identity class: |K| chi / chi(1) = 1
+    identity = table.classes.index((1, 1, 1, 1, 1))
+    omegas = central_character_values(table)
+    assert len(omegas) == len(table.classes)
+    for omega in omegas:
+        assert len(omega) == len(table.classes)
+        assert all(isinstance(v, int) for v in omega)
+        assert omega[identity] == 1  # identity class: |K| chi / chi(1) = 1
+
+
+def test_central_character_values_refuse_a_fraction():
+    # chi^(2,1) at a transposition set to 1: omega = 3 * 1 / 2 is not an integer.
+    table = build_table(3)
+    bad = replace(table, columns={**table.columns, (2, 1): (1, 1, -1)})
+    with pytest.raises(CrossCheckError):
+        central_character_values(bad)
 
 
 def test_central_character_blocks_examples():
@@ -200,15 +219,15 @@ def test_central_characters_computed_once_for_all_primes(monkeypatch):
     calls = []
     original = sym_chars.central_character_values
 
-    def counted(table, lam):
-        calls.append(lam)
-        return original(table, lam)
+    def counted(table):
+        calls.append(table.n)
+        return original(table)
 
     monkeypatch.setattr(sym_chars, "central_character_values", counted)
     sym_chars._omega_rows.cache_clear()
     for p in (2, 3, 5, 7):
         central_character_blocks(n, p)
-    assert sorted(calls, reverse=True) == list(enumerate_partitions(n))
+    assert calls == [n]
 
 
 def test_block_partition_covers_everything():
