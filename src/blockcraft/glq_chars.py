@@ -13,14 +13,19 @@ of m_i per polynomial); the degree is
 with C(s) = prod GL_{m_i}(q^{d_i}), and the unipotent degree is the q-hook
 formula q^{a(lam)} [n]_q! / prod_h [len(h)]_q.
 
-all_degrees builds the multiset one class type at a time and visits no
-label.  The index |G : C(s)|_{p'} is one exact division of
-prod_{j<=n} (q^j - 1), taken once per (n, q), by the same product over the
-centralizer's factors.  The type's Counter {index: class count} is then
-multiplied by the memoized Counter of unipotent degrees of GL_{m_i}(q^{d_i})
-for each component.  SeriesLabel and green_degree give the same degrees one
-label at a time, for callers that need the label.  All arithmetic is
-exact.
+The class types depend on n alone, so the walk that lists them is memoized
+per n and shared by every q, and it builds the list of tails that can
+follow each (last pair, rest of n) once; enumerate_class_types adds each
+type's class count over F_q.  all_degrees builds the multiset one class
+type at a time and visits no label.  Types come in walk order, so each
+shares a prefix of factors with the one before it.  A stack keeps, per
+prefix length, the map {unipotent product: multiplicity} (the memoized
+unipotent degrees of GL_{m_i}(q^{d_i}), multiplied factor by factor) and
+the product of the factors' prod_{j<=m_i} (q^{d_i j} - 1), so a type
+extends only its new suffix.  Its index |G : C(s)|_{p'} is one exact
+division of prod_{j<=n} (q^j - 1) by that product.  SeriesLabel and
+green_degree give the same degrees one label at a time, for callers that
+need the label.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import prod
 
 from .arith import divisors, moebius
@@ -36,6 +42,7 @@ from .partitions import Partition, enumerate_partitions, hook_lengths, validate_
 from .wreath_local import DegreeMultiset
 
 
+@lru_cache(maxsize=None)
 def _gl_pprime_part(m: int, q: int) -> int:
     """|GL_m(q)|_{p'} = prod_{j<=m} (q^j - 1)."""
     return prod(q**j - 1 for j in range(1, m + 1))
@@ -77,10 +84,6 @@ class ClassType:
 
     entries: tuple[tuple[int, int], ...]
 
-    @property
-    def n(self) -> int:
-        return sum(d * m for d, m in self.entries)
-
     def class_count(self, q: int) -> int:
         """Number of semisimple classes with this factorization type.
 
@@ -107,36 +110,43 @@ class ClassType:
 
 
 @lru_cache(maxsize=None)
+def _class_types(n: int) -> tuple[ClassType, ...]:
+    """All factorization types of degree n, in descending lexicographic order.
+
+    A type goes on with a pair (d, m) no larger than its last one: d from
+    that pair's d down, m from the most that fits down, so every pair
+    visited is feasible.  What can follow depends only on the last pair and
+    on what is left of n, so each such tail list is built once and shared
+    by every prefix that reaches it.
+    """
+
+    @lru_cache(maxsize=None)
+    def tails(d_top: int, m_top: int, remaining: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if remaining == 0:
+            return ((),)
+        out: list[tuple[tuple[int, int], ...]] = []
+        for d in range(min(d_top, remaining), 0, -1):
+            m_most = remaining // d if d < d_top else min(m_top, remaining // d)
+            for m in range(m_most, 0, -1):
+                head = ((d, m),)
+                out.extend(head + tail for tail in tails(d, m, remaining - d * m))
+        return tuple(out)
+
+    return tuple(ClassType(entries=entries) for entries in tails(n, n, n))
+
+
 def enumerate_class_types(n: int, q: int) -> tuple[tuple[ClassType, int], ...]:
     """All factorization types of degree n with their exact class counts.
 
-    Types whose multiplicity pattern needs more distinct polynomials than the
-    field offers get count 0 (e.g. two distinct linear factors over F_2).
-    The counts total (q-1) q^(n-1), the semisimple class census.
+    The types come from one walk per n, memoized and shared by every q, in
+    descending lexicographic order of their entries.  Types whose
+    multiplicity pattern needs more distinct polynomials than the field
+    offers are listed with count 0 (e.g. two distinct linear factors over
+    F_2).  The counts total (q-1) q^(n-1), the semisimple class census.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pairs = sorted(
-        ((d, m) for d in range(1, n + 1) for m in range(1, n // d + 1)),
-        reverse=True,
-    )
-    out: list[tuple[ClassType, int]] = []
-    chosen: list[tuple[int, int]] = []
-
-    def rec(start: int, remaining: int) -> None:
-        if remaining == 0:
-            ctype = ClassType(entries=tuple(chosen))
-            out.append((ctype, ctype.class_count(q)))
-            return
-        for idx in range(start, len(pairs)):
-            d, m = pairs[idx]
-            if d * m <= remaining:
-                chosen.append((d, m))
-                rec(idx, remaining - d * m)
-                chosen.pop()
-
-    rec(0, n)
-    return tuple(out)
+    return tuple((ctype, ctype.class_count(q)) for ctype in _class_types(n))
 
 
 def semisimple_class_count(n: int, q: int) -> int:
@@ -144,9 +154,11 @@ def semisimple_class_count(n: int, q: int) -> int:
     return sum(count for _, count in enumerate_class_types(n, q))
 
 
-def _q_int(m: int, q: int) -> int:
-    """[m]_q = (q^m - 1)/(q - 1)."""
-    return (q**m - 1) // (q - 1)
+@lru_cache(maxsize=None)
+def _q_integers(m: int, q: int) -> tuple[tuple[int, ...], int]:
+    """([0]_q, [1]_q, ..., [m]_q) with [j]_q = (q^j - 1)/(q - 1), and [m]_q!."""
+    q_ints = tuple((q**j - 1) // (q - 1) for j in range(m + 1))
+    return q_ints, prod(q_ints[1:])
 
 
 def _a_stat(lam: Partition) -> int:
@@ -160,10 +172,8 @@ def unipotent_degree(lam: Partition, q: int) -> int:
     if q < 2:
         raise ValueError("q must be at least 2")
     validate_partition(lam)
-    n = sum(lam)
-    numerator = prod(_q_int(m, q) for m in range(1, n + 1))
-    denominator = prod(_q_int(h, q) for h in hook_lengths(lam))
-    quotient, rem = divmod(numerator, denominator)
+    q_ints, q_factorial = _q_integers(sum(lam), q)
+    quotient, rem = divmod(q_factorial, prod(q_ints[h] for h in hook_lengths(lam)))
     if rem:
         raise CrossCheckError(f"q-hook quotient not integral for {lam!r}, q={q}")
     return q ** _a_stat(lam) * quotient
@@ -217,13 +227,11 @@ def enumerate_series_labels(n: int, q: int):
     ordered tuples of partitions, one per distinct polynomial; classes of the
     same type contribute identical degree blocks, hence the multiplicity.
     """
-    from itertools import product as iproduct
-
     for ctype, count in enumerate_class_types(n, q):
         if count == 0:
             continue
         partition_choices = [enumerate_partitions(m) for _, m in ctype.entries]
-        for tup in iproduct(*partition_choices):
+        for tup in product(*partition_choices):
             components = tuple(
                 (d, m, lam) for (d, m), lam in zip(ctype.entries, tup)
             )
@@ -240,25 +248,50 @@ def _unipotent_counts(m: int, q: int) -> tuple[tuple[int, int], ...]:
 def all_degrees(n: int, q: int) -> DegreeMultiset:
     """Exact degree multiset of Irr(GL_n(q)), built one class type at a time.
 
+    stack[i] holds the unipotent products and the centralizer's p'-part over
+    the first i factors of the last type built.  The next type keeps the
+    prefix it shares, extends the stack by the rest but its last factor,
+    and folds that factor, its index and its class count straight into the
+    multiset.  A whole type is never a prefix of another, so only proper
+    prefixes are stacked.
+
     Completeness of Green's parameterization is enforced by the multiset
     constructor: sum of squared degrees must equal |GL_n(q)|.
     """
+    if n == 0:
+        return DegreeMultiset(((1, 1),), gl_order(0, q))
     top = _gl_pprime_part(n, q)
-    counts: Counter = Counter()
+    counts: dict[int, int] = {}
+    stack: list[tuple[dict[int, int], int]] = [({1: 1}, 1)]
+    previous: tuple[tuple[int, int], ...] = ()
     for ctype, class_count in enumerate_class_types(n, q):
         if class_count == 0:
             continue
-        index, rem = divmod(top, prod(_gl_pprime_part(m, q**d) for d, m in ctype.entries))
+        *prefix, (d, m) = ctype.entries
+        shared = 0
+        for entry, before in zip(prefix, previous):
+            if entry != before:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for d_i, m_i in prefix[shared:]:
+            partial, centralizer = stack[-1]
+            extended: dict[int, int] = {}
+            for unipotent, k in _unipotent_counts(m_i, q**d_i):
+                for degree, mult in partial.items():
+                    key = degree * unipotent
+                    extended[key] = extended.get(key, 0) + mult * k
+            stack.append((extended, centralizer * _gl_pprime_part(m_i, q**d_i)))
+        previous = ctype.entries
+        partial, centralizer = stack[-1]
+        index, rem = divmod(top, centralizer * _gl_pprime_part(m, q**d))
         if rem:
             raise CrossCheckError("p'-part of the centralizer index is not integral")
-        partial = {index: class_count}
-        for d, m in ctype.entries:
-            product: Counter = Counter()
+        for unipotent, k in _unipotent_counts(m, q**d):
+            scale, weight = index * unipotent, k * class_count
             for degree, mult in partial.items():
-                for unipotent, k in _unipotent_counts(m, q**d):
-                    product[degree * unipotent] += mult * k
-            partial = product
-        counts.update(partial)
+                key = degree * scale
+                counts[key] = counts.get(key, 0) + mult * weight
     return DegreeMultiset.from_counter(counts, gl_order(n, q))
 
 

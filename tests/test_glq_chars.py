@@ -1,4 +1,6 @@
+import hashlib
 from collections import Counter
+from itertools import combinations_with_replacement, product
 from math import comb
 
 from blockcraft import glq_chars
@@ -124,6 +126,44 @@ def test_class_count_matches_comb_formula():
         for q in (2, 3, 4):
             for ctype, count in enumerate_class_types(n, q):
                 assert count == ctype.class_count(q) == _class_count_by_comb(ctype, q)
+
+
+def oracle_class_types(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Multisets of (d, m) pairs with sum d*m = n, each sorted descending,
+    listed in descending order: a partition of n, with each part k split
+    as some d*m = k."""
+    types = set()
+    for length in range(n + 1):
+        for parts in combinations_with_replacement(range(1, n + 1), length):
+            if sum(parts) != n:
+                continue
+            splits = [[(d, k // d) for d in range(1, k + 1) if k % d == 0] for k in parts]
+            for pairs in product(*splits):
+                types.add(tuple(sorted(pairs, reverse=True)))
+    return sorted(types, reverse=True)
+
+
+def test_enumerate_class_types_matches_itertools_oracle():
+    for n in range(11):
+        expected = oracle_class_types(n)
+        for q in (2, 3, 4, 5):
+            listed = enumerate_class_types(n, q)
+            assert [ctype.entries for ctype, _ in listed] == expected
+            assert [count for _, count in listed] == [
+                _class_count_by_comb(ClassType(entries), q) for entries in expected
+            ]
+    assert enumerate_class_types(0, 7) == ((ClassType(entries=()), 1),)
+    assert any(count == 0 for _, count in enumerate_class_types(4, 2))
+
+
+def test_class_type_walk_is_shared_across_q():
+    enumerate_class_types(9, 2)
+    before = glq_chars._class_types.cache_info()
+    for q in (3, 4, 5, 7):
+        enumerate_class_types(9, q)
+    after = glq_chars._class_types.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 4
 
 
 def test_semisimple_class_census():
@@ -261,3 +301,21 @@ def test_sum_of_squares_small():
     for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
         ms = all_degrees(n, q)
         assert sum(m * d * d for d, m in ms.entries) == gl_order(n, q)
+
+
+# sha256 of repr(all_degrees(n, q).entries) as first computed by the
+# one-type-at-a-time build.  The benchmark's CSV digest sees only the sum
+# of squared degrees and |G|, so these pin the multisets themselves.
+PINNED_DEGREE_DIGESTS = {
+    (13, 2): "671c03bec8605636116296f5948bd210431c65d627c88bd2a79595c397fb7bec",
+    (14, 2): "4d2fbb0e9edd9b3b470f33cf0f9511b24eaa838d752f9fb558ebabce9014249b",
+    (13, 3): "6e38d49a7d0f5f8c92012f719a53ade788159155f32bb08b1fbf8f17a06f855a",
+    (14, 3): "cab6795656e0d23b98406d89068416a51f0c0cd2d1c2e48668819cc70e4e3d49",
+    (16, 3): "768b8741331cf7b4116ab72ffe2dc0798fba3bb5d2a6df9cc7e71c932f8db111",
+}
+
+
+def test_all_degrees_pinned_digests():
+    for (n, q), digest in PINNED_DEGREE_DIGESTS.items():
+        entries = all_degrees(n, q).entries
+        assert hashlib.sha256(repr(entries).encode()).hexdigest() == digest
