@@ -23,7 +23,6 @@ from .glq_blocks import (
     verify_gl_mckay_defining,
 )
 from .glq_chars import (
-    ClassType,
     SeriesLabel,
     all_degrees,
     enumerate_class_types,

@@ -13,19 +13,20 @@ of m_i per polynomial); the degree is
 with C(s) = prod GL_{m_i}(q^{d_i}), and the unipotent degree is the q-hook
 formula q^{a(lam)} [n]_q! / prod_h [len(h)]_q.
 
-The class types depend on n alone, so the walk that lists them is memoized
-per n and shared by every q, and it builds the list of tails that can
-follow each (last pair, rest of n) once; enumerate_class_types adds each
-type's class count over F_q.  all_degrees builds the multiset one class
-type at a time and visits no label.  Types come in walk order, so each
-shares a prefix of factors with the one before it.  A stack keeps, per
-prefix length, the map {unipotent product: multiplicity} (the memoized
-unipotent degrees of GL_{m_i}(q^{d_i}), multiplied factor by factor) and
-the product of the factors' prod_{j<=m_i} (q^{d_i j} - 1), so a type
-extends only its new suffix.  Its index |G : C(s)|_{p'} is one exact
-division of prod_{j<=n} (q^j - 1) by that product.  SeriesLabel and
-green_degree give the same degrees one label at a time, for callers that
-need the label.  All arithmetic is exact.
+enumerate_class_types lists the class types that occur over F_q in one
+walk per (n, q).  It carries each prefix's class count down the path and
+never enters a degree with no polynomial left, so a type with no classes
+over F_q (two distinct linear factors over F_2, say) is never built.
+all_degrees builds the multiset one class type at a time and visits no
+label.  Types come in walk order, so each shares a prefix of factors with
+the one before it.  A stack keeps, per prefix length, the map {unipotent
+product: multiplicity} (the memoized unipotent degrees of
+GL_{m_i}(q^{d_i}), multiplied factor by factor) and the product of the
+factors' prod_{j<=m_i} (q^{d_i j} - 1), so a type extends only its new
+suffix.  Its index |G : C(s)|_{p'} is one exact division of
+prod_{j<=n} (q^j - 1) by that product.  SeriesLabel and green_degree give
+the same degrees one label at a time, for callers that need the label.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def gl_order(n: int, q: int) -> int:
 
 def irreducible_poly_count(d: int, q: int) -> int:
     """Number of monic irreducible polynomials of degree d over F_q (necklace count)."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    if d < 1 or q < 2:
+        raise ValueError("need d >= 1 and q >= 2")
     total = sum(moebius(d // e) * q**e for e in divisors(d))
     count, rem = divmod(total, d)
     if rem:
@@ -74,79 +75,46 @@ def available_poly_count(d: int, q: int) -> int:
     return irreducible_poly_count(d, q)
 
 
-@dataclass(frozen=True)
-class ClassType:
-    """Factorization type of a semisimple class: ((d_i, m_i), ...) per distinct factor.
+def enumerate_class_types(n: int, q: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """((entries, class count), ...) for the factorization types of degree n over F_q.
 
-    Entries are kept in the canonical descending order used by the
-    enumeration; sum d_i m_i = n.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-
-    def class_count(self, q: int) -> int:
-        """Number of semisimple classes with this factorization type.
-
-        Per degree d, the entries of degree d take distinct polynomials,
-        falling(available, k_d) ways for k_d entries, and a run of r equal
-        entries (d, m) is unordered, which divides by r!.  The entries are
-        sorted, so runs are adjacent, and the count is one running product:
-        after the j-th entry of a run that began with R polynomials left,
-        the run has contributed C(R, j), so every division is exact.
-        """
-        total = 1
-        previous = None
-        for entry in self.entries:
-            d = entry[0]
-            if previous is None or d != previous[0]:
-                remaining = available_poly_count(d, q)
-            run = run + 1 if entry == previous else 1
-            total = total * remaining // run
-            if total == 0:
-                return 0
-            remaining -= 1
-            previous = entry
-        return total
-
-
-@lru_cache(maxsize=None)
-def _class_types(n: int) -> tuple[ClassType, ...]:
-    """All factorization types of degree n, in descending lexicographic order.
-
+    Entries ((d_i, m_i), ...) are in descending order, and so are the types.
     A type goes on with a pair (d, m) no larger than its last one: d from
-    that pair's d down, m from the most that fits down, so every pair
-    visited is feasible.  What can follow depends only on the last pair and
-    on what is left of n, so each such tail list is built once and shared
-    by every prefix that reaches it.
-    """
-
-    @lru_cache(maxsize=None)
-    def tails(d_top: int, m_top: int, remaining: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        if remaining == 0:
-            return ((),)
-        out: list[tuple[tuple[int, int], ...]] = []
-        for d in range(min(d_top, remaining), 0, -1):
-            m_most = remaining // d if d < d_top else min(m_top, remaining // d)
-            for m in range(m_most, 0, -1):
-                head = ((d, m),)
-                out.extend(head + tail for tail in tails(d, m, remaining - d * m))
-        return tuple(out)
-
-    return tuple(ClassType(entries=entries) for entries in tails(n, n, n))
-
-
-def enumerate_class_types(n: int, q: int) -> tuple[tuple[ClassType, int], ...]:
-    """All factorization types of degree n with their exact class counts.
-
-    The types come from one walk per n, memoized and shared by every q, in
-    descending lexicographic order of their entries.  Types whose
-    multiplicity pattern needs more distinct polynomials than the field
-    offers are listed with count 0 (e.g. two distinct linear factors over
-    F_2).  The counts total (q-1) q^(n-1), the semisimple class census.
+    that pair's d down, m from the most that fits down.  Entries of degree d
+    take distinct polynomials, and a run of r equal entries is unordered, so
+    the count is a running product carried down the walk: a new degree d
+    starts from available_poly_count(d, q) polynomials, and each entry
+    multiplies by those left and divides by its place in its run (after the
+    j-th entry of a run that began with R polynomials, the run has
+    contributed C(R, j), so every division is exact).  The walk never enters
+    a degree with no polynomial left, so only types that occur are listed.
+    The counts total (q-1) q^(n-1), the semisimple class census.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple((ctype, ctype.class_count(q)) for ctype in _class_types(n))
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    types: list[tuple[tuple[tuple[int, int], ...], int]] = []
+
+    def walk(entries, count, left, last, polys_left, run):
+        if not left:
+            types.append((entries, count))
+            return
+        d_last, m_last = last
+        for d in range(min(d_last, left), 0, -1):
+            polys = polys_left if d == d_last else available_poly_count(d, q)
+            if not polys:
+                continue
+            m_most = min(m_last, left // d) if d == d_last else left // d
+            for m in range(m_most, 0, -1):
+                place = run + 1 if (d, m) == last else 1
+                walk(
+                    entries + ((d, m),), count * polys // place,
+                    left - d * m, (d, m), polys - 1, place,
+                )
+
+    walk((), 1, n, (n + 1, 0), 0, 0)
+    return tuple(types)
 
 
 def semisimple_class_count(n: int, q: int) -> int:
@@ -227,14 +195,10 @@ def enumerate_series_labels(n: int, q: int):
     ordered tuples of partitions, one per distinct polynomial; classes of the
     same type contribute identical degree blocks, hence the multiplicity.
     """
-    for ctype, count in enumerate_class_types(n, q):
-        if count == 0:
-            continue
-        partition_choices = [enumerate_partitions(m) for _, m in ctype.entries]
+    for entries, count in enumerate_class_types(n, q):
+        partition_choices = [enumerate_partitions(m) for _, m in entries]
         for tup in product(*partition_choices):
-            components = tuple(
-                (d, m, lam) for (d, m), lam in zip(ctype.entries, tup)
-            )
+            components = tuple((d, m, lam) for (d, m), lam in zip(entries, tup))
             yield SeriesLabel(components=components), count
 
 
@@ -264,10 +228,8 @@ def all_degrees(n: int, q: int) -> DegreeMultiset:
     counts: dict[int, int] = {}
     stack: list[tuple[dict[int, int], int]] = [({1: 1}, 1)]
     previous: tuple[tuple[int, int], ...] = ()
-    for ctype, class_count in enumerate_class_types(n, q):
-        if class_count == 0:
-            continue
-        *prefix, (d, m) = ctype.entries
+    for entries, class_count in enumerate_class_types(n, q):
+        *prefix, (d, m) = entries
         shared = 0
         for entry, before in zip(prefix, previous):
             if entry != before:
@@ -282,7 +244,7 @@ def all_degrees(n: int, q: int) -> DegreeMultiset:
                     key = degree * unipotent
                     extended[key] = extended.get(key, 0) + mult * k
             stack.append((extended, centralizer * _gl_pprime_part(m_i, q**d_i)))
-        previous = ctype.entries
+        previous = entries
         partial, centralizer = stack[-1]
         index, rem = divmod(top, centralizer * _gl_pprime_part(m, q**d))
         if rem:

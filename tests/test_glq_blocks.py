@@ -5,7 +5,7 @@ from functools import cache
 
 import pytest
 
-from blockcraft import glq_blocks
+from blockcraft import glq_blocks, partitions
 from blockcraft.arith import multiplicative_order
 from blockcraft.cli import main
 from blockcraft.errors import CrossCheckError
@@ -334,3 +334,15 @@ def test_unipotent_block_series_size_examples():
     ctx2 = EllContext.of(13, 7)  # d = 2
     label = GlUnipotentBlockLabel(context=ctx2, core=(), weight=2)
     assert unipotent_block_series_size(label) == 5
+
+
+@pytest.mark.parametrize(
+    "module, route",
+    [(glq_blocks, "cyclic_wreath_character_count"), (partitions, "partition_tuple_count")],
+    ids=["weyl", "tuples"],
+)
+def test_unipotent_block_series_size_raises_when_a_route_disagrees(monkeypatch, module, route):
+    label = GlUnipotentBlockLabel(context=EllContext.of(13, 7), core=(), weight=2)
+    monkeypatch.setattr(module, route, lambda d, w: 6)
+    with pytest.raises(CrossCheckError):
+        unipotent_block_series_size(label)

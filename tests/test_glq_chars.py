@@ -3,10 +3,11 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
 
+import pytest
+
 from blockcraft import glq_chars
 from blockcraft.arith import prime_power_radical
 from blockcraft.glq_chars import (
-    ClassType,
     SeriesLabel,
     all_degrees,
     available_poly_count,
@@ -98,18 +99,26 @@ def test_poly_count_census():
 
 
 def test_enumerate_class_types_gl2_f2():
-    types = dict(enumerate_class_types(2, 2))
-    assert types[ClassType(entries=((1, 2),))] == 1
-    assert types[ClassType(entries=((1, 1), (1, 1)))] == 0  # only one eligible linear
-    assert types[ClassType(entries=((2, 1),))] == 1
+    # Two distinct linear factors need two eligible linears; F_2 has one.
+    assert enumerate_class_types(2, 2) == ((((2, 1),), 1), (((1, 2),), 1))
     assert semisimple_class_count(2, 2) == 2
 
 
-def _class_count_by_comb(ctype, q):
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_class_type_functions_refuse_q_below_2(q):
+    with pytest.raises(ValueError):
+        enumerate_class_types(2, q)
+    with pytest.raises(ValueError):
+        semisimple_class_count(3, q)
+    with pytest.raises(ValueError):
+        irreducible_poly_count(1, q)
+
+
+def _class_count_by_comb(entries, q):
     # Per degree d: comb(available, repeats) for each multiplicity value in turn.
     total = 1
     by_degree: dict[int, Counter] = {}
-    for d, m in ctype.entries:
+    for d, m in entries:
         by_degree.setdefault(d, Counter())[m] += 1
     for d, repeats in by_degree.items():
         remaining = available_poly_count(d, q)
@@ -124,8 +133,8 @@ def _class_count_by_comb(ctype, q):
 def test_class_count_matches_comb_formula():
     for n in range(11):
         for q in (2, 3, 4):
-            for ctype, count in enumerate_class_types(n, q):
-                assert count == ctype.class_count(q) == _class_count_by_comb(ctype, q)
+            for entries, count in enumerate_class_types(n, q):
+                assert count == _class_count_by_comb(entries, q) > 0
 
 
 def oracle_class_types(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -145,25 +154,23 @@ def oracle_class_types(n: int) -> list[tuple[tuple[int, int], ...]]:
 
 def test_enumerate_class_types_matches_itertools_oracle():
     for n in range(11):
-        expected = oracle_class_types(n)
         for q in (2, 3, 4, 5):
-            listed = enumerate_class_types(n, q)
-            assert [ctype.entries for ctype, _ in listed] == expected
-            assert [count for _, count in listed] == [
-                _class_count_by_comb(ClassType(entries), q) for entries in expected
+            expected = [
+                (entries, count)
+                for entries in oracle_class_types(n)
+                if (count := _class_count_by_comb(entries, q))
             ]
-    assert enumerate_class_types(0, 7) == ((ClassType(entries=()), 1),)
-    assert any(count == 0 for _, count in enumerate_class_types(4, 2))
+            assert list(enumerate_class_types(n, q)) == expected
+    assert enumerate_class_types(0, 7) == (((), 1),)
 
 
-def test_class_type_walk_is_shared_across_q():
-    enumerate_class_types(9, 2)
-    before = glq_chars._class_types.cache_info()
-    for q in (3, 4, 5, 7):
-        enumerate_class_types(9, q)
-    after = glq_chars._class_types.cache_info()
-    assert after.misses == before.misses
-    assert after.hits == before.hits + 4
+def test_class_type_walk_lists_only_types_that_occur():
+    listed = enumerate_class_types(26, 2)
+    assert len(listed) == 4727
+    assert all(count > 0 for _, count in listed)
+    empty = [e for e in oracle_class_types(4) if not _class_count_by_comb(e, 2)]
+    assert ((1, 2), (1, 1), (1, 1)) in empty
+    assert not set(empty) & {entries for entries, _ in enumerate_class_types(4, 2)}
 
 
 def test_semisimple_class_census():
