@@ -34,6 +34,7 @@ from .glq_chars import (
 )
 from .partitions import (
     CoreQuotient,
+    core_census,
     count_partitions_with_core,
     d_core,
     d_core_and_quotient,

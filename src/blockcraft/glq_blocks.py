@@ -15,7 +15,7 @@ Sylow ell-normalizer; the wreath_local engine builds M's degree multiset
 (checked against |M|) and counts its ell'-characters, as it does GL_n(q)'s.
 
 Unipotent ell-blocks are labelled by d-cores: the labels are the keys of
-the d-core census ``partitions_by_core(n, d)``, so no core is recomputed
+the d-core census ``core_census(n, d)``, so no core is recomputed
 from a member.  The series size of a block is computed three independent
 ways (partition census, |Irr(C_d wr S_w)|, and the d-tuple convolution)
 which must agree.  The d-core classification is backed by theory for
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 from .arith import is_prime, multiplicative_order, nu, prime_power_radical
 from .errors import CrossCheckError
@@ -42,9 +43,9 @@ from .glq_chars import (
 )
 from .partitions import (
     Partition,
+    core_census,
     count_partitions_with_core,
     d_core,
-    partitions_by_core,
 )
 from .report import VerificationReport
 from .wreath_local import (
@@ -64,6 +65,7 @@ CERTIFIED_MIN_ELL = 7
 LOCAL_BASE_BOUND = 1 << 20
 
 
+@cache  # a gl mckay cell asks twice: its precondition, then its EllContext
 def d_ell(q: int, ell: int) -> int:
     """Multiplicative order of q modulo ell (the prime ell must not divide q)."""
     if not is_prime(ell):
@@ -253,11 +255,11 @@ class GlUnipotentBlockLabel:
 def unipotent_blocks(n: int, context: EllContext) -> tuple[GlUnipotentBlockLabel, ...]:
     """All unipotent block labels of GL_n(q) in the given context, largest weight first.
 
-    One label per key of the d-core census of the partitions of n.
+    One label per key of core_census(n, d), which lists no partition.
     """
     labels = (
         GlUnipotentBlockLabel(context=context, core=core, weight=(n - sum(core)) // context.d)
-        for core in partitions_by_core(n, context.d)
+        for core in core_census(n, context.d)
     )
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 

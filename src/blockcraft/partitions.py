@@ -44,12 +44,14 @@ readers always observe consistent results.  They hold the last 1024
 Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle type); the rim-hook
 maps behind the character tables, one per (m, k), with the position of each
 mask among the partitions of m; the tables of nu_p(m) and nu_p(m!) behind
-every hook valuation, one per p and power-of-two size; and two read-only
+every hook valuation, one per p and power-of-two size; and three read-only
 censuses, each one pass per (n, d):
 ``partitions_by_core`` lists the partitions of n grouped by d-core (the
-per-member route: Nakayama oracle, gl blocks, block_members_and_heights),
-and ``valuation_census`` counts them by d-core and hook valuation, which is
-all the S_n block, height and p'-degree checks read.
+per-member route: the Nakayama oracle and block_members_and_heights),
+``core_census`` counts them by d-core, which is all gl blocks reads, and
+``valuation_census`` counts them by d-core and hook valuation, which is
+all the S_n block, height and p'-degree checks read.  The two counting
+censuses list no partition.
 """
 
 from __future__ import annotations
@@ -237,8 +239,22 @@ def _abacus_runners(lam: Partition, d: int) -> list[list[int]]:
 
 def _core_of_counts(counts, d: int) -> Partition:
     """The d-core with counts[r] beads on runner r, every bead slid to the top."""
-    positions = (r + d * k for r, count in enumerate(counts) for k in range(count))
-    return partition_from_beta(tuple(sorted(positions, reverse=True)))
+    positions = [r + d * k for r, count in enumerate(counts) for k in range(count)]
+    positions.sort(reverse=True)
+    return partition_from_beta(tuple(positions))
+
+
+def _core_decoder(runners: int, count_bits: int):
+    """Census key (count_bits bits of bead count per runner) -> core, each key converted once."""
+    mask = (1 << count_bits) - 1
+
+    @cache
+    def core_of(key: int) -> Partition:
+        counts = [key >> (count_bits * r) & mask for r in range(runners)]
+        low = min(counts)  # full bottom levels, which depend on the bead count only
+        return _core_of_counts([count - low for count in counts] if low else counts, runners)
+
+    return core_of
 
 
 @lru_cache(maxsize=None)
@@ -298,26 +314,62 @@ def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ..
     Maps each d-core that occurs to the tuple of its partitions, in canonical
     order; cores appear in the order of their first member.  The d-core is
     fixed by how many beads lie on each runner of the d-abacus, so the pass
-    keys each partition by those counts, lowered by the smallest one (the
-    full bottom levels, which depend on the bead count only), and turns each
-    distinct key into a core once.  No partition of n has a hook longer than
-    n, so for d > n each one is its own d-core, as on n + 1 runners: the
-    abacus is capped there, and a huge d costs no more than d = n + 1.  The
-    mapping is read-only, since every caller shares the cached value.
+    keys each partition by those counts, as the counting censuses do, and
+    turns each distinct key into a core once.  No partition of n has a hook
+    longer than n, so for d > n each one is its own d-core, as on n + 1
+    runners: a huge d costs no more than d = n + 1.  The mapping is
+    read-only, since every caller shares the cached value.  Only the routes
+    that need the members read it: the Nakayama oracle and
+    block_members_and_heights.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    runners = min(d, n + 1)
-    groups: dict[tuple[int, ...], list[Partition]] = {}
+    runners, count_bits = min(d, n + 1), n.bit_length()
+    core_of = _core_decoder(runners, count_bits)
+    groups: dict[Partition, list[Partition]] = {}
     for lam in enumerate_partitions(n):
-        counts = [0] * runners
-        for pos in beta_set(lam, len(lam) + -len(lam) % runners):  # a multiple of runners beads
-            counts[pos % runners] += 1
-        low = min(counts)
-        groups.setdefault(tuple(c - low for c in counts), []).append(lam)
-    return MappingProxyType(
-        {_core_of_counts(key, runners): tuple(members) for key, members in groups.items()}
-    )
+        key = sum(1 << (count_bits * (pos % runners)) for pos in beta_set(lam, len(lam)))
+        groups.setdefault(core_of(key), []).append(lam)
+    return MappingProxyType({core: tuple(members) for core, members in groups.items()})
+
+
+@lru_cache(maxsize=None)
+def core_census(n: int, d: int) -> Mapping[Partition, int]:
+    """For each d-core of a partition of n, how many partitions of n have it.
+
+    valuation_census's walk without the valuations, so no partition is listed
+    and the recursion depth is O(sqrt n); for d > n each partition is its own
+    d-core, on n + 1 runners.  The mapping is read-only, as it is shared.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    runners, count_bits = min(d, n + 1), n.bit_length()  # a runner holds at most n beads
+    unit = [1 << (count_bits * r) for r in range(runners)]
+    tally: dict[int, int] = defaultdict(int)
+
+    def walk(remaining: int, low: int, depth: int, key: int) -> None:
+        # As in valuation_census: the row of part a at depth k has bead a + k.
+        while True:
+            for part in range(low + 1, remaining // 2 + 1):
+                walk(remaining - part, part, depth + 1, key + unit[(part + depth) % runners])
+            tally[key + unit[(remaining + depth) % runners]] += 1
+            if 2 * low > remaining:
+                return
+            key += unit[(low + depth) % runners]
+            remaining -= low
+            depth += 1
+
+    if n:
+        walk(n, 1, 0, 0)
+    else:
+        tally[0] = 1  # the empty partition, with no beads
+    core_of = _core_decoder(runners, count_bits)
+    census: dict[Partition, int] = defaultdict(int)
+    for key, count in tally.items():
+        census[core_of(key)] += count
+    return MappingProxyType(dict(census))
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +388,7 @@ def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[tuple[int, int]
     CrossCheckError.  At each leaf the partition is keyed by its bead
     count on each runner, min(p, n + 1) of them (for p > n every partition
     is its own p-core), packed into one int together with its valuation;
-    each distinct count vector becomes a core once, as in partitions_by_core.
+    each distinct count vector becomes a core once, as in core_census.
     The mapping is read-only, since every caller shares the cached value.
     """
     if n < 0:
@@ -387,15 +439,11 @@ def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[tuple[int, int]
         walk(n, 1, 0, 0, 0)
     else:
         tally[0] = 1  # the empty partition, with no beads
-    cores: dict[int, Partition] = {}  # packed bead counts -> core
+    core_of = _core_decoder(len(runners), count_bits)
+    value_mask = (1 << value_bits) - 1
     census: dict[Partition, Counter] = {}
-    count_mask = (1 << count_bits) - 1
     for slot, count in tally.items():
-        packed = slot >> value_bits
-        if packed not in cores:
-            counts = [packed >> (count_bits * r) & count_mask for r in range(len(runners))]
-            cores[packed] = _core_of_counts(counts, len(runners))
-        census.setdefault(cores[packed], Counter())[slot & ((1 << value_bits) - 1)] += count
+        census.setdefault(core_of(slot >> value_bits), Counter())[slot & value_mask] += count
     return MappingProxyType(
         {core: tuple(sorted(values.items())) for core, values in census.items()}
     )
@@ -404,11 +452,11 @@ def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[tuple[int, int]
 def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     """Number of partitions of n with the given d-core.
 
-    Computed by explicit census over all partitions of n (the size of the
-    core's group in partitions_by_core), then cross-checked against the
-    d-quotient bijection (d-tuples of partitions of total size (n - |core|)/d).
-    Returns 0 when n - |core| is negative or not divisible by d; raises
-    ValueError if core is not actually a d-core.
+    Read off the census of all partitions of n by d-core (core_census), then
+    cross-checked against the d-quotient bijection (d-tuples of partitions
+    of total size (n - |core|)/d).  Returns 0 when n - |core| is negative or
+    not divisible by d; raises ValueError if core is not actually a d-core.
+    Its caller is gl blocks, through unipotent_block_series_size.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -417,7 +465,7 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     rest = n - sum(core)
     if rest < 0 or rest % d != 0:
         return 0
-    census = len(partitions_by_core(n, d).get(core, ()))
+    census = core_census(n, d).get(core, 0)
     expected = partition_tuple_count(d, rest // d)
     if census != expected:
         raise CrossCheckError(

@@ -15,6 +15,7 @@ from blockcraft.partitions import (
     _rim_hooks,
     beta_set,
     conjugate,
+    core_census,
     count_partitions_with_core,
     d_core,
     d_core_and_quotient,
@@ -362,10 +363,14 @@ def test_core_census_sums_to_partition_count():
 
 
 def test_partitions_by_core_groups_partitions():
-    for n in range(0, 17):
-        for d in (1, 2, 3, 5, 7, 11):
+    # core_census counts, without listing, the groups partitions_by_core lists.
+    for n in range(0, 21):
+        for d in (1, 2, 3, 4, 5, 6, 7, 11, n + 1, 10**9 + 7):
             groups = partitions_by_core(n, d)
-            assert list(groups.items()) == oracle_groups_by_core(n, d), (n, d)
+            counts = {core: len(group) for core, group in groups.items()}
+            assert dict(core_census(n, d)) == counts, (n, d)
+            if d < 10**9:  # the oracle's abacus has d runners
+                assert list(groups.items()) == oracle_groups_by_core(n, d), (n, d)
             members = [lam for group in groups.values() for lam in group]
             assert sorted(members, reverse=True) == list(enumerate_partitions(n))
             for core, group in groups.items():
@@ -373,6 +378,13 @@ def test_partitions_by_core_groups_partitions():
                 assert list(group) == sorted(group, reverse=True)
                 assert all(d_core(lam, d) == core for lam in group)
                 assert len(group) == partition_tuple_count(d, (n - sum(core)) // d)
+    for d in (1, 2, 10**9 + 7):
+        assert dict(core_census(0, d)) == {(): 1}
+    with pytest.raises(TypeError):
+        core_census(4, 3)[()] = 0
+    for n, d in ((-1, 2), (4, 0), (4, -3)):
+        with pytest.raises(ValueError):
+            core_census(n, d)
 
 
 def test_partitions_by_core_example_and_guards():

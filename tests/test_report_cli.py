@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockcraft.cli as cli
-from blockcraft import partitions, sym_blocks
+from blockcraft import glq_blocks, partitions, sym_blocks
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
@@ -310,6 +310,14 @@ def test_ell_context_works_out_d_once(monkeypatch):
     assert calls == {"d_ell": [(2, 7)]}
 
 
+def test_gl_mckay_cell_finds_the_order_of_q_once(monkeypatch):
+    # The precondition and EllContext.of both ask for d; the memo answers the second.
+    glq_blocks.d_ell.cache_clear()
+    calls = _count_calls(monkeypatch, "multiplicative_order")
+    assert main(["gl", "mckay", "--n", "4", "--q", "7", "--ell", "5"]) == 0
+    assert calls == {"multiplicative_order": [(2, 5)]}
+
+
 @pytest.mark.parametrize("command", [["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]])
 def test_census_cells_list_no_partitions(command, monkeypatch):
     # Heights and member counts come from the streaming census.  Only the
@@ -323,6 +331,16 @@ def test_census_cells_list_no_partitions(command, monkeypatch):
     listed = calls.pop("enumerate_partitions")
     assert all(t < 5 for (t,) in listed) and (command[1] == "am" or not listed)
     assert all(not made for made in calls.values()), {k: len(v) for k, v in calls.items()}
+
+
+def test_gl_blocks_cell_lists_no_partition_of_n(monkeypatch):
+    # Labels and census counts come from the counting census.  Only the
+    # relative Weyl group count lists partitions: those of t <= w = n // d,
+    # for the shape tables of C_d wr S_w.
+    partitions.partitions_by_core.cache_clear()
+    calls = _count_calls(monkeypatch, "enumerate_partitions")
+    assert main(["gl", "blocks", "--n", "16", "--q", "2", "--ell", "7"]) == 0
+    assert all(t <= 16 // 3 for (t,) in calls["enumerate_partitions"]), calls
 
 
 def test_sym_am_builds_each_local_group_once(monkeypatch):
@@ -489,8 +507,9 @@ def test_sweep_runners_are_the_public_runners_of_the_cli():
 
 def test_sweep_works_out_each_cell_refusal_once(tmp_path, capsys, monkeypatch):
     # The registry's wrapper is the one place a precondition is checked: a
-    # sweep cell makes one refusal call, and gl mckay works out d twice (its
-    # precondition, then EllContext.of), as on the command line.
+    # sweep cell makes one refusal call, and gl mckay asks for d twice (its
+    # precondition, then EllContext.of), as on the command line; the d_ell
+    # memo answers the second.
     refusals = []
     original = cli.Check.refusal
 
