@@ -31,8 +31,11 @@ and only the lower beads on b's runner of the p-abacus (c = b mod p) give
 nonzero terms.  Adding rows from the bottom up, the row at depth k with part
 a has bead a + k whatever lies above it, so its term is final as soon as
 the rows below it are known: ``hook_valuation`` sums these terms for one
-partition, and ``valuation_census`` sums them along every partition in one
-depth-first walk over runs of equal rows, without listing any.
+partition.  ``valuation_census`` computes no hook.  The hooks of lam that p
+divides are p times the hooks of its p-quotient (James-Kerber 2.7), so its
+valuation is its weight w plus those of the quotient's p partitions, and
+every block of weight w has the same valuation distribution, a coefficient
+of a power series; only the p-cores are walked.
 
 No partition of n has a hook longer than n, so for d > n each one is its
 own d-core: ``d_core``, ``is_core`` and the censuses never build an abacus
@@ -49,9 +52,9 @@ censuses, each one pass per (n, d):
 ``partitions_by_core`` lists the partitions of n grouped by d-core (the
 per-member route: the Nakayama oracle and block_members_and_heights),
 ``core_census`` counts them by d-core, which is all gl blocks reads, and
-``valuation_census`` counts them by d-core and hook valuation, which is
-all the S_n block, height and p'-degree checks read.  The two counting
-censuses list no partition.
+``valuation_census`` counts them by p-core and hook valuation, from the
+p-cores and weights alone, which is all the S_n block, height and
+p'-degree checks read.  The two counting censuses list no partition.
 """
 
 from __future__ import annotations
@@ -166,18 +169,6 @@ def _valuation_tables(p: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(nu), tuple(nu_fact)
 
 
-def _row_hook_valuation(bead: int, lower: list[int], nu, nu_fact) -> int:
-    """nu_p of the hook product of the row with this bead.
-
-    lower holds the beads below it on its runner of the p-abacus; nu and
-    nu_fact come from _valuation_tables(p, ...).
-    """
-    value = nu_fact[bead]
-    for below in lower:
-        value -= nu[bead - below]
-    return value
-
-
 def hook_valuation(lam: Partition, p: int) -> int:
     """nu_p of the product of the hook lengths of lam, read off its beta-set."""
     top = lam[0] + len(lam) - 1 if lam else 0  # the highest bead
@@ -186,8 +177,8 @@ def hook_valuation(lam: Partition, p: int) -> int:
     total = 0
     for depth, part in enumerate(reversed(lam)):
         bead = part + depth
-        lower = runners.setdefault(bead % p, [])
-        total += _row_hook_valuation(bead, lower, nu, nu_fact)
+        lower = runners.setdefault(bead % p, [])  # the lower beads on its runner
+        total += nu_fact[bead] - sum(nu[bead - below] for below in lower)
         lower.append(bead)
     return total
 
@@ -298,12 +289,10 @@ def partition_tuple_count(d: int, w: int) -> int:
         raise ValueError("need d >= 1 and w >= 0")
     if w == 0:  # one tuple of empty partitions, however large d is
         return 1
+    counts = [partition_count(k) for k in range(w + 1)]
     coeffs = [1] + [0] * w
     for _ in range(d):
-        coeffs = [
-            sum(coeffs[j] * partition_count(k - j) for j in range(k + 1))
-            for k in range(w + 1)
-        ]
+        coeffs = [sum(coeffs[j] * counts[k - j] for j in range(k + 1)) for k in range(w + 1)]
     return coeffs[w]
 
 
@@ -333,24 +322,68 @@ def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ..
     return MappingProxyType({core: tuple(members) for core, members in groups.items()})
 
 
+def _core_walk(n: int, d: int) -> dict[Partition, int]:
+    """Each d-core of size n - d*w, mapped to its weight w; nothing else is listed.
+
+    The rows go on bottom up, one call per run of equal rows: the row of
+    part a at depth k has bead a + k, which the rows above it never move.
+    So removing the top row of a d-core leaves a d-core, and the walk enters
+    only d-cores: a row goes on only if its bead b is below d or b - d
+    already holds a bead.  For d > n nothing is pruned, and each partition
+    of n is its own core.
+    """
+    cores: dict[Partition, int] = {}
+    rows: list[int] = []  # the parts placed so far, bottom up
+
+    def fits(bead: int, beads: int) -> bool:
+        return bead < d or beads >> (bead - d) & 1
+
+    def walk(remaining: int, low: int, depth: int, beads: int) -> None:
+        start = len(rows)
+        while True:  # the top row placed so far has part low (low = 1 at the root)
+            if remaining % d == 0:
+                cores[tuple(reversed(rows))] = remaining // d
+            for part in range(low + 1, remaining // 2 + 1):  # leaves room for a row >= part
+                if fits(part + depth, beads):
+                    rows.append(part)
+                    walk(remaining - part, part, depth + 1, beads | 1 << (part + depth))
+                    rows.pop()
+            for part in range(remaining, max(low, remaining // 2), -d):  # a top row leaving d*w
+                if fits(part + depth, beads):
+                    cores[(part, *reversed(rows))] = (remaining - part) // d
+            if low > remaining or not fits(low + depth, beads):
+                break
+            rows.append(low)
+            beads, remaining, depth = beads | 1 << (low + depth), remaining - low, depth + 1
+        del rows[start:]
+
+    walk(n, 1, 0, 0)
+    return cores
+
+
 @lru_cache(maxsize=None)
 def core_census(n: int, d: int) -> Mapping[Partition, int]:
     """For each d-core of a partition of n, how many partitions of n have it.
 
-    valuation_census's walk without the valuations, so no partition is listed
-    and the recursion depth is O(sqrt n); for d > n each partition is its own
-    d-core, on n + 1 runners.  The mapping is read-only, as it is shared.
+    One walk over rows, bottom up, with one call per run of equal rows, so
+    no partition is listed and the recursion depth is O(sqrt n).  Each leaf
+    is keyed by its bead count on each runner, packed into one int, and each
+    distinct key becomes a core once.  For d > n each partition is its own
+    d-core, so the census is _core_walk's, each core counted once, and no
+    key is decoded.  The mapping is read-only, as it is shared.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if d < 1:
         raise ValueError("d must be at least 1")
-    runners, count_bits = min(d, n + 1), n.bit_length()  # a runner holds at most n beads
+    if d > n:
+        return MappingProxyType(dict.fromkeys(_core_walk(n, d), 1))
+    runners, count_bits = d, n.bit_length()  # a runner holds at most n beads
     unit = [1 << (count_bits * r) for r in range(runners)]
     tally: dict[int, int] = defaultdict(int)
 
     def walk(remaining: int, low: int, depth: int, key: int) -> None:
-        # As in valuation_census: the row of part a at depth k has bead a + k.
+        # The row of part a at depth k has bead a + k, as in _core_walk.
         while True:
             for part in range(low + 1, remaining // 2 + 1):
                 walk(remaining - part, part, depth + 1, key + unit[(part + depth) % runners])
@@ -361,15 +394,65 @@ def core_census(n: int, d: int) -> Mapping[Partition, int]:
             remaining -= low
             depth += 1
 
-    if n:
-        walk(n, 1, 0, 0)
-    else:
-        tally[0] = 1  # the empty partition, with no beads
+    walk(n, 1, 0, 0)  # n > 0, as d > n otherwise
     core_of = _core_decoder(runners, count_bits)
     census: dict[Partition, int] = defaultdict(int)
     for key, count in tally.items():
         census[core_of(key)] += count
     return MappingProxyType(dict(census))
+
+
+def _core_counts(n: int, p: int) -> list[int]:
+    """c_p(k) for k <= n: the coefficients of prod_k (1 - x^(pk))^p / (1 - x^k)."""
+    counts = [partition_count(k) for k in range(n + 1)]
+    for step in range(p, n + 1, p):
+        for _ in range(p):
+            for k in range(n, step - 1, -1):
+                counts[k] -= counts[k - step]
+    return counts
+
+
+def _power(series: list, e: int, top: int) -> list:
+    """series**e, truncated at t^top, by binary powering; each term maps valuation -> count."""
+
+    def times(a: list, b: list) -> list:
+        out = [defaultdict(int) for _ in range(top + 1)]
+        for i, left in enumerate(a):
+            for j, right in enumerate(b[: top + 1 - i]):
+                term = out[i + j]
+                for u, cu in left.items():
+                    for v, cv in right.items():
+                        term[u + v] += cu * cv
+        return out
+
+    result = [{0: 1}]
+    while True:
+        if e & 1:
+            result = times(result, series)
+        e >>= 1
+        if not e:
+            return result
+        series = times(series, series)
+
+
+def _block_series(top: int, p: int) -> list:
+    """[t^w] G(t)^p for w <= top, as maps valuation -> count.
+
+    G(t) = sum_m D_m t^m, where D_m counts the partitions of m by hook
+    valuation: the sum of x^w [t^w] G^p over the c_p(m - pw) p-cores of m of
+    each weight w.  So D_m = {0: p(m)} for m < p, where no hook reaches p.
+    """
+    blocks = _block_series(top // p, p) if top >= p else [{0: 1}]
+    cores = _core_counts(top, p)
+    series = []
+    for m in range(top + 1):
+        dist: dict[int, int] = defaultdict(int)
+        for w in range(m // p + 1):
+            if cores[m - p * w]:
+                for value, count in blocks[w].items():
+                    dist[value + w] += cores[m - p * w] * count
+        series.append(dist)
+    return _power(series, p, top)
 
 
 @lru_cache(maxsize=None)
@@ -378,75 +461,32 @@ def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[tuple[int, int]
 
     The hook valuation of lam is nu_p of its hook product, so lam has height
     nu_p((pw)!) - valuation in its block of weight w, and p'-degree iff the
-    valuation is nu_p(n!).  One walk over rows, bottom up, reaches every
-    partition without listing any: a call places the rows of one part, and
-    each larger part starts a new call, so the recursion depth is the number
-    of distinct parts, O(sqrt n), and the memory O(n).  Each row's term of
-    the hook valuation is final once the rows below it are placed, and no
-    term is negative, so a prefix sum above nu_p(n!), which would make some
-    degree fractional, shows at every leaf above it, where it raises
-    CrossCheckError.  At each leaf the partition is keyed by its bead
-    count on each runner, min(p, n + 1) of them (for p > n every partition
-    is its own p-core), packed into one int together with its valuation;
-    each distinct count vector becomes a core once, as in core_census.
-    The mapping is read-only, since every caller shares the cached value.
+    valuation is nu_p(n!).  It is w plus the valuations of the p partitions
+    of lam's p-quotient, so each block of weight w has the distribution
+    x^w [t^w] G(t)^p of _block_series, and only the cores are walked
+    (_core_walk).  CrossCheckError is raised unless the walk finds c_p(k)
+    cores of each size k (Garvan-Kim-Stanton), each weight w counts
+    partition_tuple_count(p, w) partitions, and no valuation exceeds
+    nu_p(n!), which would make some degree fractional.  The mapping is
+    read-only, since every caller shares the cached value.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not is_prime(p):
         raise ValueError("p must be prime")
     target = nu_factorial(n, p)
-    nu, nu_fact = _valuation_tables(p, n.bit_length())  # beads never pass n
-    runners: list[list[int]] = [[] for _ in range(min(p, n + 1))]
-    # The low value_bits bits of a leaf's slot hold its valuation (at most
-    # target); above them, count_bits bits per runner hold its bead count.
-    value_bits, count_bits = target.bit_length(), n.bit_length()
-    unit = [1 << (value_bits + count_bits * r) for r in range(len(runners))]
-    tally: dict[int, int] = defaultdict(int)
-
-    def walk(remaining: int, low: int, depth: int, below: int, key: int) -> None:
-        # The top row placed so far has part low (low = 1 at the root).  Each
-        # larger part starts a run in a new call; one more row of part low
-        # goes on in this call's loop, so the depth grows with runs, not rows.
-        placed = []
-        while True:
-            for part in range(low + 1, remaining // 2 + 1):  # leaves room for a row >= part
-                bead = part + depth
-                lower = runners[bead % p]
-                total = below + _row_hook_valuation(bead, lower, nu, nu_fact)
-                lower.append(bead)
-                walk(remaining - part, part, depth + 1, total, key + unit[bead % p])
-                lower.pop()
-            bead = remaining + depth  # the top row takes all that remains
-            total = below + _row_hook_valuation(bead, runners[bead % p], nu, nu_fact)
-            if total > target:
-                raise CrossCheckError(f"hook valuation {total} exceeds nu_{p}({n}!) = {target}")
-            tally[key + unit[bead % p] + total] += 1
-            if 2 * low > remaining:
-                break
-            bead = low + depth
-            lower = runners[bead % p]
-            below += _row_hook_valuation(bead, lower, nu, nu_fact)
-            key += unit[bead % p]
-            lower.append(bead)
-            placed.append(lower)
-            remaining -= low
-            depth += 1
-        for lower in placed:
-            lower.pop()
-
-    if n:
-        walk(n, 1, 0, 0, 0)
-    else:
-        tally[0] = 1  # the empty partition, with no beads
-    core_of = _core_decoder(len(runners), count_bits)
-    value_mask = (1 << value_bits) - 1
-    census: dict[Partition, Counter] = {}
-    for slot, count in tally.items():
-        census.setdefault(core_of(slot >> value_bits), Counter())[slot & value_mask] += count
-    return MappingProxyType(
-        {core: tuple(sorted(values.items())) for core, values in census.items()}
-    )
+    cores = _core_walk(n, p)
+    weights = Counter(cores.values())
+    if [weights[w] for w in range(n // p + 1)] != _core_counts(n, p)[n::-p]:
+        raise CrossCheckError(f"the {p}-cores walked for n = {n} are not c_{p}(n - {p}w) in number")
+    blocks, pairs = _block_series(n // p, p), {}
+    for w in weights:
+        if sum(blocks[w].values()) != partition_tuple_count(p, w):
+            raise CrossCheckError(f"weight {w} distribution does not count the {p}-quotients")
+        pairs[w] = tuple(sorted((value + w, count) for value, count in blocks[w].items()))
+        if pairs[w][-1][0] > target:
+            raise CrossCheckError(f"hook valuation {pairs[w][-1][0]} exceeds nu_{p}({n}!) = {target}")
+    return MappingProxyType({core: pairs[w] for core, w in cores.items()})
 
 
 def count_partitions_with_core(n: int, d: int, core: Partition) -> int:

@@ -12,9 +12,10 @@ Heights are pure valuation arithmetic:
 
 The checks (block_labels, bhz_verify, am_verify_abelian, and the sym blocks
 census) need only how many members of each block have each height, so they
-read ``partitions.valuation_census(n, p)``: one streaming walk per (n, p)
-that lists no partitions.  block_members_and_heights is the per-member
-route, with hook_valuation on each member of ``partitions_by_core``.
+read ``partitions.valuation_census(n, p)``, which walks only the p-cores
+and reads each block's valuations off its weight through the p-quotient.
+block_members_and_heights is the per-member route, with hook_valuation on
+each member of ``partitions_by_core``.
 
 Alperin-McKay counting is implemented in the abelian-defect regime w < p,
 where the Brauer correspondent's character count is |Irr((C_p x| C_{p-1}) wr S_w)|,

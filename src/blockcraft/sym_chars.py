@@ -1,19 +1,18 @@
 """Character degrees and exact character tables of symmetric groups.
 
-Degrees come from the hook formula n!/prod(hooks); p'-degree counting uses
-valuations (Legendre on n!, and on the hooks the beta-set formula of
-``partitions.hook_valuation`` with its tables of nu_p(m) and nu_p(m!)), so
-no large factorial is ever formed.  The p'-degree count reads the hook
-valuations of ``partitions.valuation_census``, the one walk over rows, which
-lists no partitions and which the block checks read too; macdonald_count
-counts the odd degrees in closed form.  Character tables come from the
-Murnaghan-Nakayama rule applied to whole columns: the column of S_n at a
-cycle type rho is gathered, through the rim rho_1-hooks of each label, from
-one column of the table of S_{n - rho_1}, so the tables are built column by
-column in increasing n, each smaller one once, with no per-entry recursion
-or memo.  A table is stored once, as those columns: the degrees are its
-identity column, and code that reads rows (row orthogonality, central
-characters) transposes the columns for as long as the call runs.
+Degrees come from the hook formula n!/prod(hooks).  The p'-degree count
+compares hook valuations with Legendre's nu_p(n!), so no large factorial is
+formed.  It reads them off ``partitions.valuation_census``, which the block
+checks read too: it walks only the p-cores and computes no hook.
+macdonald_count counts the odd degrees in closed form.  Character tables
+come from the Murnaghan-Nakayama rule applied to whole columns: the column
+of S_n at a cycle type rho is gathered, through the rim rho_1-hooks of each
+label, from one column of the table of S_{n - rho_1}, so the tables are
+built column by column in increasing n, each smaller one once, with no
+per-entry recursion or memo.  A table is stored once, as those columns: the
+degrees are its identity column, and code that reads rows (row
+orthogonality, central characters) transposes the columns for as long as
+the call runs.
 
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
@@ -27,9 +26,9 @@ are handled as exact rational coefficient vectors on class sums, and
 multiplied via the integer structure constants of the class algebra.
 
 Resource bounds: tables are refused above n = 10, idempotent work above
-n = 6, and the censuses that walk every partition of n (the sym mckay,
-blocks, bhz and am checks, and gl blocks) above n = 60 by default; the
-BLOCKCRAFT_MAX_N environment variable raises all three.
+n = 6, and the census checks (sym mckay, blocks, bhz and am, and gl blocks)
+above n = 60 by default; the BLOCKCRAFT_MAX_N environment variable raises
+all three.
 """
 
 from __future__ import annotations
@@ -93,9 +92,9 @@ def sym_degree(lam: Partition) -> int:
 def irr_pprime_count_sym(n: int, p: int) -> int:
     """|Irr_{p'}(S_n)|: partitions of n whose hook product has the p-valuation of n!.
 
-    Read off the streaming census ``partitions.valuation_census``, which
-    lists no partitions; a valuation above nu_p(n!) would make a degree
-    fractional, and raises CrossCheckError.
+    Read off ``partitions.valuation_census``, which walks only the p-cores;
+    a valuation above nu_p(n!) would make a degree fractional, and raises
+    CrossCheckError.
     """
     census = valuation_census(n, p)
     target = nu_factorial(n, p)

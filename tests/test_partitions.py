@@ -7,11 +7,12 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockcraft.arith import nu
+from blockcraft.arith import is_prime, nu
 from blockcraft.partitions import (
     CoreQuotient,
     _abacus_runners,
     _beta_bits,
+    _core_counts,
     _rim_hooks,
     beta_set,
     conjugate,
@@ -32,6 +33,7 @@ from blockcraft.partitions import (
     valuation_census,
 )
 from blockcraft import partitions, sym_chars
+from blockcraft.errors import CrossCheckError
 from blockcraft.sym_chars import build_table, column_orthogonality_holds
 
 
@@ -387,6 +389,22 @@ def test_partitions_by_core_groups_partitions():
             core_census(n, d)
 
 
+def test_core_census_above_n_takes_the_cores_from_the_walk(monkeypatch):
+    # For d > n each partition is its own d-core: no packed key is decoded.
+    decoded = []
+    real = partitions._core_of_counts
+    monkeypatch.setattr(
+        partitions, "_core_of_counts", lambda counts, d: decoded.append(d) or real(counts, d)
+    )
+    core_census.cache_clear()
+    try:
+        census = core_census(20, 21)
+    finally:
+        core_census.cache_clear()
+    assert dict(census) == {lam: 1 for lam in enumerate_partitions(20)}
+    assert decoded == []
+
+
 def test_partitions_by_core_example_and_guards():
     groups = partitions_by_core(4, 3)
     assert dict(groups) == {(1,): ((4,), (2, 2), (1, 1, 1, 1)), (3, 1): ((3, 1),),
@@ -446,8 +464,36 @@ def oracle_valuation_census(n, p):
 
 def test_valuation_census_matches_listing_oracle():
     for n in range(0, 23):
-        for p in (2, 3, 5, 7, 11, 29):
+        above = next(p for p in range(n + 1, 2 * n + 3) if is_prime(p))  # n + 1 when prime
+        for p in (2, 3, 5, 7, 11, 29, above):
             assert dict(valuation_census(n, p)) == oracle_valuation_census(n, p), (n, p)
+    for n, p in ((40, 2), (40, 3), (36, 5)):
+        assert dict(valuation_census(n, p)) == oracle_valuation_census(n, p), (n, p)
+
+
+def test_core_counts_match_the_cores_listed():
+    # c_p(k) from prod (1 - x^(pk))^p / (1 - x^k), against is_core on every partition of k.
+    for p in (2, 3, 5, 7):
+        counts = _core_counts(25, p)
+        for k in range(26):
+            assert counts[k] == sum(is_core(lam, p) for lam in enumerate_partitions(k)), (p, k)
+
+
+def test_valuation_census_refuses_a_walk_that_drops_a_core(monkeypatch):
+    real_walk = partitions._core_walk
+
+    def dropping(n, d):
+        cores = real_walk(n, d)
+        del cores[next(iter(cores))]
+        return cores
+
+    valuation_census.cache_clear()
+    monkeypatch.setattr(partitions, "_core_walk", dropping)
+    try:
+        with pytest.raises(CrossCheckError, match="cores walked"):
+            valuation_census(12, 3)
+    finally:
+        valuation_census.cache_clear()
 
 
 def test_valuation_census_examples_and_guards():
@@ -482,9 +528,12 @@ def test_valuation_census_walk_depth_does_not_grow_with_rows():
     sys.setrecursionlimit(depth + 20)
     try:
         census = valuation_census(40, 2)
+        # At p = 41 every partition of 40 is its own core, and the core walk lists (1^40).
+        huge = valuation_census(40, 41)
     finally:
         sys.setrecursionlimit(limit)
     assert sum(count for pairs in census.values() for _, count in pairs) == partition_count(40)
+    assert len(huge) == partition_count(40) and huge[(1,) * 40] == ((0, 1),)
 
 
 def test_valuation_census_at_a_huge_prime_is_one_core_per_partition():

@@ -356,15 +356,14 @@ def test_sym_am_builds_each_local_group_once(monkeypatch):
     "command", [["sym", "mckay"], ["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]]
 )
 def test_planted_over_valuation_is_a_cross_check_failure(command, capsys, monkeypatch):
-    # One more factor p in every row's hooks: some prefix passes nu_p(n!).
-    real_tables = partitions._valuation_tables
+    # One more factor p in every quotient distribution: the block of weight 3 passes nu_p(n!).
+    real_series = partitions._block_series
 
-    def inflated(p, bits):
-        nu, nu_fact = real_tables(p, bits)
-        return nu, tuple(value + 1 for value in nu_fact)
+    def inflated(top, p):
+        return [{value + 1: count for value, count in dist.items()} for dist in real_series(top, p)]
 
     partitions.valuation_census.cache_clear()
-    monkeypatch.setattr(partitions, "_valuation_tables", inflated)
+    monkeypatch.setattr(partitions, "_block_series", inflated)
     try:
         assert main([*command, "--n", "6", "--p", "2"]) == 2
     finally:
