@@ -56,7 +56,7 @@ from .glq_blocks import (
     verify_gl_mckay_defining,
 )
 from .glq_chars import all_degrees, gl_order
-from .partitions import partition_count, partitions_by_core, valuation_census
+from .partitions import _core_counts, partition_count, partitions_by_core, valuation_census
 from .report import VerificationReport, emit_reports, format_partition, strip_timings
 from .sym_blocks import am_verify_abelian, bhz_verify, block_labels
 from .sym_chars import (
@@ -107,6 +107,10 @@ class Check:
         return self.precondition(**params) if self.precondition else None
 
 
+# Most blocks (d-cores of the sizes n - d*w) a census cell may report on, one
+# report or note each: their number grows fast with d (57 741 at n = 60, d = 13).
+BLOCK_BOUND = 10_000
+
 CHECKS: dict[str, Check] = {}
 # Check name -> runner.  The CLI and sweeps look a runner up here when they
 # call it, so a runner replaced in this dict is the one that runs.
@@ -119,6 +123,21 @@ def _within_table_bound(n: int, **_) -> str | None:
 
 def _within_census_bound(n: int, **_) -> str | None:
     return f"n={n} exceeds the census bound {census_bound()}" if n > census_bound() else None
+
+
+def _within_block_bound(n: int, p: int) -> str | None:
+    """Refuse a census cell above the census bound or with more than BLOCK_BOUND blocks.
+
+    The p-cores (d-cores for gl blocks) are counted by Garvan-Kim-Stanton, not walked.
+    """
+    reason = _within_census_bound(n)
+    if reason is None:
+        blocks = sum(_core_counts(n, p)[n::-p])
+        if blocks > BLOCK_BOUND:
+            reason = (
+                f"n={n} has {blocks} blocks ({p}-cores), more than the block bound {BLOCK_BOUND}"
+            )
+    return reason
 
 
 def _within_local_base_bound(n: int, q: int, ell: int) -> str | None:
@@ -201,7 +220,7 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
     ]
 
 
-@_register("sym_blocks", "sym blocks", precondition=_within_census_bound)
+@_register("sym_blocks", "sym blocks", precondition=_within_block_bound)
 def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     census = valuation_census(n, p)
     notes = []
@@ -265,12 +284,12 @@ def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
-@_register("sym_bhz", "sym bhz", precondition=_within_census_bound)
+@_register("sym_bhz", "sym bhz", precondition=_within_block_bound)
 def run_sym_bhz(n: int, p: int) -> list[VerificationReport]:
     return [bhz_verify(label) for label in block_labels(n, p)]
 
 
-@_register("sym_am", "sym am", precondition=_within_census_bound)
+@_register("sym_am", "sym am", precondition=_within_block_bound)
 def run_sym_am(n: int, p: int) -> list[VerificationReport]:
     return [
         am_verify_abelian(label)
@@ -307,7 +326,7 @@ def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
 @_register(
     "gl_blocks", "gl blocks",
     precondition=lambda n, q, ell: (
-        f"ell={ell} divides q={q}" if q % ell == 0 else _within_census_bound(n)
+        f"ell={ell} divides q={q}" if q % ell == 0 else _within_block_bound(n, d_ell(q, ell))
     ),
 )
 def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
@@ -316,7 +335,7 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
     reports = []
     total = 0
     for label in blocks:
-        size = unipotent_block_series_size(label)  # raises if its three routes disagree
+        size = unipotent_block_series_size(label)  # raises if its two routes disagree
         total += size
         notes = [f"relative Weyl group count {size}"]
         if not label.verified:

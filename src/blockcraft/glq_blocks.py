@@ -16,9 +16,11 @@ Sylow ell-normalizer; the wreath_local engine builds M's degree multiset
 
 Unipotent ell-blocks are labelled by d-cores: the labels are the keys of
 the d-core census ``core_census(n, d)``, so no core is recomputed
-from a member.  The series size of a block is computed three independent
-ways (partition census, |Irr(C_d wr S_w)|, and the d-tuple convolution)
-which must agree.  The d-core classification is backed by theory for
+from a member.  The census walks only the d-cores, checked in number by
+Garvan-Kim-Stanton, and gives each the d-tuple convolution count; that
+series size must equal |Irr(C_d wr S_w)| from wreath degrees, and the
+sizes must sum to p(n).  The tests compare the census with the listed
+partitions.  The d-core classification is backed by theory for
 ell >= 7; below that threshold labels read verified=False rather than
 being refused.
 """
@@ -265,11 +267,12 @@ def unipotent_blocks(n: int, context: EllContext) -> tuple[GlUnipotentBlockLabel
 
 
 def unipotent_block_series_size(label: GlUnipotentBlockLabel) -> int:
-    """Number of unipotent characters in the block, by three independent routes.
+    """Number of unipotent characters in the block, by two independent routes.
 
-    Partition census with the given d-core, which count_partitions_with_core
-    checks against the d-tuple convolution count; here it is compared with
-    |Irr(C_d wr S_w)| (the relative Weyl group G(d,1,w)).  All must agree.
+    The census count of the d-core, which core_census takes from the d-tuple
+    convolution over the cores it walked, is compared with |Irr(C_d wr S_w)|
+    (the relative Weyl group G(d,1,w)) from wreath-degree enumeration.  They
+    must agree; gl blocks also checks the sum over all blocks against p(n).
     """
     census = count_partitions_with_core(label.n, label.context.d, label.core)
     weyl = cyclic_wreath_character_count(label.context.d, label.weight)

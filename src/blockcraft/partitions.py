@@ -52,9 +52,11 @@ censuses, each one pass per (n, d):
 ``partitions_by_core`` lists the partitions of n grouped by d-core (the
 per-member route: the Nakayama oracle and block_members_and_heights),
 ``core_census`` counts them by d-core, which is all gl blocks reads, and
-``valuation_census`` counts them by p-core and hook valuation, from the
-p-cores and weights alone, which is all the S_n block, height and
-p'-degree checks read.  The two counting censuses list no partition.
+``valuation_census`` counts them by p-core and hook valuation, which is all
+the S_n block, height and p'-degree checks read.  The two counting censuses
+list no partition: core_census walks only the d-cores of the sizes n - d*w
+(``_core_walk``, checked in number by Garvan-Kim-Stanton) and gives each
+the d-quotient count, and valuation_census reads its p-cores from it.
 """
 
 from __future__ import annotations
@@ -235,19 +237,6 @@ def _core_of_counts(counts, d: int) -> Partition:
     return partition_from_beta(tuple(positions))
 
 
-def _core_decoder(runners: int, count_bits: int):
-    """Census key (count_bits bits of bead count per runner) -> core, each key converted once."""
-    mask = (1 << count_bits) - 1
-
-    @cache
-    def core_of(key: int) -> Partition:
-        counts = [key >> (count_bits * r) & mask for r in range(runners)]
-        low = min(counts)  # full bottom levels, which depend on the bead count only
-        return _core_of_counts([count - low for count in counts] if low else counts, runners)
-
-    return core_of
-
-
 @lru_cache(maxsize=None)
 def d_core_and_quotient(lam: Partition, d: int) -> CoreQuotient:
     """Core and quotient of lam on the d-runner abacus.
@@ -303,22 +292,29 @@ def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ..
     Maps each d-core that occurs to the tuple of its partitions, in canonical
     order; cores appear in the order of their first member.  The d-core is
     fixed by how many beads lie on each runner of the d-abacus, so the pass
-    keys each partition by those counts, as the counting censuses do, and
-    turns each distinct key into a core once.  No partition of n has a hook
-    longer than n, so for d > n each one is its own d-core, as on n + 1
-    runners: a huge d costs no more than d = n + 1.  The mapping is
-    read-only, since every caller shares the cached value.  Only the routes
-    that need the members read it: the Nakayama oracle and
-    block_members_and_heights.
+    keys each partition by those counts, packed into one int, and turns each
+    distinct key into a core once.  No partition of n has a hook longer than
+    n, so for d > n each one is its own d-core and no key is made.  The
+    mapping is read-only, since every caller shares the cached value.  Only
+    the routes that need the members read it: the Nakayama oracle,
+    block_members_and_heights, and the tests' listing oracles for the
+    counting censuses.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    runners, count_bits = min(d, n + 1), n.bit_length()
-    core_of = _core_decoder(runners, count_bits)
+    if d > n:
+        return MappingProxyType({lam: (lam,) for lam in enumerate_partitions(n)})
+    count_bits = n.bit_length()  # a runner holds at most n beads
+    mask = (1 << count_bits) - 1
+    cores: dict[int, Partition] = {}
     groups: dict[Partition, list[Partition]] = {}
     for lam in enumerate_partitions(n):
-        key = sum(1 << (count_bits * (pos % runners)) for pos in beta_set(lam, len(lam)))
-        groups.setdefault(core_of(key), []).append(lam)
+        key = sum(1 << (count_bits * (pos % d)) for pos in beta_set(lam, len(lam)))
+        if key not in cores:
+            counts = [key >> (count_bits * r) & mask for r in range(d)]
+            low = min(counts)  # full bottom levels, which depend on the bead count only
+            cores[key] = _core_of_counts([count - low for count in counts], d)
+        groups.setdefault(cores[key], []).append(lam)
     return MappingProxyType({core: tuple(members) for core, members in groups.items()})
 
 
@@ -365,48 +361,33 @@ def _core_walk(n: int, d: int) -> dict[Partition, int]:
 def core_census(n: int, d: int) -> Mapping[Partition, int]:
     """For each d-core of a partition of n, how many partitions of n have it.
 
-    One walk over rows, bottom up, with one call per run of equal rows, so
-    no partition is listed and the recursion depth is O(sqrt n).  Each leaf
-    is keyed by its bead count on each runner, packed into one int, and each
-    distinct key becomes a core once.  For d > n each partition is its own
-    d-core, so the census is _core_walk's, each core counted once, and no
-    key is decoded.  The mapping is read-only, as it is shared.
+    The cores are _core_walk's, and a core of weight w is had by
+    partition_tuple_count(d, w) partitions, the d-tuples of partitions of
+    total size w (the d-quotient bijection), taken once per weight, so no
+    partition is listed.  CrossCheckError is raised unless the walk finds
+    c_d(k) cores of each size k = n - d*w (Garvan-Kim-Stanton), for every
+    d.  The callers check the counts: gl blocks against |Irr(C_d wr S_w)|
+    per block and p(n) in all, valuation_census against its block series;
+    the tests against the groups of partitions_by_core.  The mapping is
+    read-only, as it is shared.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if d < 1:
         raise ValueError("d must be at least 1")
-    if d > n:
-        return MappingProxyType(dict.fromkeys(_core_walk(n, d), 1))
-    runners, count_bits = d, n.bit_length()  # a runner holds at most n beads
-    unit = [1 << (count_bits * r) for r in range(runners)]
-    tally: dict[int, int] = defaultdict(int)
-
-    def walk(remaining: int, low: int, depth: int, key: int) -> None:
-        # The row of part a at depth k has bead a + k, as in _core_walk.
-        while True:
-            for part in range(low + 1, remaining // 2 + 1):
-                walk(remaining - part, part, depth + 1, key + unit[(part + depth) % runners])
-            tally[key + unit[(remaining + depth) % runners]] += 1
-            if 2 * low > remaining:
-                return
-            key += unit[(low + depth) % runners]
-            remaining -= low
-            depth += 1
-
-    walk(n, 1, 0, 0)  # n > 0, as d > n otherwise
-    core_of = _core_decoder(runners, count_bits)
-    census: dict[Partition, int] = defaultdict(int)
-    for key, count in tally.items():
-        census[core_of(key)] += count
-    return MappingProxyType(dict(census))
+    cores = _core_walk(n, d)
+    weights = Counter(cores.values())
+    if [weights[w] for w in range(n // d + 1)] != _core_counts(n, d)[n::-d]:
+        raise CrossCheckError(f"the {d}-cores walked for n = {n} are not c_{d}(n - {d}w) in number")
+    sizes = {w: partition_tuple_count(d, w) for w in weights}
+    return MappingProxyType({core: sizes[w] for core, w in cores.items()})
 
 
-def _core_counts(n: int, p: int) -> list[int]:
-    """c_p(k) for k <= n: the coefficients of prod_k (1 - x^(pk))^p / (1 - x^k)."""
+def _core_counts(n: int, d: int) -> list[int]:
+    """c_d(k) for k <= n: the coefficients of prod_k (1 - x^(dk))^d / (1 - x^k)."""
     counts = [partition_count(k) for k in range(n + 1)]
-    for step in range(p, n + 1, p):
-        for _ in range(p):
+    for step in range(d, n + 1, d):
+        for _ in range(d):
             for k in range(n, step - 1, -1):
                 counts[k] -= counts[k - step]
     return counts
@@ -463,40 +444,40 @@ def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[tuple[int, int]
     nu_p((pw)!) - valuation in its block of weight w, and p'-degree iff the
     valuation is nu_p(n!).  It is w plus the valuations of the p partitions
     of lam's p-quotient, so each block of weight w has the distribution
-    x^w [t^w] G(t)^p of _block_series, and only the cores are walked
-    (_core_walk).  CrossCheckError is raised unless the walk finds c_p(k)
-    cores of each size k (Garvan-Kim-Stanton), each weight w counts
-    partition_tuple_count(p, w) partitions, and no valuation exceeds
-    nu_p(n!), which would make some degree fractional.  The mapping is
-    read-only, since every caller shares the cached value.
+    x^w [t^w] G(t)^p of _block_series, and only the cores are walked: they
+    are the keys of core_census(n, p), which checks them against the
+    Garvan-Kim-Stanton count.  CrossCheckError is raised unless each
+    weight's distribution counts as many partitions as core_census gives
+    its blocks, and no valuation exceeds nu_p(n!), which would make some
+    degree fractional.  The mapping is read-only, since every caller shares
+    the cached value.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not is_prime(p):
         raise ValueError("p must be prime")
     target = nu_factorial(n, p)
-    cores = _core_walk(n, p)
-    weights = Counter(cores.values())
-    if [weights[w] for w in range(n // p + 1)] != _core_counts(n, p)[n::-p]:
-        raise CrossCheckError(f"the {p}-cores walked for n = {n} are not c_{p}(n - {p}w) in number")
+    census = core_census(n, p)
+    weights = {core: (n - sum(core)) // p for core in census}
     blocks, pairs = _block_series(n // p, p), {}
-    for w in weights:
-        if sum(blocks[w].values()) != partition_tuple_count(p, w):
+    for w, members in {w: census[core] for core, w in weights.items()}.items():
+        if sum(blocks[w].values()) != members:
             raise CrossCheckError(f"weight {w} distribution does not count the {p}-quotients")
         pairs[w] = tuple(sorted((value + w, count) for value, count in blocks[w].items()))
         if pairs[w][-1][0] > target:
             raise CrossCheckError(f"hook valuation {pairs[w][-1][0]} exceeds nu_{p}({n}!) = {target}")
-    return MappingProxyType({core: pairs[w] for core, w in cores.items()})
+    return MappingProxyType({core: pairs[w] for core, w in weights.items()})
 
 
 def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     """Number of partitions of n with the given d-core.
 
-    Read off the census of all partitions of n by d-core (core_census), then
-    cross-checked against the d-quotient bijection (d-tuples of partitions
-    of total size (n - |core|)/d).  Returns 0 when n - |core| is negative or
-    not divisible by d; raises ValueError if core is not actually a d-core.
-    Its caller is gl blocks, through unipotent_block_series_size.
+    Read off core_census, which gives a core of weight w the d-quotient count
+    partition_tuple_count(d, w), so nothing here compares the two.  Returns 0
+    when n - |core| is negative or not divisible by d; raises ValueError if
+    core is not actually a d-core.  Its caller is gl blocks, through
+    unipotent_block_series_size, which checks the count against
+    |Irr(C_d wr S_w)|.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -505,13 +486,7 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     rest = n - sum(core)
     if rest < 0 or rest % d != 0:
         return 0
-    census = core_census(n, d).get(core, 0)
-    expected = partition_tuple_count(d, rest // d)
-    if census != expected:
-        raise CrossCheckError(
-            f"core census {census} != d-quotient count {expected} for n={n}, d={d}"
-        )
-    return census
+    return core_census(n, d).get(core, 0)
 
 
 def _beta_bits(lam: Partition) -> int:

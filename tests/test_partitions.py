@@ -405,6 +405,47 @@ def test_core_census_above_n_takes_the_cores_from_the_walk(monkeypatch):
     assert decoded == []
 
 
+def test_core_census_matches_the_listing_oracle_past_small_n():
+    # The census count of each core is the d-quotient count; the listed groups are the members.
+    for n, d in ((40, 2), (40, 3), (36, 4), (36, 5), (30, 6)):
+        groups = partitions_by_core(n, d)
+        assert dict(core_census(n, d)) == {core: len(group) for core, group in groups.items()}
+
+
+def _walk_dropping_a_core(n, d, walk=partitions._core_walk):
+    cores = walk(n, d)
+    del cores[next(iter(cores))]
+    return cores
+
+
+@pytest.mark.parametrize("n, d", [(12, 4), (14, 6), (9, 2)])
+def test_core_census_refuses_a_walk_that_drops_a_core(n, d, monkeypatch):
+    # Garvan-Kim-Stanton counts the d-cores for every d, composite d too.
+    core_census.cache_clear()
+    monkeypatch.setattr(partitions, "_core_walk", _walk_dropping_a_core)
+    try:
+        with pytest.raises(CrossCheckError, match="cores walked"):
+            core_census(n, d)
+    finally:
+        core_census.cache_clear()
+
+
+def test_partitions_by_core_above_n_decodes_no_key(monkeypatch):
+    # For d > n each partition is its own d-core, so no bead counts become a core.
+    decoded = []
+    real = partitions._core_of_counts
+    monkeypatch.setattr(
+        partitions, "_core_of_counts", lambda counts, d: decoded.append(d) or real(counts, d)
+    )
+    partitions_by_core.cache_clear()
+    try:
+        groups = partitions_by_core(20, 21)
+    finally:
+        partitions_by_core.cache_clear()
+    assert dict(groups) == {lam: (lam,) for lam in enumerate_partitions(20)}
+    assert decoded == []
+
+
 def test_partitions_by_core_example_and_guards():
     groups = partitions_by_core(4, 3)
     assert dict(groups) == {(1,): ((4,), (2, 2), (1, 1, 1, 1)), (3, 1): ((3, 1),),
@@ -480,20 +521,16 @@ def test_core_counts_match_the_cores_listed():
 
 
 def test_valuation_census_refuses_a_walk_that_drops_a_core(monkeypatch):
-    real_walk = partitions._core_walk
-
-    def dropping(n, d):
-        cores = real_walk(n, d)
-        del cores[next(iter(cores))]
-        return cores
-
+    # valuation_census reads its cores from core_census: neither may be cached.
     valuation_census.cache_clear()
-    monkeypatch.setattr(partitions, "_core_walk", dropping)
+    core_census.cache_clear()
+    monkeypatch.setattr(partitions, "_core_walk", _walk_dropping_a_core)
     try:
         with pytest.raises(CrossCheckError, match="cores walked"):
             valuation_census(12, 3)
     finally:
         valuation_census.cache_clear()
+        core_census.cache_clear()
 
 
 def test_valuation_census_examples_and_guards():

@@ -480,6 +480,50 @@ def test_gl_blocks_above_the_census_bound_is_cli_error_and_sweep_skip(
     assert capsys.readouterr().err == f"skip gl_blocks ell=7 n=61 q=2: {reason}\n"
 
 
+def _no_walk(n, d):
+    raise AssertionError("a refused cell walked its cores")
+
+
+@pytest.mark.parametrize("command", [["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]])
+def test_census_cells_above_the_block_bound_walk_no_core(command, capsys, monkeypatch):
+    # The 13-cores of the sizes 200 - 13w are counted before any walk, and there are too many.
+    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "200")
+    monkeypatch.setattr(partitions, "_core_walk", _no_walk)
+    assert main([*command, "--n", "200", "--p", "13"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: n=200 has 35726285 blocks (13-cores), more than the block bound 10000\n"
+    )
+
+
+def test_gl_blocks_above_the_block_bound_is_cli_error_and_sweep_skip(
+    tmp_path, capsys, monkeypatch
+):
+    # d = 1 000 002 > n: every partition of 40 is its own d-core, one block each.
+    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    monkeypatch.setattr(partitions, "_core_walk", _no_walk)
+    values = {"n": 40, "q": 2, "ell": 1000003}
+    reason = "n=40 has 37338 blocks (1000002-cores), more than the block bound 10000"
+    assert main(_cli_argv("gl_blocks", values)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+    assert main(_sweep_argv(tmp_path, "gl_blocks", values)) == 0
+    assert capsys.readouterr().err == f"skip gl_blocks ell=1000003 n=40 q=2: {reason}\n"
+
+
+@pytest.mark.parametrize("name", ["sym_bhz", "sym_am", "sym_blocks"])
+def test_block_bound_refuses_only_above_it(name, monkeypatch):
+    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    # S_22 has 137 7-blocks: a bound of 137 admits the cell, and one of 136 refuses it.
+    monkeypatch.setattr(cli, "BLOCK_BOUND", 137)
+    assert CHECKS[name].refusal({"n": 22, "p": 7}) is None
+    monkeypatch.setattr(cli, "BLOCK_BOUND", 136)
+    reason = "n=22 has 137 blocks (7-cores), more than the block bound 136"
+    assert CHECKS[name].refusal({"n": 22, "p": 7}) == reason
+
+
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_precondition_is_cli_error_and_sweep_skip(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
