@@ -16,7 +16,6 @@ from .glq_blocks import (
     GlUnipotentBlockLabel,
     d_ell,
     series_is_lprime,
-    unipotent_block_series_size,
     unipotent_blocks,
     unipotent_is_lprime,
     verify_gl_mckay,
@@ -29,7 +28,6 @@ from .glq_chars import (
     gl_order,
     green_degree,
     irr_pprime_count_gl,
-    irreducible_poly_count,
     unipotent_degree,
 )
 from .partitions import (

@@ -14,15 +14,16 @@ M = (C_{q^d-1} x| C_d) wr S_w x GL_r(q), n = wd + r, which contains the
 Sylow ell-normalizer; the wreath_local engine builds M's degree multiset
 (checked against |M|) and counts its ell'-characters, as it does GL_n(q)'s.
 
-Unipotent ell-blocks are labelled by d-cores: the labels are the keys of
-the d-core census ``core_census(n, d)``, so no core is recomputed
-from a member.  The census walks only the d-cores, checked in number by
-Garvan-Kim-Stanton, and gives each the d-tuple convolution count; that
-series size must equal |Irr(C_d wr S_w)| from wreath degrees, and the
-sizes must sum to p(n).  The tests compare the census with the listed
-partitions.  The d-core classification is backed by theory for
-ell >= 7; below that threshold labels read verified=False rather than
-being refused.
+Unipotent ell-blocks are labelled by d-cores at every prime ell not
+dividing q: for ell odd by Fong-Srinivasan (Invent. Math. 69 (1982)), and
+for ell = 2, where d = 1 gives the one core (), by Broue (Asterisque
+133-134 (1986)), who shows there is one unipotent 2-block.  The labels are
+the keys of the d-core census ``core_census(n, d)``, so no core is
+recomputed from a member.  The census walks only the d-cores, checked in
+number by Garvan-Kim-Stanton, and gives each the d-tuple convolution
+count; gl blocks compares each block's count with |Irr(C_d wr S_w)| from
+wreath degrees, one report per block, and their sum with p(n).  The tests
+compare the census with the listed partitions.
 """
 
 from __future__ import annotations
@@ -43,25 +44,17 @@ from .glq_chars import (
     semisimple_class_count,
     unipotent_degree,
 )
-from .partitions import (
-    Partition,
-    core_census,
-    count_partitions_with_core,
-    d_core,
-)
+from .partitions import Partition, core_census, d_core
 from .report import VerificationReport
 from .wreath_local import (
     DegreeMultiset,
     MetacyclicSpec,
-    cyclic_wreath_character_count,
     direct_product,
     irr_lprime_count,
     metacyclic_degrees,
     wreath_degrees,
 )
 
-# Smallest ell at which the d-core block classification is certified.
-CERTIFIED_MIN_ELL = 7
 # Largest q^d - 1 whose local base C_{q^d-1} x| C_d gl mckay will list: the
 # orbit scan of metacyclic_degrees is linear in it (about 0.4 s at 2^20).
 LOCAL_BASE_BOUND = 1 << 20
@@ -244,15 +237,6 @@ class GlUnipotentBlockLabel:
     core: Partition
     weight: int
 
-    @property
-    def n(self) -> int:
-        return sum(self.core) + self.context.d * self.weight
-
-    @property
-    def verified(self) -> bool:
-        """False below ell = 7, where the d-core combinatorics applies but is not certified."""
-        return self.context.ell >= CERTIFIED_MIN_ELL
-
 
 def unipotent_blocks(n: int, context: EllContext) -> tuple[GlUnipotentBlockLabel, ...]:
     """All unipotent block labels of GL_n(q) in the given context, largest weight first.
@@ -265,17 +249,3 @@ def unipotent_blocks(n: int, context: EllContext) -> tuple[GlUnipotentBlockLabel
     )
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
-
-def unipotent_block_series_size(label: GlUnipotentBlockLabel) -> int:
-    """Number of unipotent characters in the block, by two independent routes.
-
-    The census count of the d-core, which core_census takes from the d-tuple
-    convolution over the cores it walked, is compared with |Irr(C_d wr S_w)|
-    (the relative Weyl group G(d,1,w)) from wreath-degree enumeration.  They
-    must agree; gl blocks also checks the sum over all blocks against p(n).
-    """
-    census = count_partitions_with_core(label.n, label.context.d, label.core)
-    weyl = cyclic_wreath_character_count(label.context.d, label.weight)
-    if census != weyl:
-        raise CrossCheckError(f"series size routes disagree for {label}: {census}, {weyl}")
-    return census

@@ -4,9 +4,10 @@ No finite-field elements are ever constructed.  A semisimple class is
 determined by the factorization type of its characteristic polynomial into
 distinct monic irreducibles (degree d_i, multiplicity m_i, sum d_i m_i = n),
 and every count or degree we need depends only on that type plus the number
-of available irreducibles per degree (q - 1 in degree one, the Moebius
-necklace count N_d(q) above).  Characters are labelled (type, one partition
-of m_i per polynomial); the degree is
+of available irreducibles per degree other than X (the Frobenius orbits
+of size d on the nonzero elements of F_{q^d}: q - 1 in degree one).
+Characters are labelled (type, one partition of m_i per polynomial); the
+degree is
 
     |G : C(s)|_{p'} * prod_i (unipotent degree of lam^i over q^{d_i})
 
@@ -56,23 +57,19 @@ def gl_order(n: int, q: int) -> int:
     return q ** (n * (n - 1) // 2) * _gl_pprime_part(n, q)
 
 
-def irreducible_poly_count(d: int, q: int) -> int:
-    """Number of monic irreducible polynomials of degree d over F_q (necklace count)."""
-    if d < 1 or q < 2:
-        raise ValueError("need d >= 1 and q >= 2")
-    total = sum(moebius(d // e) * q**e for e in divisors(d))
-    count, rem = divmod(total, d)
-    if rem:
-        raise CrossCheckError("necklace count not integral")
-    return count
-
-
 @lru_cache(maxsize=None)
 def available_poly_count(d: int, q: int) -> int:
-    """Eligible irreducibles of degree d (the factor X is excluded in degree 1)."""
-    if d == 1:
-        return q - 1
-    return irreducible_poly_count(d, q)
+    """Monic irreducibles of degree d over F_q other than X: (1/d) sum_{e|d} mu(d/e) (q^e - 1).
+
+    They are the Frobenius orbits of size d on the nonzero elements of
+    F_{q^d}, so at d = 1 the count is q - 1, with no special case.
+    """
+    if d < 1 or q < 2:
+        raise ValueError("need d >= 1 and q >= 2")
+    count, rem = divmod(sum(moebius(d // e) * (q**e - 1) for e in divisors(d)), d)
+    if rem:
+        raise CrossCheckError("orbit count not integral")
+    return count
 
 
 def enumerate_class_types(n: int, q: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:

@@ -366,10 +366,10 @@ def core_census(n: int, d: int) -> Mapping[Partition, int]:
     total size w (the d-quotient bijection), taken once per weight, so no
     partition is listed.  CrossCheckError is raised unless the walk finds
     c_d(k) cores of each size k = n - d*w (Garvan-Kim-Stanton), for every
-    d.  The callers check the counts: gl blocks against |Irr(C_d wr S_w)|
-    per block and p(n) in all, valuation_census against its block series;
-    the tests against the groups of partitions_by_core.  The mapping is
-    read-only, as it is shared.
+    d.  The callers check the counts: gl blocks against |Irr(C_d wr S_w)|,
+    one report per block, and against p(n) in all; valuation_census against
+    its block series; the tests against the groups of partitions_by_core.
+    The mapping is read-only, as it is shared.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -475,9 +475,8 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     Read off core_census, which gives a core of weight w the d-quotient count
     partition_tuple_count(d, w), so nothing here compares the two.  Returns 0
     when n - |core| is negative or not divisible by d; raises ValueError if
-    core is not actually a d-core.  Its caller is gl blocks, through
-    unipotent_block_series_size, which checks the count against
-    |Irr(C_d wr S_w)|.
+    core is not actually a d-core.  gl blocks reads core_census itself; the
+    acceptance tests compare this count with |Irr(C_d wr S_w)|.
     """
     if d < 1:
         raise ValueError("d must be at least 1")

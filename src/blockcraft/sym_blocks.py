@@ -20,8 +20,9 @@ each member of ``partitions_by_core``.
 Alperin-McKay counting is implemented in the abelian-defect regime w < p,
 where the Brauer correspondent's character count is |Irr((C_p x| C_{p-1}) wr S_w)|,
 built from explicit degree enumeration once per (p, w); the global side is
-the census count, checked against the d-quotient count of p-tuples of
-partitions, so the two sides of the comparison never share code.
+the block's count in valuation_census, which core_census takes from the
+p-quotient count of p-tuples of partitions, so the two sides of the
+comparison never share code.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .partitions import (
     enumerate_partitions,
     hook_valuation,
     is_core,
-    partition_tuple_count,
     partitions_by_core,
     valuation_census,
 )
@@ -195,9 +195,8 @@ def _am_local_group(p: int, w: int) -> DegreeMultiset:
 def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
     """Alperin-McKay count for an abelian-defect block (weight < p).
 
-    Global side: the block's members in valuation_census, checked against
-    the d-quotient count of p-tuples of partitions of total size w.  Local
-    side: |Irr((C_p x| C_{p-1}) wr S_w)| built from explicit degree
+    Global side: the block's members in valuation_census, whose total
+    valuation_census checks against the p-quotient count.  Local side: |Irr((C_p x| C_{p-1}) wr S_w)| built from explicit degree
     enumeration; with w < p the defect group is C_p^w and this wreath product
     is the relevant local quotient.  Also checks that all local degrees are
     p' and all members have height zero (abelian defect forces both).
@@ -209,11 +208,6 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
     p, w = label.p, label.weight
     heights = block_heights(label)
     global_count = sum(members for _, members in heights)
-    expected = partition_tuple_count(p, w)
-    if global_count != expected:
-        raise CrossCheckError(
-            f"core census {global_count} != d-quotient count {expected} for block {label}"
-        )
 
     local = _am_local_group(p, w)
     local_count = local.character_count

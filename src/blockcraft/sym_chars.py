@@ -92,20 +92,17 @@ def sym_degree(lam: Partition) -> int:
 def irr_pprime_count_sym(n: int, p: int) -> int:
     """|Irr_{p'}(S_n)|: partitions of n whose hook product has the p-valuation of n!.
 
-    Read off ``partitions.valuation_census``, which walks only the p-cores;
-    a valuation above nu_p(n!) would make a degree fractional, and raises
-    CrossCheckError.
+    Read off ``partitions.valuation_census``, which walks only the p-cores
+    and raises CrossCheckError on a valuation above nu_p(n!), which would
+    make a degree fractional.
     """
-    census = valuation_census(n, p)
     target = nu_factorial(n, p)
-    count = 0
-    for pairs in census.values():
-        for valuation, members in pairs:
-            if valuation > target:
-                raise CrossCheckError(f"hook valuation {valuation} exceeds nu_{p}({n}!) = {target}")
-            if valuation == target:
-                count += members
-    return count
+    return sum(
+        members
+        for pairs in valuation_census(n, p).values()
+        for valuation, members in pairs
+        if valuation == target
+    )
 
 
 def macdonald_count(n: int) -> int:

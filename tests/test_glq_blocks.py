@@ -5,25 +5,24 @@ from functools import cache
 
 import pytest
 
-from blockcraft import glq_blocks, partitions
+from blockcraft import glq_blocks
 from blockcraft.arith import multiplicative_order
 from blockcraft.cli import main
-from blockcraft.errors import CrossCheckError
 from blockcraft.glq_blocks import (
     EllContext,
     GlUnipotentBlockLabel,
     d_ell,
     series_is_lprime,
-    unipotent_block_series_size,
     unipotent_blocks,
     unipotent_is_lprime,
     verify_gl_mckay,
     verify_gl_mckay_defining,
 )
 from blockcraft.glq_chars import all_degrees, enumerate_series_labels, gl_order, green_degree
-from blockcraft.partitions import d_core, enumerate_partitions, partition_count
+from blockcraft.partitions import core_census, d_core, enumerate_partitions, partition_count
 from blockcraft.wreath_local import (
     MetacyclicSpec,
+    cyclic_wreath_character_count,
     irr_lprime_count,
     metacyclic_degrees,
     wreath_degrees,
@@ -105,7 +104,7 @@ def test_unipotent_blocks_above_n_keep_the_abacus_small():
     tracemalloc.start()
     try:
         labels = unipotent_blocks(4, context)
-        sizes = [unipotent_block_series_size(label) for label in labels]
+        sizes = [core_census(4, context.d)[label.core] for label in labels]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -293,8 +292,7 @@ def oracle_block_of(lam, context):
 def test_unipotent_block_of_examples():
     ctx = EllContext.of(2, 7)  # d = 3
     label = oracle_block_of((1, 1, 1, 1), ctx)
-    assert (label.core, label.weight, label.n) == ((1,), 1, 4)
-    assert label.verified
+    assert (label.core, label.weight) == ((1,), 1)
 
     label = oracle_block_of((2, 1, 1), ctx)
     assert (label.core, label.weight) == ((2, 1, 1), 0)
@@ -302,52 +300,31 @@ def test_unipotent_block_of_examples():
     label = oracle_block_of((2,), ctx)
     assert (label.core, label.weight) == ((2,), 0)
 
-    small = oracle_block_of((1, 1, 1, 1), EllContext.of(2, 3))
-    assert not small.verified
-
 
 def test_unipotent_blocks_partition_everything():
     ctx = EllContext.of(2, 7)
     for n in range(0, 13):
         labels = unipotent_blocks(n, ctx)
-        total = sum(unipotent_block_series_size(lab) for lab in labels)
+        total = sum(core_census(n, ctx.d)[lab.core] for lab in labels)
         assert total == partition_count(n)
 
 
 @pytest.mark.parametrize("q,ell", [(8, 7), (13, 7), (2, 7), (2, 31), (2, 127), (2, 3)])
 def test_unipotent_blocks_match_per_partition_labels(q, ell):
-    ctx = EllContext.of(q, ell)  # d = 1, 2, 3, 5, 7, and an unverified ell = 3
+    ctx = EllContext.of(q, ell)  # d = 1, 2, 3, 5, 7, and ell = 3
     for n in range(0, 17):
         per_partition = {oracle_block_of(lam, ctx) for lam in enumerate_partitions(n)}
         expected = sorted(per_partition, key=lambda lab: (lab.weight, lab.core), reverse=True)
         assert unipotent_blocks(n, ctx) == tuple(expected)
 
 
-def test_unipotent_block_series_size_examples():
-    ctx = EllContext.of(2, 7)  # d = 3
-    label = GlUnipotentBlockLabel(context=ctx, core=(1,), weight=1)
-    assert unipotent_block_series_size(label) == 3
-
-    label = GlUnipotentBlockLabel(context=ctx, core=(2, 1, 1), weight=0)
-    assert unipotent_block_series_size(label) == 1
-
-    ctx2 = EllContext.of(13, 7)  # d = 2
-    label = GlUnipotentBlockLabel(context=ctx2, core=(), weight=2)
-    assert unipotent_block_series_size(label) == 5
-
-
-@pytest.mark.parametrize(
-    "module, route",
-    [(glq_blocks, "cyclic_wreath_character_count"), (partitions, "partition_tuple_count")],
-    ids=["weyl", "tuples"],
-)
-def test_unipotent_block_series_size_raises_when_a_route_disagrees(monkeypatch, module, route):
-    label = GlUnipotentBlockLabel(context=EllContext.of(13, 7), core=(), weight=2)
-    # core_census takes the d-tuple count once per (n, d): a cached census would hide the patch.
-    partitions.core_census.cache_clear()
-    monkeypatch.setattr(module, route, lambda d, w: 6)
-    try:
-        with pytest.raises(CrossCheckError):
-            unipotent_block_series_size(label)
-    finally:
-        partitions.core_census.cache_clear()
+def test_block_census_sizes_examples():
+    # A block's census count is |Irr(C_d wr S_w)|, which gl blocks compares it with.
+    for q, core, weight, size in (
+        (2, (1,), 1, 3),  # d = 3
+        (2, (2, 1, 1), 0, 1),
+        (13, (), 2, 5),  # d = 2
+    ):
+        d = EllContext.of(q, 7).d
+        assert core_census(sum(core) + d * weight, d)[core] == size
+        assert cyclic_wreath_character_count(d, weight) == size

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from blockcraft import glq_chars
-from blockcraft.arith import prime_power_radical
+from blockcraft.arith import divisors, moebius, prime_power_radical
 from blockcraft.glq_chars import (
     SeriesLabel,
     all_degrees,
@@ -17,7 +17,6 @@ from blockcraft.glq_chars import (
     gl_order,
     green_degree,
     irr_pprime_count_gl,
-    irreducible_poly_count,
     semisimple_class_count,
     unipotent_degree,
 )
@@ -80,10 +79,17 @@ def test_gl_order_examples():
     assert gl_order(0, 7) == 1
 
 
+def oracle_irreducible_poly_count(d: int, q: int) -> int:
+    """Monic irreducibles of degree d over F_q, X included: the necklace count."""
+    count, rem = divmod(sum(moebius(d // e) * q**e for e in divisors(d)), d)
+    assert not rem, "necklace count not integral"
+    return count
+
+
 def test_irreducible_poly_count_examples():
-    assert irreducible_poly_count(1, 5) == 5
-    assert irreducible_poly_count(2, 3) == 3
-    assert irreducible_poly_count(3, 2) == 2
+    assert oracle_irreducible_poly_count(1, 5) == 5
+    assert oracle_irreducible_poly_count(2, 3) == 3
+    assert oracle_irreducible_poly_count(3, 2) == 2
     assert available_poly_count(1, 5) == 4
     assert available_poly_count(2, 3) == 3
 
@@ -93,9 +99,17 @@ def test_poly_count_census():
     for q in (2, 3, 4, 5):
         for m in (1, 2, 3, 4, 6):
             total = sum(
-                d * irreducible_poly_count(d, q) for d in range(1, m + 1) if m % d == 0
+                d * oracle_irreducible_poly_count(d, q) for d in range(1, m + 1) if m % d == 0
             )
             assert total == q**m
+
+
+def test_available_poly_count_is_the_necklace_count_without_x():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for d in range(1, 13):
+            assert available_poly_count(d, q) == oracle_irreducible_poly_count(d, q) - (d == 1)
+    with pytest.raises(ValueError):
+        available_poly_count(0, 2)
 
 
 def test_enumerate_class_types_gl2_f2():
@@ -112,7 +126,7 @@ def test_class_type_functions_refuse_q_below_2(q):
     with pytest.raises(ValueError):
         semisimple_class_count(3, q)
     with pytest.raises(ValueError):
-        irreducible_poly_count(1, q)
+        available_poly_count(1, q)
 
 
 def _class_count_by_comb(entries, q):

@@ -533,6 +533,25 @@ def test_valuation_census_refuses_a_walk_that_drops_a_core(monkeypatch):
         core_census.cache_clear()
 
 
+def test_valuation_census_refuses_a_series_that_miscounts_the_quotients(monkeypatch):
+    # One partition short in the weight-4 distribution: the block of () in S_12 at p = 3
+    # has 3-tuples of partitions of total size 4, one more than it would count.
+    real_series = partitions._block_series
+
+    def short(top, p):
+        series = real_series(top, p)
+        series[top][max(series[top])] -= 1
+        return series
+
+    valuation_census.cache_clear()
+    monkeypatch.setattr(partitions, "_block_series", short)
+    try:
+        with pytest.raises(CrossCheckError, match="weight 4 distribution does not count"):
+            valuation_census(12, 3)
+    finally:
+        valuation_census.cache_clear()
+
+
 def test_valuation_census_examples_and_guards():
     assert dict(valuation_census(0, 2)) == {(): ((0, 1),)}
     # S_4 at p = 2: one block; degrees 1, 3, 2, 3, 1 have hook valuations 3, 3, 2, 3, 3.

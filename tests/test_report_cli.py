@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockcraft.cli as cli
-from blockcraft import glq_blocks, partitions, sym_blocks
+from blockcraft import glq_blocks, partitions, sym_blocks, wreath_local
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
@@ -187,10 +188,15 @@ def test_cli_am_spot_value_json(capsys):
     assert principal[0]["local_count"] == "20"
 
 
-def test_cli_gl_blocks_small_ell_flagged(capsys):
-    assert main(["gl", "blocks", "--n", "4", "--q", "2", "--ell", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "not certified" in out
+def test_cli_gl_blocks_small_ell_is_not_flagged(capsys):
+    # d-cores label the unipotent blocks at every ell not dividing q, ell = 2 included.
+    for q, ell in ((3, 2), (2, 3), (2, 5)):
+        argv = ["gl", "blocks", "--n", "4", "--q", str(q), "--ell", str(ell), "--format", "json"]
+        assert main(argv) == 0
+        *blocks, total = json.loads(capsys.readouterr().out)
+        for row in blocks:
+            assert row["notes"] == [f"relative Weyl group count {row['local_count']}"]
+        assert total["notes"] == [f"blocks {len(blocks)}"]
 
 
 def test_cli_gl_mckay_large_cyclic_base(capsys):
@@ -341,6 +347,30 @@ def test_gl_blocks_cell_lists_no_partition_of_n(monkeypatch):
     calls = _count_calls(monkeypatch, "enumerate_partitions")
     assert main(["gl", "blocks", "--n", "16", "--q", "2", "--ell", "7"]) == 0
     assert all(t <= 16 // 3 for (t,) in calls["enumerate_partitions"]), calls
+
+
+@pytest.mark.parametrize(
+    "module, route",
+    [(cli, "cyclic_wreath_character_count"), (partitions, "partition_tuple_count")],
+    ids=["weyl", "tuples"],
+)
+def test_gl_blocks_rows_fail_when_a_route_disagrees(module, route, capsys, monkeypatch):
+    # GL_5(13) at ell = 7 (d = 2) has the blocks (1), weight 2, and (2, 1), weight 1.
+    real = getattr(module, route)
+    # core_census takes the d-tuple count once per (n, d): a cached census would hide the patch.
+    partitions.core_census.cache_clear()
+    monkeypatch.setattr(module, route, lambda d, w: real(d, w) + 1)
+    try:
+        assert main(["gl", "blocks", "--n", "5", "--q", "13", "--ell", "7", "--format", "json"]) == 2
+    finally:
+        partitions.core_census.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    *blocks, total = json.loads(captured.out)
+    assert len(blocks) == 2
+    assert not any(row["passed"] for row in blocks)
+    # The census total is compared with p(n), which the Weyl group count does not enter.
+    assert total["passed"] is (route == "cyclic_wreath_character_count")
 
 
 def test_sym_am_builds_each_local_group_once(monkeypatch):
@@ -511,6 +541,36 @@ def test_gl_blocks_above_the_block_bound_is_cli_error_and_sweep_skip(
     assert captured.err == f"error: {reason}\n"
     assert main(_sweep_argv(tmp_path, "gl_blocks", values)) == 0
     assert capsys.readouterr().err == f"skip gl_blocks ell=1000003 n=40 q=2: {reason}\n"
+
+
+def _no_weyl_group(m, w):
+    raise AssertionError("a refused cell built C_m wr S_w")
+
+
+def test_gl_blocks_past_the_weight_bound_is_cli_error_and_sweep_skip(
+    tmp_path, capsys, monkeypatch
+):
+    # d_3(4) = 1: GL_60(4) has one unipotent 3-block, of weight 60, and |Irr(S_60)|
+    # would be counted from the degrees of S_t for every t <= 60.
+    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    monkeypatch.setattr(wreath_local, "_cyclic_wreath_degrees", _no_weyl_group)
+    values = {"n": 60, "q": 4, "ell": 3}
+    reason = "weight n // d = 60 exceeds the weight bound 40"
+    start = time.perf_counter()
+    assert main(_cli_argv("gl_blocks", values)) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+    assert main(_sweep_argv(tmp_path, "gl_blocks", values)) == 0
+    assert capsys.readouterr().err == f"skip gl_blocks ell=3 n=60 q=4: {reason}\n"
+    # The bound is fixed: BLOCKCRAFT_MAX_N does not raise it.  Weight 40 is admitted.
+    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "200")
+    assert CHECKS["gl_blocks"].refusal(values) == reason
+    assert CHECKS["gl_blocks"].refusal({**values, "n": 40}) is None
+    assert CHECKS["gl_blocks"].refusal({"n": 82, "q": 2, "ell": 3}) == (
+        "weight n // d = 41 exceeds the weight bound 40"
+    )
 
 
 @pytest.mark.parametrize("name", ["sym_bhz", "sym_am", "sym_blocks"])

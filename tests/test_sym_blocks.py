@@ -144,13 +144,6 @@ def test_block_heights_checks(monkeypatch):
         block_heights(label)
 
 
-def test_am_census_is_checked_against_the_quotient_count(monkeypatch):
-    label = SymBlockLabel(p=5, core=(), weight=2)
-    monkeypatch.setattr(sym_blocks, "valuation_census", lambda n, p: {(): ((2, 19),)})
-    with pytest.raises(CrossCheckError, match="core census 19 != d-quotient count 20"):
-        am_verify_abelian(label)
-
-
 def test_block_labels_at_a_huge_prime():
     p = 1000000007
     labels = block_labels(4, p)

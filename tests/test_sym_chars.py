@@ -79,16 +79,12 @@ def test_irr_pprime_count_lists_no_partitions():
     assert enumerate_partitions.cache_info().currsize == 0
 
 
-def test_irr_pprime_count_guards(monkeypatch):
+def test_irr_pprime_count_guards():
     assert irr_pprime_count_sym(0, 2) == 1
     with pytest.raises(ValueError):
         irr_pprime_count_sym(-2, 2)
     with pytest.raises(ValueError):
         irr_pprime_count_sym(6, 4)
-    # A hook valuation above nu_p(n!) would make a degree fractional.
-    monkeypatch.setattr(sym_chars, "nu_factorial", lambda n, p: 0)
-    with pytest.raises(CrossCheckError):
-        irr_pprime_count_sym(6, 2)
 
 
 def test_macdonald_examples():
