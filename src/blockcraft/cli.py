@@ -114,10 +114,6 @@ class Check:
 # Most blocks (d-cores of the sizes n - d*w) a census cell may report on, one
 # report or note each: their number grows fast with d (57 741 at n = 60, d = 13).
 BLOCK_BOUND = 10_000
-# Largest weight n // d a gl blocks cell may reach: |Irr(C_d wr S_w)| is counted by
-# listing the degrees of C_d wr S_w (3.2 s and 70 MiB at d = 1, w = 40; 9.8 s and
-# 236 MiB at d = 2, w = 40).
-WEIGHT_BOUND = 40
 
 CHECKS: dict[str, Check] = {}
 # Check name -> runner.  The CLI and sweeps look a runner up here when they
@@ -148,15 +144,11 @@ def _within_block_bound(n: int, p: int) -> str | None:
     return reason
 
 
-def _within_weight_bound(n: int, q: int, ell: int) -> str | None:
-    """Refuse a gl blocks cell at ell | q, past the block bound, or with n // d > WEIGHT_BOUND."""
+def _within_d_block_bound(n: int, q: int, ell: int) -> str | None:
+    """Refuse a gl blocks cell at ell | q, or past the block bound for d = d_ell(q)."""
     if q % ell == 0:
         return f"ell={ell} divides q={q}"
-    d = d_ell(q, ell)
-    reason = _within_block_bound(n, d)
-    if reason is None and n // d > WEIGHT_BOUND:
-        reason = f"weight n // d = {n // d} exceeds the weight bound {WEIGHT_BOUND}"
-    return reason
+    return _within_block_bound(n, d_ell(q, ell))
 
 
 def _within_local_base_bound(n: int, q: int, ell: int) -> str | None:
@@ -342,7 +334,7 @@ def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
     return [verify_gl_mckay(n, q, ell)]
 
 
-@_register("gl_blocks", "gl blocks", precondition=_within_weight_bound)
+@_register("gl_blocks", "gl blocks", precondition=_within_d_block_bound)
 def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
     context = EllContext.of(q, ell)
     blocks = unipotent_blocks(n, context)

@@ -22,8 +22,8 @@ the keys of the d-core census ``core_census(n, d)``, so no core is
 recomputed from a member.  The census walks only the d-cores, checked in
 number by Garvan-Kim-Stanton, and gives each the d-tuple convolution
 count; gl blocks compares each block's count with |Irr(C_d wr S_w)| from
-wreath degrees, one report per block, and their sum with p(n).  The tests
-compare the census with the listed partitions.
+the divisor-sum recurrence, one report per block, and their sum with p(n).
+The tests compare the census with the listed partitions.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .wreath_local import (
 LOCAL_BASE_BOUND = 1 << 20
 
 
-@cache  # a gl mckay cell asks twice: its precondition, then its EllContext
+@cache  # a gl mckay or gl blocks cell asks twice: its precondition, then its EllContext
 def d_ell(q: int, ell: int) -> int:
     """Multiplicative order of q modulo ell (the prime ell must not divide q)."""
     if not is_prime(ell):

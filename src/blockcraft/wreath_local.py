@@ -2,7 +2,8 @@
 
 Every local side is built here, and irr_lprime_count is the one place that
 counts ell'-characters.  Degrees are all we ever need downstream (the
-conjecture checks are pure counts), so no character labels are stored.  The
+conjecture checks are pure counts), so no character labels are stored; one
+count, |Irr(C_d wr S_w)| for gl blocks, is by recurrence and needs none.  The
 constructions are standard Clifford theory:
 
 * For C_m x| C_d acting by x -> u*x, each orbit O of <u> on Z_m = Irr(C_m)
@@ -34,10 +35,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb, factorial
 
-from .arith import is_prime
+from .arith import divisors, is_prime
 from .errors import CrossCheckError
 from .partitions import enumerate_partitions
 from .sym_chars import sym_degree
@@ -156,15 +157,21 @@ def wreath_degrees(base: DegreeMultiset, w: int) -> DegreeMultiset:
     return DegreeMultiset.from_counter(table[w], base.group_order**w * factorial(w))
 
 
-@lru_cache(maxsize=None)
-def _cyclic_wreath_degrees(m: int, w: int) -> DegreeMultiset:
-    """C_m wr S_w; at w = 0 the trivial group, without listing the m characters of C_m."""
-    return wreath_degrees(cyclic_degrees(m), w) if w else TRIVIAL_GROUP
-
-
 def cyclic_wreath_character_count(d: int, w: int) -> int:
-    """|Irr(C_d wr S_w)|, by full degree enumeration."""
-    return _cyclic_wreath_degrees(d, w).character_count
+    """|Irr(C_d wr S_w)| = [t^w] prod_k (1 - t^k)^-d, by w a(w) = d sum_k sigma(k) a(w - k).
+
+    No degree is listed, and every division must be exact.
+    """
+    if w < 0:
+        raise ValueError("w must be nonnegative")
+    sigma = [0] + [sum(divisors(m)) for m in range(1, w + 1)]
+    counts = [1]
+    for m in range(1, w + 1):
+        count, rest = divmod(d * sum(sigma[k] * counts[m - k] for k in range(1, m + 1)), m)
+        if rest:
+            raise CrossCheckError(f"|Irr(C_{d} wr S_{m})|: the divisor sum is not divisible by {m}")
+        counts.append(count)
+    return counts[w]
 
 
 def irr_lprime_count(degrees: DegreeMultiset, ell: int) -> int:

@@ -6,7 +6,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockcraft.cli as cli
-from blockcraft import glq_blocks, partitions, sym_blocks, wreath_local
+from blockcraft import glq_blocks, partitions, sym_blocks
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
@@ -340,13 +339,12 @@ def test_census_cells_list_no_partitions(command, monkeypatch):
 
 
 def test_gl_blocks_cell_lists_no_partition_of_n(monkeypatch):
-    # Labels and census counts come from the counting census.  Only the
-    # relative Weyl group count lists partitions: those of t <= w = n // d,
-    # for the shape tables of C_d wr S_w.
+    # Labels and census counts come from the counting census, and the relative
+    # Weyl group count from the divisor-sum recurrence: no partition is listed.
     partitions.partitions_by_core.cache_clear()
     calls = _count_calls(monkeypatch, "enumerate_partitions")
     assert main(["gl", "blocks", "--n", "16", "--q", "2", "--ell", "7"]) == 0
-    assert all(t <= 16 // 3 for (t,) in calls["enumerate_partitions"]), calls
+    assert not calls["enumerate_partitions"], calls
 
 
 @pytest.mark.parametrize(
@@ -543,34 +541,17 @@ def test_gl_blocks_above_the_block_bound_is_cli_error_and_sweep_skip(
     assert capsys.readouterr().err == f"skip gl_blocks ell=1000003 n=40 q=2: {reason}\n"
 
 
-def _no_weyl_group(m, w):
-    raise AssertionError("a refused cell built C_m wr S_w")
-
-
-def test_gl_blocks_past_the_weight_bound_is_cli_error_and_sweep_skip(
-    tmp_path, capsys, monkeypatch
-):
-    # d_3(4) = 1: GL_60(4) has one unipotent 3-block, of weight 60, and |Irr(S_60)|
-    # would be counted from the degrees of S_t for every t <= 60.
+def test_gl_blocks_of_weight_60_runs_and_every_row_passes(capsys, monkeypatch):
+    # d_3(4) = 1: GL_60(4) has one unipotent 3-block, of weight 60, whose Weyl
+    # group count |Irr(S_60)| = p(60) comes from the divisor-sum recurrence.
     monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
-    monkeypatch.setattr(wreath_local, "_cyclic_wreath_degrees", _no_weyl_group)
-    values = {"n": 60, "q": 4, "ell": 3}
-    reason = "weight n // d = 60 exceeds the weight bound 40"
-    start = time.perf_counter()
-    assert main(_cli_argv("gl_blocks", values)) == 1
-    assert time.perf_counter() - start < 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {reason}\n"
-    assert main(_sweep_argv(tmp_path, "gl_blocks", values)) == 0
-    assert capsys.readouterr().err == f"skip gl_blocks ell=3 n=60 q=4: {reason}\n"
-    # The bound is fixed: BLOCKCRAFT_MAX_N does not raise it.  Weight 40 is admitted.
+    assert main(["gl", "blocks", "--n", "60", "--q", "4", "--ell", "3", "--format", "json"]) == 0
+    block, total = json.loads(capsys.readouterr().out)
+    assert block["local_count"] == total["global_count"] == "966467"
+    assert block["passed"] and total["passed"]
+    # No weight bound remains: weight 41 at d = 2 is admitted once the census bound allows n.
     monkeypatch.setenv("BLOCKCRAFT_MAX_N", "200")
-    assert CHECKS["gl_blocks"].refusal(values) == reason
-    assert CHECKS["gl_blocks"].refusal({**values, "n": 40}) is None
-    assert CHECKS["gl_blocks"].refusal({"n": 82, "q": 2, "ell": 3}) == (
-        "weight n // d = 41 exceeds the weight bound 40"
-    )
+    assert CHECKS["gl_blocks"].refusal({"n": 82, "q": 2, "ell": 3}) is None
 
 
 @pytest.mark.parametrize("name", ["sym_bhz", "sym_am", "sym_blocks"])

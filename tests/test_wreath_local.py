@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from blockcraft import wreath_local
 from blockcraft.arith import primitive_root
 from blockcraft.errors import CrossCheckError
-from blockcraft.partitions import enumerate_partitions, partition_tuple_count
+from blockcraft.partitions import enumerate_partitions, partition_count, partition_tuple_count
 from blockcraft.sym_chars import sym_degree
 from blockcraft.wreath_local import (
     DegreeMultiset,
@@ -220,7 +221,26 @@ def test_wreath_count_is_tuple_count():
     for p, w in ((3, 2), (5, 3), (7, 4), (12, 8)):
         base = cyclic_degrees(p)
         assert wreath_degrees(base, w).character_count == partition_tuple_count(p, w)
-    assert cyclic_wreath_character_count(4, 3) == partition_tuple_count(4, 3)
+
+
+def test_cyclic_wreath_count_recurrence_matches_degrees_and_tuples():
+    # Two oracles that share no formula with the divisor-sum recurrence: the degree
+    # listing of C_d wr S_w, which also checks sum m*deg^2 = |C_d wr S_w|, and the
+    # pentagonal recurrence with the d-fold convolution.
+    for d in range(1, 7):
+        base = cyclic_degrees(d)
+        for w in range(16):
+            count = cyclic_wreath_character_count(d, w)
+            assert count == wreath_degrees(base, w).character_count, (d, w)
+            assert count == partition_tuple_count(d, w), (d, w)
+    # Every w <= 500 costs seconds, since each call recomputes a(0..w): w <= 60, then sparser.
+    for w in [*range(61), *range(100, 501, 50)]:
+        assert cyclic_wreath_character_count(1, w) == partition_count(w), w
+    # A division that is not exact is refused, not rounded: [t] (1 - t)^(-1/2) = 1/2.
+    with pytest.raises(CrossCheckError):
+        cyclic_wreath_character_count(Fraction(1, 2), 1)
+    with pytest.raises(ValueError):
+        cyclic_wreath_character_count(2, -1)
 
 
 def test_frobenius_wreath_count_abelian_defect_regime():
