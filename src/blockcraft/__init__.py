@@ -53,7 +53,6 @@ from .sym_blocks import (
     am_verify_abelian,
     bhz_verify,
     bhz_witness_search,
-    block_heights,
     block_labels,
     block_members_and_heights,
     block_of,

@@ -73,7 +73,7 @@ from .sym_chars import (
     row_orthogonality_holds,
     table_bound,
 )
-from .wreath_local import cyclic_wreath_character_count, sylow2_local_count
+from .wreath_local import cyclic_wreath_character_counts, sylow2_local_count
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     notes = []
     total = 0
     for label in block_labels(n, p):
-        members = sum(count for _, count in census[label.core])
+        members = census[label.core][3]
         total += members
         notes.append(
             f"core={format_partition(label.core)} weight={label.weight} "
@@ -339,10 +339,11 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
     context = EllContext.of(q, ell)
     blocks = unipotent_blocks(n, context)
     census = core_census(n, context.d)
+    weyls = cyclic_wreath_character_counts(context.d, blocks[0].weight)  # largest weight first
     reports = []
     for label in blocks:
         members = census[label.core]
-        weyl = cyclic_wreath_character_count(context.d, label.weight)
+        weyl = weyls[label.weight]
         reports.append(
             VerificationReport(
                 conjecture="block_census",

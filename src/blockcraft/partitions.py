@@ -34,8 +34,9 @@ the rows below it are known: ``hook_valuation`` sums these terms for one
 partition.  ``valuation_census`` computes no hook.  The hooks of lam that p
 divides are p times the hooks of its p-quotient (James-Kerber 2.7), so its
 valuation is its weight w plus those of the quotient's p partitions, and
-every block of weight w has the same valuation distribution, a coefficient
-of a power series; only the p-cores are walked.
+every block of weight w has the same valuations: only the p-cores are
+walked, and each block reads a coefficient of a power series whose terms
+are 4-tuples (least valuation, top valuation, members at the top, members).
 
 No partition of n has a hook longer than n, so for d > n each one is its
 own d-core: ``d_core``, ``is_core`` and the censuses never build an abacus
@@ -52,7 +53,7 @@ censuses, each one pass per (n, d):
 ``partitions_by_core`` lists the partitions of n grouped by d-core (the
 per-member route: the Nakayama oracle and block_members_and_heights),
 ``core_census`` counts them by d-core, which is all gl blocks reads, and
-``valuation_census`` counts them by p-core and hook valuation, which is all
+``valuation_census`` gives each p-core its block's 4-tuple, which is all
 the S_n block, height and p'-degree checks read.  The two counting censuses
 list no partition: core_census walks only the d-cores of the sizes n - d*w
 (``_core_walk``, checked in number by Garvan-Kim-Stanton) and gives each
@@ -65,7 +66,7 @@ import threading
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from types import MappingProxyType
 
 from .arith import is_prime, nu_factorial
@@ -272,17 +273,22 @@ def is_core(lam: Partition, d: int) -> bool:
     return not (bits >> d) & ~bits
 
 
+def partition_tuple_counts(d: int, top: int) -> list[int]:
+    """The numbers of d-tuples of partitions of total size w, for w = 0..top, by d convolutions."""
+    if d < 1 or top < 0:
+        raise ValueError("need d >= 1 and w >= 0")
+    if top == 0:  # one tuple of empty partitions, however large d is
+        return [1]
+    counts = [partition_count(k) for k in range(top + 1)]
+    coeffs = [1] + [0] * top
+    for _ in range(d):
+        coeffs = [sum(coeffs[j] * counts[k - j] for j in range(k + 1)) for k in range(top + 1)]
+    return coeffs
+
+
 def partition_tuple_count(d: int, w: int) -> int:
     """Number of d-tuples of partitions with total size w."""
-    if d < 1 or w < 0:
-        raise ValueError("need d >= 1 and w >= 0")
-    if w == 0:  # one tuple of empty partitions, however large d is
-        return 1
-    counts = [partition_count(k) for k in range(w + 1)]
-    coeffs = [1] + [0] * w
-    for _ in range(d):
-        coeffs = [sum(coeffs[j] * counts[k - j] for j in range(k + 1)) for k in range(w + 1)]
-    return coeffs[w]
+    return partition_tuple_counts(d, w)[w]
 
 
 @lru_cache(maxsize=None)
@@ -363,8 +369,8 @@ def core_census(n: int, d: int) -> Mapping[Partition, int]:
 
     The cores are _core_walk's, and a core of weight w is had by
     partition_tuple_count(d, w) partitions, the d-tuples of partitions of
-    total size w (the d-quotient bijection), taken once per weight, so no
-    partition is listed.  CrossCheckError is raised unless the walk finds
+    total size w (the d-quotient bijection), read off one series up to the
+    largest weight, so no partition is listed.  CrossCheckError is raised unless the walk finds
     c_d(k) cores of each size k = n - d*w (Garvan-Kim-Stanton), for every
     d.  The callers check the counts: gl blocks against |Irr(C_d wr S_w)|,
     one report per block, and against p(n) in all; valuation_census against
@@ -379,7 +385,7 @@ def core_census(n: int, d: int) -> Mapping[Partition, int]:
     weights = Counter(cores.values())
     if [weights[w] for w in range(n // d + 1)] != _core_counts(n, d)[n::-d]:
         raise CrossCheckError(f"the {d}-cores walked for n = {n} are not c_{d}(n - {d}w) in number")
-    sizes = {w: partition_tuple_count(d, w) for w in weights}
+    sizes = partition_tuple_counts(d, max(weights))
     return MappingProxyType({core: sizes[w] for core, w in cores.items()})
 
 
@@ -393,20 +399,29 @@ def _core_counts(n: int, d: int) -> list[int]:
     return counts
 
 
+def _plus(a: tuple, b: tuple) -> tuple:
+    """The sum of two terms: the smaller least, the larger top with its members, the totals."""
+    top = max(a[1], b[1])
+    at_top = (a[2] if a[1] == top else 0) + (b[2] if b[1] == top else 0)
+    return min(a[0], b[0]), top, at_top, a[3] + b[3]
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two terms: valuations add and counts multiply."""
+    return a[0] + b[0], a[1] + b[1], a[2] * b[2], a[3] * b[3]
+
+
 def _power(series: list, e: int, top: int) -> list:
-    """series**e, truncated at t^top, by binary powering; each term maps valuation -> count."""
+    """series**e, truncated at t^top, by binary powering.
 
-    def times(a: list, b: list) -> list:
-        out = [defaultdict(int) for _ in range(top + 1)]
-        for i, left in enumerate(a):
-            for j, right in enumerate(b[: top + 1 - i]):
-                term = out[i + j]
-                for u, cu in left.items():
-                    for v, cv in right.items():
-                        term[u + v] += cu * cv
-        return out
+    Each term is (least valuation, top valuation, members at the top,
+    members), added by _plus and multiplied by _times.
+    """
 
-    result = [{0: 1}]
+    def times(a: list, b: list) -> list:  # [t^k] pairs a[i] with b[k - i]; b runs to t^top
+        return [reduce(_plus, map(_times, a, reversed(b[: k + 1]))) for k in range(top + 1)]
+
+    result = [(0, 0, 1, 1)]
     while True:
         if e & 1:
             result = times(result, series)
@@ -417,56 +432,53 @@ def _power(series: list, e: int, top: int) -> list:
 
 
 def _block_series(top: int, p: int) -> list:
-    """[t^w] G(t)^p for w <= top, as maps valuation -> count.
+    """[t^w] G(t)^p for w <= top, as (least, top valuation, members at the top, members).
 
-    G(t) = sum_m D_m t^m, where D_m counts the partitions of m by hook
-    valuation: the sum of x^w [t^w] G^p over the c_p(m - pw) p-cores of m of
-    each weight w.  So D_m = {0: p(m)} for m < p, where no hook reaches p.
+    G(t) = sum_m D_m t^m, where D_m sums the terms of [t^w] G^p, shifted by
+    w, over the c_p(m - pw) p-cores of m of each weight w.  So D_m = (0, 0,
+    p(m), p(m)) for m < p, where no hook reaches p.
     """
-    blocks = _block_series(top // p, p) if top >= p else [{0: 1}]
+    blocks = _block_series(top // p, p) if top >= p else [(0, 0, 1, 1)]
     cores = _core_counts(top, p)
     series = []
     for m in range(top + 1):
-        dist: dict[int, int] = defaultdict(int)
-        for w in range(m // p + 1):
-            if cores[m - p * w]:
-                for value, count in blocks[w].items():
-                    dist[value + w] += cores[m - p * w] * count
-        series.append(dist)
+        weights = [(w, cores[m - p * w]) for w in range(m // p + 1) if cores[m - p * w]]
+        series.append(reduce(_plus, (_times(blocks[w], (w, w, k, k)) for w, k in weights)))
     return _power(series, p, top)
 
 
 @lru_cache(maxsize=None)
-def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[tuple[int, int], ...]]:
-    """For each p-core of a partition of n, the sorted (hook valuation, count) pairs of its group.
+def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[int, int, int, int]]:
+    """For each p-core of a partition of n, (least, top valuation, members at the top, members).
 
     The hook valuation of lam is nu_p of its hook product, so lam has height
     nu_p((pw)!) - valuation in its block of weight w, and p'-degree iff the
     valuation is nu_p(n!).  It is w plus the valuations of the p partitions
-    of lam's p-quotient, so each block of weight w has the distribution
-    x^w [t^w] G(t)^p of _block_series, and only the cores are walked: they
-    are the keys of core_census(n, p), which checks them against the
+    of lam's p-quotient, so each block of weight w has the term [t^w] G(t)^p
+    of _block_series shifted by w, and only the cores are walked: they are
+    the keys of core_census(n, p), which checks them against the
     Garvan-Kim-Stanton count.  CrossCheckError is raised unless each
-    weight's distribution counts as many partitions as core_census gives
-    its blocks, and no valuation exceeds nu_p(n!), which would make some
-    degree fractional.  The mapping is read-only, since every caller shares
-    the cached value.
+    weight's term counts as many partitions as core_census gives its blocks
+    and its top is nu_p((pw)!): above it a height is negative, below it no
+    height is zero.  The mapping is read-only, as every caller shares it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not is_prime(p):
         raise ValueError("p must be prime")
-    target = nu_factorial(n, p)
     census = core_census(n, p)
     weights = {core: (n - sum(core)) // p for core in census}
-    blocks, pairs = _block_series(n // p, p), {}
+    blocks, terms = _block_series(n // p, p), {}
     for w, members in {w: census[core] for core, w in weights.items()}.items():
-        if sum(blocks[w].values()) != members:
+        _, top, _, total = terms[w] = _times(blocks[w], (w, w, 1, 1))  # shifted by w
+        if total != members:
             raise CrossCheckError(f"weight {w} distribution does not count the {p}-quotients")
-        pairs[w] = tuple(sorted((value + w, count) for value, count in blocks[w].items()))
-        if pairs[w][-1][0] > target:
-            raise CrossCheckError(f"hook valuation {pairs[w][-1][0]} exceeds nu_{p}({n}!) = {target}")
-    return MappingProxyType({core: pairs[w] for core, w in weights.items()})
+        defect = nu_factorial(p * w, p)
+        if top > defect:
+            raise CrossCheckError(f"hook valuation {top} exceeds nu_{p}({p * w}!) = {defect}")
+        if top < defect:
+            raise CrossCheckError(f"a {p}-block of weight {w} has no height-zero character")
+    return MappingProxyType({core: terms[w] for core, w in weights.items()})
 
 
 def count_partitions_with_core(n: int, d: int, core: Partition) -> int:

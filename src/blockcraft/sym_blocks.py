@@ -11,9 +11,11 @@ Heights are pure valuation arithmetic:
     height(lam) = nu_p((pw)!) - nu_p(prod of the hooks of lam).
 
 The checks (block_labels, bhz_verify, am_verify_abelian, and the sym blocks
-census) need only how many members of each block have each height, so they
-read ``partitions.valuation_census(n, p)``, which walks only the p-cores
-and reads each block's valuations off its weight through the p-quotient.
+census) need only four numbers per block, its least and top hook valuations
+and its members at the top and in all, so they read
+``partitions.valuation_census(n, p)``, which walks only the p-cores and
+checks that the top is nu_p((pw)!): the least height is zero, and the
+greatest is nu_p((pw)!) minus the least valuation.
 block_members_and_heights is the per-member route, with hook_valuation on
 each member of ``partitions_by_core``.
 
@@ -96,23 +98,6 @@ def block_labels(n: int, p: int) -> tuple[SymBlockLabel, ...]:
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
 
-def block_heights(label: SymBlockLabel) -> tuple[tuple[int, int], ...]:
-    """(height, members) pairs of the block, smallest height first, from valuation_census.
-
-    Raises CrossCheckError on a negative height or on a block with no
-    height-zero member, as block_members_and_heights does member by member.
-    """
-    pairs = tuple(
-        (label.defect_valuation - valuation, members)
-        for valuation, members in reversed(valuation_census(label.n, label.p)[label.core])
-    )
-    if pairs[0][0] < 0:
-        raise CrossCheckError(f"negative height {pairs[0][0]} in block {label}")
-    if pairs[0][0] != 0:
-        raise CrossCheckError(f"block {label} has no height-zero character")
-    return pairs
-
-
 @dataclass(frozen=True)
 class BlockCharacterData:
     label: SymBlockLabel
@@ -145,9 +130,8 @@ def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:
 
 def bhz_verify(label: SymBlockLabel) -> VerificationReport:
     """Brauer height zero for one block: all heights zero <=> weight < p."""
-    heights = block_heights(label)
-    max_height = heights[-1][0]
-    all_height_zero = max_height == 0
+    least, top, _, members = valuation_census(label.n, label.p)[label.core]
+    all_height_zero = least == top
     abelian_defect = label.weight < label.p
     return VerificationReport(
         conjecture="bhz",
@@ -162,7 +146,7 @@ def bhz_verify(label: SymBlockLabel) -> VerificationReport:
         passed=all_height_zero == abelian_defect,
         notes=(
             f"defect group order {label.p ** label.defect_valuation}",
-            f"members {sum(members for _, members in heights)}, max height {max_height}",
+            f"members {members}, max height {label.defect_valuation - least}",
         ),
     )
 
@@ -206,14 +190,13 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
             f"weight {label.weight} >= p {label.p}: local character theory not modelled"
         )
     p, w = label.p, label.weight
-    heights = block_heights(label)
-    global_count = sum(members for _, members in heights)
+    least, top, _, global_count = valuation_census(label.n, p)[label.core]
 
     local = _am_local_group(p, w)
     local_count = local.character_count
     local_all_pprime = irr_lprime_count(local, p) == local.character_count
 
-    members_height_zero = heights[-1][0] == 0
+    members_height_zero = least == top
 
     notes = [
         f"local group (C_{p} x| C_{p - 1}) wr S_{w}, order {local.group_order}",

@@ -92,17 +92,13 @@ def sym_degree(lam: Partition) -> int:
 def irr_pprime_count_sym(n: int, p: int) -> int:
     """|Irr_{p'}(S_n)|: partitions of n whose hook product has the p-valuation of n!.
 
-    Read off ``partitions.valuation_census``, which walks only the p-cores
-    and raises CrossCheckError on a valuation above nu_p(n!), which would
-    make a degree fractional.
+    Read off ``partitions.valuation_census``, which gives each block its top
+    hook valuation and how many members reach it, and raises CrossCheckError
+    unless that top is nu_p((pw)!).  Only the blocks whose top is nu_p(n!)
+    have p'-degree members, and those are the members at the top.
     """
     target = nu_factorial(n, p)
-    return sum(
-        members
-        for pairs in valuation_census(n, p).values()
-        for valuation, members in pairs
-        if valuation == target
-    )
+    return sum(at_top for _, top, at_top, _ in valuation_census(n, p).values() if top == target)
 
 
 def macdonald_count(n: int) -> int:

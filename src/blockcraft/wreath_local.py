@@ -157,21 +157,27 @@ def wreath_degrees(base: DegreeMultiset, w: int) -> DegreeMultiset:
     return DegreeMultiset.from_counter(table[w], base.group_order**w * factorial(w))
 
 
-def cyclic_wreath_character_count(d: int, w: int) -> int:
-    """|Irr(C_d wr S_w)| = [t^w] prod_k (1 - t^k)^-d, by w a(w) = d sum_k sigma(k) a(w - k).
+def cyclic_wreath_character_counts(d: int, top: int) -> list[int]:
+    """|Irr(C_d wr S_w)| = [t^w] prod_k (1 - t^k)^-d for w = 0..top.
 
-    No degree is listed, and every division must be exact.
+    By w a(w) = d sum_k sigma(k) a(w - k): no degree is listed, and every
+    division must be exact.
     """
-    if w < 0:
+    if top < 0:
         raise ValueError("w must be nonnegative")
-    sigma = [0] + [sum(divisors(m)) for m in range(1, w + 1)]
+    sigma = [0] + [sum(divisors(m)) for m in range(1, top + 1)]
     counts = [1]
-    for m in range(1, w + 1):
+    for m in range(1, top + 1):
         count, rest = divmod(d * sum(sigma[k] * counts[m - k] for k in range(1, m + 1)), m)
         if rest:
             raise CrossCheckError(f"|Irr(C_{d} wr S_{m})|: the divisor sum is not divisible by {m}")
         counts.append(count)
-    return counts[w]
+    return counts
+
+
+def cyclic_wreath_character_count(d: int, w: int) -> int:
+    """|Irr(C_d wr S_w)|, the last term of cyclic_wreath_character_counts(d, w)."""
+    return cyclic_wreath_character_counts(d, w)[w]
 
 
 def irr_lprime_count(degrees: DegreeMultiset, ell: int) -> int:

@@ -496,11 +496,15 @@ def test_huge_d_costs_no_more_than_d_equal_to_n_plus_1():
 # ---------------------------------------------------------------------------
 
 def oracle_valuation_census(n, p):
-    """The census by listing: partitions_by_core groups, hook_valuation per member."""
-    return {
-        core: tuple(sorted(Counter(hook_valuation(lam, p) for lam in members).items()))
-        for core, members in partitions_by_core(n, p).items()
-    }
+    """The census by listing: partitions_by_core groups, hook_valuation per member.
+
+    Each block gets (least valuation, top valuation, members at the top, members).
+    """
+    census = {}
+    for core, members in partitions_by_core(n, p).items():
+        values = [hook_valuation(lam, p) for lam in members]
+        census[core] = (min(values), max(values), values.count(max(values)), len(values))
+    return census
 
 
 def test_valuation_census_matches_listing_oracle():
@@ -540,7 +544,8 @@ def test_valuation_census_refuses_a_series_that_miscounts_the_quotients(monkeypa
 
     def short(top, p):
         series = real_series(top, p)
-        series[top][max(series[top])] -= 1
+        least, high, at_top, total = series[top]
+        series[top] = (least, high, at_top, total - 1)
         return series
 
     valuation_census.cache_clear()
@@ -553,11 +558,13 @@ def test_valuation_census_refuses_a_series_that_miscounts_the_quotients(monkeypa
 
 
 def test_valuation_census_examples_and_guards():
-    assert dict(valuation_census(0, 2)) == {(): ((0, 1),)}
+    # Each block is (least valuation, top valuation, members at the top, members).
+    assert dict(valuation_census(0, 2)) == {(): (0, 0, 1, 1)}
     # S_4 at p = 2: one block; degrees 1, 3, 2, 3, 1 have hook valuations 3, 3, 2, 3, 3.
-    assert dict(valuation_census(4, 2)) == {(): ((2, 1), (3, 4))}
+    assert dict(valuation_census(4, 2)) == {(): (2, 3, 4, 5)}
     census = valuation_census(4, 3)
-    assert dict(census) == {(1,): ((1, 3),), (3, 1): ((0, 1),), (2, 1, 1): ((0, 1),)}
+    assert dict(census) == {(1,): (1, 1, 3, 3), (3, 1): (0, 0, 1, 1), (2, 1, 1): (0, 0, 1, 1)}
+    assert all(isinstance(value, int) for term in census.values() for value in term)
     with pytest.raises(TypeError):
         census[()] = ()
     with pytest.raises(ValueError):
@@ -588,8 +595,8 @@ def test_valuation_census_walk_depth_does_not_grow_with_rows():
         huge = valuation_census(40, 41)
     finally:
         sys.setrecursionlimit(limit)
-    assert sum(count for pairs in census.values() for _, count in pairs) == partition_count(40)
-    assert len(huge) == partition_count(40) and huge[(1,) * 40] == ((0, 1),)
+    assert sum(total for *_, total in census.values()) == partition_count(40)
+    assert len(huge) == partition_count(40) and huge[(1,) * 40] == (0, 0, 1, 1)
 
 
 def test_valuation_census_at_a_huge_prime_is_one_core_per_partition():
@@ -600,7 +607,7 @@ def test_valuation_census_at_a_huge_prime_is_one_core_per_partition():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dict(census) == {lam: ((0, 1),) for lam in enumerate_partitions(6)}
+    assert dict(census) == {lam: (0, 0, 1, 1) for lam in enumerate_partitions(6)}
     assert peak < 1 << 20
 
 

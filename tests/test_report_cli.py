@@ -349,15 +349,16 @@ def test_gl_blocks_cell_lists_no_partition_of_n(monkeypatch):
 
 @pytest.mark.parametrize(
     "module, route",
-    [(cli, "cyclic_wreath_character_count"), (partitions, "partition_tuple_count")],
+    [(cli, "cyclic_wreath_character_counts"), (partitions, "partition_tuple_counts")],
     ids=["weyl", "tuples"],
 )
 def test_gl_blocks_rows_fail_when_a_route_disagrees(module, route, capsys, monkeypatch):
     # GL_5(13) at ell = 7 (d = 2) has the blocks (1), weight 2, and (2, 1), weight 1.
+    # Each route builds its series once, to the largest weight: one more at every weight.
     real = getattr(module, route)
-    # core_census takes the d-tuple count once per (n, d): a cached census would hide the patch.
+    # core_census takes the d-tuple counts once per (n, d): a cached census would hide the patch.
     partitions.core_census.cache_clear()
-    monkeypatch.setattr(module, route, lambda d, w: real(d, w) + 1)
+    monkeypatch.setattr(module, route, lambda d, top: [count + 1 for count in real(d, top)])
     try:
         assert main(["gl", "blocks", "--n", "5", "--q", "13", "--ell", "7", "--format", "json"]) == 2
     finally:
@@ -368,7 +369,7 @@ def test_gl_blocks_rows_fail_when_a_route_disagrees(module, route, capsys, monke
     assert len(blocks) == 2
     assert not any(row["passed"] for row in blocks)
     # The census total is compared with p(n), which the Weyl group count does not enter.
-    assert total["passed"] is (route == "cyclic_wreath_character_count")
+    assert total["passed"] is (route == "cyclic_wreath_character_counts")
 
 
 def test_sym_am_builds_each_local_group_once(monkeypatch):
@@ -384,11 +385,11 @@ def test_sym_am_builds_each_local_group_once(monkeypatch):
     "command", [["sym", "mckay"], ["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]]
 )
 def test_planted_over_valuation_is_a_cross_check_failure(command, capsys, monkeypatch):
-    # One more factor p in every quotient distribution: the block of weight 3 passes nu_p(n!).
+    # One more factor p in every quotient term: each block's top passes nu_p((pw)!).
     real_series = partitions._block_series
 
     def inflated(top, p):
-        return [{value + 1: count for value, count in dist.items()} for dist in real_series(top, p)]
+        return [(least + 1, high + 1, at_top, total) for least, high, at_top, total in real_series(top, p)]
 
     partitions.valuation_census.cache_clear()
     monkeypatch.setattr(partitions, "_block_series", inflated)

@@ -1,16 +1,13 @@
-from collections import Counter
-
 import pytest
 
-from blockcraft import sym_blocks
+from blockcraft import partitions
 from blockcraft.errors import CrossCheckError, UnsupportedRegimeError
-from blockcraft.partitions import enumerate_partitions, partition_count
+from blockcraft.partitions import enumerate_partitions, partition_count, valuation_census
 from blockcraft.sym_blocks import (
     SymBlockLabel,
     am_verify_abelian,
     bhz_verify,
     bhz_witness_search,
-    block_heights,
     block_labels,
     block_members_and_heights,
     block_of,
@@ -127,21 +124,45 @@ def test_am_small_grid():
 
 
 def test_block_heights_match_per_member_heights():
+    # The census's four numbers per block against hook_valuation on every member.
     for n in range(0, 19):
         for p in (2, 3, 5, 7):
             for label in block_labels(n, p):
-                per_member = Counter(block_members_and_heights(label).heights.values())
-                assert block_heights(label) == tuple(sorted(per_member.items())), label
+                heights = block_members_and_heights(label).heights
+                notes = bhz_verify(label).notes
+                assert notes[1] == f"members {len(heights)}, max height {max(heights.values())}"
+                if label.weight < p:
+                    am = am_verify_abelian(label)
+                    zero = max(heights.values()) == 0
+                    assert am.global_count == len(heights), label
+                    assert f"members all height zero: {zero}" in am.notes, label
+                    assert am.passed is (zero and len(heights) == am.local_count), label
 
 
 def test_block_heights_checks(monkeypatch):
-    label = SymBlockLabel(p=2, core=(), weight=2)  # nu_2(4!) = 3
-    monkeypatch.setattr(sym_blocks, "valuation_census", lambda n, p: {(): ((2, 1), (4, 4))})
-    with pytest.raises(CrossCheckError, match="negative height -1"):
-        block_heights(label)
-    monkeypatch.setattr(sym_blocks, "valuation_census", lambda n, p: {(): ((2, 5),)})
-    with pytest.raises(CrossCheckError, match="no height-zero character"):
-        block_heights(label)
+    # The block of () in S_12 at p = 3 has weight 4, and its top valuation must be
+    # nu_3(12!) = 5: one above makes a negative height, one below leaves no height zero.
+    real_series = partitions._block_series
+
+    def planted(shift):
+        def series(top, p):
+            terms = real_series(top, p)
+            if top == 4:  # the outer call, not the recursion's, which reaches weight 1
+                least, high, at_top, total = terms[top]
+                terms[top] = (least, high + shift, at_top, total)
+            return terms
+
+        return series
+
+    for shift, message in ((1, r"hook valuation 6 exceeds nu_3\(12!\) = 5"),
+                           (-1, "has no height-zero character")):
+        valuation_census.cache_clear()
+        monkeypatch.setattr(partitions, "_block_series", planted(shift))
+        try:
+            with pytest.raises(CrossCheckError, match=message):
+                valuation_census(12, 3)
+        finally:
+            valuation_census.cache_clear()
 
 
 def test_block_labels_at_a_huge_prime():

@@ -15,6 +15,7 @@ from blockcraft.wreath_local import (
     MetacyclicSpec,
     cyclic_degrees,
     cyclic_wreath_character_count,
+    cyclic_wreath_character_counts,
     direct_product,
     irr_lprime_count,
     metacyclic_degrees,
@@ -229,13 +230,13 @@ def test_cyclic_wreath_count_recurrence_matches_degrees_and_tuples():
     # pentagonal recurrence with the d-fold convolution.
     for d in range(1, 7):
         base = cyclic_degrees(d)
+        counts = cyclic_wreath_character_counts(d, 15)
         for w in range(16):
             count = cyclic_wreath_character_count(d, w)
-            assert count == wreath_degrees(base, w).character_count, (d, w)
+            assert count == counts[w] == wreath_degrees(base, w).character_count, (d, w)
             assert count == partition_tuple_count(d, w), (d, w)
-    # Every w <= 500 costs seconds, since each call recomputes a(0..w): w <= 60, then sparser.
-    for w in [*range(61), *range(100, 501, 50)]:
-        assert cyclic_wreath_character_count(1, w) == partition_count(w), w
+    # One series gives every w <= 500.
+    assert cyclic_wreath_character_counts(1, 500) == [partition_count(w) for w in range(501)]
     # A division that is not exact is refused, not rounded: [t] (1 - t)^(-1/2) = 1/2.
     with pytest.raises(CrossCheckError):
         cyclic_wreath_character_count(Fraction(1, 2), 1)
