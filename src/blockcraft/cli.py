@@ -1,13 +1,12 @@
 """Command-line front end: single verifications, sweeps, and report emission.
 
 Each check is registered once, by the decorator on its runner, with its
-sweep name, its CLI group and command, and its precondition.  The runner's
-parameters (all ints) and their defaults are the check's: they become the
-command's flags and the keys of its sweep cells.  The CLI and sweeps apply
-the same preconditions (n nonnegative, p and ell prime, q a prime power,
-plus each check's own): a cell that fails one is an `error:` line and exit
-1 on the CLI, and a skip note on stderr in a sweep, with the same reason
-text.
+sweep name, CLI group and command, cost and any precondition.  The runner's
+parameters (all ints) and their defaults become the command's flags and the
+keys of its sweep cells.  The CLI and sweeps refuse the same cells with the
+same reason (n negative, p or ell not prime, q not a prime power, the
+check's precondition, or predicted work past a ``budget``): an `error:`
+line and exit 1 on the CLI, a skip note on stderr in a sweep.
 
 Exit codes: 0 when every emitted report passed, 2 when at least one
 verification failed (or an internal cross-check caught a disagreement, or
@@ -34,10 +33,11 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from itertools import product
-from math import factorial
+from math import factorial, isqrt, prod
 from typing import Callable
 
 from .arith import _MR_LIMIT, is_prime, prime_power_radical
+from .budget import BUDGETS, over_budget
 from .errors import (
     CrossCheckError,
     RefusalError,
@@ -46,18 +46,18 @@ from .errors import (
     UsageError,
 )
 from .glq_blocks import (
-    LOCAL_BASE_BOUND,
     EllContext,
     d_ell,
     unipotent_blocks,
     verify_gl_mckay,
     verify_gl_mckay_defining,
 )
-from .glq_chars import all_degrees, gl_order
+from .glq_chars import all_degrees, gl_order, label_count
 from .partitions import (
     _core_counts,
     core_census,
     partition_count,
+    partition_count_capped,
     partitions_by_core,
     valuation_census,
 )
@@ -65,26 +65,26 @@ from .report import VerificationReport, emit_reports, format_partition, strip_ti
 from .sym_blocks import am_verify_abelian, bhz_verify, block_labels
 from .sym_chars import (
     build_table,
-    census_bound,
     central_character_blocks,
     column_orthogonality_holds,
     irr_pprime_count_sym,
     macdonald_count,
     row_orthogonality_holds,
-    table_bound,
+    table_products,
 )
 from .wreath_local import cyclic_wreath_character_counts, sylow2_local_count
 
 
 @dataclass(frozen=True)
 class Check:
-    """A check as registered by _register: sweep name, CLI path, parameters, precondition."""
+    """A check as registered by _register: sweep name, CLI path, parameters, cost, precondition."""
 
     name: str
     group: str
     command: str
     params: tuple[str, ...]
     defaults: dict[str, int]
+    cost: Callable[..., dict[str, int]]
     precondition: Callable[..., str | None] | None
 
     def refusal(self, params: dict) -> str | None:
@@ -108,12 +108,11 @@ class Check:
                 return f"q={q} is not a prime power"
         if ell is not None and not is_prime(ell):
             return f"ell={ell} is not prime"
-        return self.precondition(**params) if self.precondition else None
+        if self.precondition and (reason := self.precondition(**params)):
+            return reason
+        reasons = (over_budget(unit, work) for unit, work in self.cost(**params).items())
+        return next(filter(None, reasons), None)
 
-
-# Most blocks (d-cores of the sizes n - d*w) a census cell may report on, one
-# report or note each: their number grows fast with d (57 741 at n = 60, d = 13).
-BLOCK_BOUND = 10_000
 
 CHECKS: dict[str, Check] = {}
 # Check name -> runner.  The CLI and sweeps look a runner up here when they
@@ -121,55 +120,48 @@ CHECKS: dict[str, Check] = {}
 _SWEEP_RUNNERS: dict[str, Callable[..., list[VerificationReport]]] = {}
 
 
-def _within_table_bound(n: int, **_) -> str | None:
-    return f"n={n} exceeds the table bound {table_bound()}" if n > table_bound() else None
+def _census_cost(n: int, p: int, sylow: int = 0) -> dict[str, int]:
+    """Census steps on the p-cores (d-cores for gl blocks) of the sizes n - p*w.
 
-
-def _within_census_bound(n: int, **_) -> str | None:
-    return f"n={n} exceeds the census bound {census_bound()}" if n > census_bound() else None
-
-
-def _within_block_bound(n: int, p: int) -> str | None:
-    """Refuse a census cell above the census bound or with more than BLOCK_BOUND blocks.
-
-    The p-cores (d-cores for gl blocks) are counted by Garvan-Kim-Stanton, not walked.
+    n^2 for the core counts, 30 per series product, n per core the walk
+    enters, 1000 per block's report, and sylow.  The counts of a prefix, 1/64
+    of the budget, give a lower bound first; core_census reuses (n, p)'s.
     """
-    reason = _within_census_bound(n)
-    if reason is None:
-        blocks = sum(_core_counts(n, p)[n::-p])
-        if blocks > BLOCK_BOUND:
-            reason = (
-                f"n={n} has {blocks} blocks ({p}-cores), more than the block bound {BLOCK_BOUND}"
-            )
-    return reason
+    budget = BUDGETS["census step"]
+    fixed = work = n * n + 30 * (n // p) ** 2 + sylow
+    for m in sorted({min(n, isqrt(budget) // 8), n}):
+        if work > budget:
+            break
+        counts = _core_counts(m, p)
+        work = fixed + n * sum(counts) + 1000 * sum(counts[n % p :: p])
+    return {"census step": work}
 
 
-def _within_d_block_bound(n: int, q: int, ell: int) -> str | None:
-    """Refuse a gl blocks cell at ell | q, or past the block bound for d = d_ell(q)."""
-    if q % ell == 0:
-        return f"ell={ell} divides q={q}"
-    return _within_block_bound(n, d_ell(q, ell))
+def _gl_cost(n: int, q: int, ell: int = 0) -> dict[str, int]:
+    """Green labels of GL_n(q), and gl mckay's local base C_{q^d-1} x| C_d when n >= d.
+
+    A label weighs 1 + (b/2900)^2, b >= log2 |GL_n(q)| the bits its degree
+    products multiply.  The unipotent labels, p(n), come first, as a lower
+    bound.  The base is not sized past 2^64.
+    """
+    weight = 1 + (n * n * q.bit_length()) ** 2 // 2900**2
+    labels = partition_count_capped(n, cap := BUDGETS["label"] // weight)
+    cost = {"label": weight * (label_count(n, q) if labels <= cap else labels)}
+    if ell and q % ell and n >= (d := d_ell(q, ell)):
+        cost["base element"] = min(q ** min(d, 64), 1 << 64) - 1
+    return cost
 
 
-def _within_local_base_bound(n: int, q: int, ell: int) -> str | None:
-    """Refuse a gl mckay cell whose local base C_{q^d-1} x| C_d is too large to list."""
-    if q % ell == 0:
-        return None
-    d = d_ell(q, ell)
-    if n < d or q**d - 1 <= LOCAL_BASE_BOUND:
-        return None
-    return f"q^{d} - 1 = {q**d - 1} exceeds the local base bound {LOCAL_BASE_BOUND}"
-
-
-def _register(name: str, path: str, precondition: Callable[..., str | None] | None = None):
+def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
+              precondition: Callable[..., str | None] | None = None):
     """Register the decorated runner as check `name`, run as `blockcraft <path>`.
 
-    The runner's parameters and their defaults are the check's.  The runner
-    returned raises RefusalError, before any work, for a cell that fails the
-    check's precondition, however it is called, so the CLI and sweeps check
-    each cell once.  It is also the one place a check is timed: every report
-    of a cell carries the cell's wall time, in whole milliseconds, as
-    elapsed_ms.
+    The runner's parameters and their defaults are the check's, and cost
+    takes them too.  The runner returned raises RefusalError, before any
+    work, for a cell that Check.refusal refuses, however it is called, so
+    the CLI and sweeps check each cell once.  It is also the one place a
+    check is timed: every report of a cell carries the cell's wall time, in
+    whole milliseconds, as elapsed_ms.
     """
     group, command = path.split()
 
@@ -185,6 +177,7 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
                 for param, spec in signature.parameters.items()
                 if spec.default is not spec.empty
             },
+            cost=cost,
             precondition=precondition,
         )
 
@@ -209,10 +202,11 @@ def _register(name: str, path: str, precondition: Callable[..., str | None] | No
 
 @_register(
     "sym_mckay", "sym mckay",
+    # The Sylow 2-subgroup's top layer P_k, k = n.bit_length() - 1, takes about 8^k / 4 steps.
+    cost=lambda n, p: _census_cost(n, 2, sylow=8 ** n.bit_length() // 32),
     precondition=lambda n, p: (
         "sym mckay local side is only available at p=2" if p != 2
-        else "n must be positive" if n < 1
-        else _within_census_bound(n)
+        else "n must be positive" if n < 1 else None
     ),
 )
 def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
@@ -231,7 +225,7 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
     ]
 
 
-@_register("sym_blocks", "sym blocks", precondition=_within_block_bound)
+@_register("sym_blocks", "sym blocks", cost=_census_cost)
 def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     census = valuation_census(n, p)
     notes = []
@@ -255,7 +249,7 @@ def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
-@_register("sym_table", "sym table", precondition=_within_table_bound)
+@_register("sym_table", "sym table", cost=lambda n: {"table product": table_products(n)})
 def run_sym_table(n: int) -> list[VerificationReport]:
     table = build_table(n)
     rows_ok = row_orthogonality_holds(table)
@@ -278,7 +272,7 @@ def run_sym_table(n: int) -> list[VerificationReport]:
     ]
 
 
-@_register("nakayama", "oracle nakayama", precondition=_within_table_bound)
+@_register("nakayama", "oracle nakayama", cost=lambda n, p: {"table product": table_products(n)})
 def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
     oracle = central_character_blocks(n, p)
     nakayama = {frozenset(members) for members in partitions_by_core(n, p).values()}
@@ -295,12 +289,12 @@ def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
-@_register("sym_bhz", "sym bhz", precondition=_within_block_bound)
+@_register("sym_bhz", "sym bhz", cost=_census_cost)
 def run_sym_bhz(n: int, p: int) -> list[VerificationReport]:
     return [bhz_verify(label) for label in block_labels(n, p)]
 
 
-@_register("sym_am", "sym am", precondition=_within_block_bound)
+@_register("sym_am", "sym am", cost=_census_cost)
 def run_sym_am(n: int, p: int) -> list[VerificationReport]:
     return [
         am_verify_abelian(label)
@@ -309,7 +303,7 @@ def run_sym_am(n: int, p: int) -> list[VerificationReport]:
     ]
 
 
-@_register("gl_degrees", "gl degrees")
+@_register("gl_degrees", "gl degrees", cost=_gl_cost)
 def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
     ms = all_degrees(n, q)
     square_sum = sum(m * d * d for d, m in ms.entries)
@@ -327,14 +321,16 @@ def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
     ]
 
 
-@_register("gl_mckay", "gl mckay", precondition=_within_local_base_bound)
+@_register("gl_mckay", "gl mckay", cost=_gl_cost)
 def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
-    if q % ell == 0:
-        return [verify_gl_mckay_defining(n, q)]
-    return [verify_gl_mckay(n, q, ell)]
+    return [verify_gl_mckay_defining(n, q) if q % ell == 0 else verify_gl_mckay(n, q, ell)]
 
 
-@_register("gl_blocks", "gl blocks", precondition=_within_d_block_bound)
+@_register(
+    "gl_blocks", "gl blocks",
+    cost=lambda n, q, ell: _census_cost(n, d_ell(q, ell)),
+    precondition=lambda n, q, ell: f"ell={ell} divides q={q}" if q % ell == 0 else None,
+)
 def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
     context = EllContext.of(q, ell)
     blocks = unipotent_blocks(n, context)
@@ -379,7 +375,10 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _parse_grid(value) -> list[int]:
+MAX_SWEEP_CELLS = 10_000  # counted from the grids' lengths before any cell is listed
+
+
+def _parse_grid(value) -> list[int] | range:
     # type(...) is int, since bool is a subclass of int and JSON true is not a grid value.
     if type(value) is int:
         grid = [value]
@@ -388,7 +387,7 @@ def _parse_grid(value) -> list[int]:
     elif isinstance(value, str) and ".." in value:
         lo, hi = value.split("..", 1)
         try:
-            grid = list(range(int(lo), int(hi) + 1))
+            grid = range(int(lo), int(hi) + 1)
         except ValueError:
             raise UsageError(f"bad grid value {value!r}: 'a..b' needs integers a and b") from None
     else:
@@ -400,7 +399,7 @@ def _parse_grid(value) -> list[int]:
 
 def expand_sweep_config(config: dict) -> list[tuple[str, dict]]:
     """Flatten a sweep config into (check, parameter dict) cells, in order."""
-    cells = []
+    entries = []
     if not isinstance(config, dict) or not isinstance(config.get("cells"), list):
         raise UsageError("sweep config must be an object with a 'cells' list")
     for entry in config["cells"]:
@@ -422,11 +421,20 @@ def expand_sweep_config(config: dict) -> list[tuple[str, dict]]:
                 grids.append([check.defaults[param]])
             else:
                 raise UsageError(f"sweep check {name!r} needs parameter {param!r}")
-        for combo in product(*grids):
-            cells.append((name, dict(zip(check.params, combo))))
-    if not cells:
+        entries.append((name, check.params, grids))
+    total = sum(
+        prod(len(g) if isinstance(g, list) else g.stop - g.start for g in grids)
+        for _, _, grids in entries
+    )
+    if not total:
         raise UsageError("sweep config has no cells")
-    return cells
+    if total > MAX_SWEEP_CELLS:
+        raise UsageError(f"sweep config has {total} cells, more than {MAX_SWEEP_CELLS}")
+    return [
+        (name, dict(zip(params, combo)))
+        for name, params, grids in entries
+        for combo in product(*grids)
+    ]
 
 
 def run_sweep(config: dict) -> tuple[list[VerificationReport], list[str]]:
@@ -502,6 +510,8 @@ def _dispatch(args) -> tuple[list[VerificationReport], list[str]]:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # the budgets bound what a report prints
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,7 +6,7 @@ class BlockcraftError(Exception):
 
 
 class ResourceLimitError(BlockcraftError):
-    """A computation was refused because it exceeds the configured size bound."""
+    """A computation was refused because its predicted work exceeds its budget."""
 
 
 class UnsupportedRegimeError(BlockcraftError):

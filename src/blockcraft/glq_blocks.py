@@ -19,11 +19,8 @@ dividing q: for ell odd by Fong-Srinivasan (Invent. Math. 69 (1982)), and
 for ell = 2, where d = 1 gives the one core (), by Broue (Asterisque
 133-134 (1986)), who shows there is one unipotent 2-block.  The labels are
 the keys of the d-core census ``core_census(n, d)``, so no core is
-recomputed from a member.  The census walks only the d-cores, checked in
-number by Garvan-Kim-Stanton, and gives each the d-tuple convolution
-count; gl blocks compares each block's count with |Irr(C_d wr S_w)| from
-the divisor-sum recurrence, one report per block, and their sum with p(n).
-The tests compare the census with the listed partitions.
+recomputed from a member; gl blocks compares each block's count with
+|Irr(C_d wr S_w)| from the divisor-sum recurrence, and their sum with p(n).
 """
 
 from __future__ import annotations
@@ -55,12 +52,7 @@ from .wreath_local import (
     wreath_degrees,
 )
 
-# Largest q^d - 1 whose local base C_{q^d-1} x| C_d gl mckay will list: the
-# orbit scan of metacyclic_degrees is linear in it (about 0.4 s at 2^20).
-LOCAL_BASE_BOUND = 1 << 20
-
-
-@cache  # a gl mckay or gl blocks cell asks twice: its precondition, then its EllContext
+@cache  # a gl mckay or gl blocks cell asks twice: its cost, then its EllContext
 def d_ell(q: int, ell: int) -> int:
     """Multiplicative order of q modulo ell (the prime ell must not divide q)."""
     if not is_prime(ell):

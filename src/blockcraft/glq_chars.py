@@ -14,20 +14,13 @@ degree is
 with C(s) = prod GL_{m_i}(q^{d_i}), and the unipotent degree is the q-hook
 formula q^{a(lam)} [n]_q! / prod_h [len(h)]_q.
 
-enumerate_class_types lists the class types that occur over F_q in one
-walk per (n, q).  It carries each prefix's class count down the path and
-never enters a degree with no polynomial left, so a type with no classes
-over F_q (two distinct linear factors over F_2, say) is never built.
+enumerate_class_types lists only the class types that occur over F_q, in
+one walk per (n, q), and label_count counts their labels without it.
 all_degrees builds the multiset one class type at a time and visits no
-label.  Types come in walk order, so each shares a prefix of factors with
-the one before it.  A stack keeps, per prefix length, the map {unipotent
-product: multiplicity} (the memoized unipotent degrees of
-GL_{m_i}(q^{d_i}), multiplied factor by factor) and the product of the
-factors' prod_{j<=m_i} (q^{d_i j} - 1), so a type extends only its new
-suffix.  Its index |G : C(s)|_{p'} is one exact division of
-prod_{j<=n} (q^j - 1) by that product.  SeriesLabel and green_degree give
-the same degrees one label at a time, for callers that need the label.
-All arithmetic is exact.
+label: each type extends the products of the prefix of factors it shares
+with the type before it.  SeriesLabel and green_degree give the same
+degrees one label at a time, for callers that need the label.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -40,7 +33,13 @@ from math import prod
 
 from .arith import divisors, moebius
 from .errors import CrossCheckError
-from .partitions import Partition, enumerate_partitions, hook_lengths, validate_partition
+from .partitions import (
+    Partition,
+    enumerate_partitions,
+    hook_lengths,
+    partition_count,
+    validate_partition,
+)
 from .wreath_local import DegreeMultiset
 
 
@@ -112,6 +111,26 @@ def enumerate_class_types(n: int, q: int) -> tuple[tuple[tuple[tuple[int, int], 
 
     walk((), 1, n, (n + 1, 0), 0, 0)
     return tuple(types)
+
+
+def label_count(n: int, q: int) -> int:
+    """The Green labels of GL_n(q), sum over its class types of prod p(m_i), listing no type.
+
+    A type takes at most available_poly_count(d, q) polynomials of degree d; by_size[j][t]
+    sums prod p(m) over the multisets of j multiplicities m of total t.
+    """
+    labels = [1] + [0] * n
+    for d in range(1, n + 1):
+        top = n // d
+        polys = min(top, available_poly_count(d, q))
+        by_size = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(polys)]
+        for m in range(1, top + 1):
+            for j in range(1, len(by_size)):  # j ascending: a multiplicity may repeat
+                for t in range(m, top + 1):
+                    by_size[j][t] += partition_count(m) * by_size[j - 1][t - m]
+        f = [sum(column) for column in zip(*by_size)]  # the degree-d factor, in powers of x^d
+        labels = [sum(labels[k - d * t] * f[t] for t in range(k // d + 1)) for k in range(n + 1)]
+    return labels[n]
 
 
 def semisimple_class_count(n: int, q: int) -> int:

@@ -44,20 +44,13 @@ of more than n + 1 runners, however large d is.
 
 Everything here is pure and deterministic.  The memo tables are
 module-level ``functools`` caches of immutable values, so concurrent
-readers always observe consistent results.  They hold the last 1024
-Murnaghan-Nakayama values ``_mn``, keyed on (mask, cycle type); the rim-hook
-maps behind the character tables, one per (m, k), with the position of each
-mask among the partitions of m; the tables of nu_p(m) and nu_p(m!) behind
-every hook valuation, one per p and power-of-two size; and three read-only
-censuses, each one pass per (n, d):
-``partitions_by_core`` lists the partitions of n grouped by d-core (the
-per-member route: the Nakayama oracle and block_members_and_heights),
-``core_census`` counts them by d-core, which is all gl blocks reads, and
-``valuation_census`` gives each p-core its block's 4-tuple, which is all
-the S_n block, height and p'-degree checks read.  The two counting censuses
-list no partition: core_census walks only the d-cores of the sizes n - d*w
-(``_core_walk``, checked in number by Garvan-Kim-Stanton) and gives each
-the d-quotient count, and valuation_census reads its p-cores from it.
+readers always observe consistent results.  Three read-only censuses take
+one pass per (n, d): ``partitions_by_core`` lists the partitions of n by
+d-core, the per-member route; ``core_census`` counts them by d-core, which
+is all gl blocks reads; ``valuation_census`` gives each p-core its block's
+4-tuple, which is all the S_n block, height and p'-degree checks read.  The
+two counting censuses list no partition: they walk only the d-cores
+(``_core_walk``, checked in number by Garvan-Kim-Stanton).
 """
 
 from __future__ import annotations
@@ -67,6 +60,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
+from operator import sub
 from types import MappingProxyType
 
 from .arith import is_prime, nu_factorial
@@ -133,6 +127,14 @@ def partition_count(n: int) -> int:
                     k += 1
                 _PARTITION_COUNTS.append(total)
     return _PARTITION_COUNTS[n]
+
+
+def partition_count_capped(n: int, cap: int) -> int:
+    """p(n) if at most cap, else p(k) > cap for the least such k: p(n) is never built at large n."""
+    k = 0
+    while k < n and partition_count(k) <= cap:
+        k += 1
+    return partition_count(k)
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -301,10 +303,7 @@ def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ..
     keys each partition by those counts, packed into one int, and turns each
     distinct key into a core once.  No partition of n has a hook longer than
     n, so for d > n each one is its own d-core and no key is made.  The
-    mapping is read-only, since every caller shares the cached value.  Only
-    the routes that need the members read it: the Nakayama oracle,
-    block_members_and_heights, and the tests' listing oracles for the
-    counting censuses.
+    mapping is read-only, since every caller shares the cached value.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -370,12 +369,9 @@ def core_census(n: int, d: int) -> Mapping[Partition, int]:
     The cores are _core_walk's, and a core of weight w is had by
     partition_tuple_count(d, w) partitions, the d-tuples of partitions of
     total size w (the d-quotient bijection), read off one series up to the
-    largest weight, so no partition is listed.  CrossCheckError is raised unless the walk finds
-    c_d(k) cores of each size k = n - d*w (Garvan-Kim-Stanton), for every
-    d.  The callers check the counts: gl blocks against |Irr(C_d wr S_w)|,
-    one report per block, and against p(n) in all; valuation_census against
-    its block series; the tests against the groups of partitions_by_core.
-    The mapping is read-only, as it is shared.
+    largest weight, so no partition is listed.  CrossCheckError is raised
+    unless the walk finds c_d(k) cores of each size k = n - d*w
+    (Garvan-Kim-Stanton).  The mapping is read-only, as it is shared.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -383,20 +379,23 @@ def core_census(n: int, d: int) -> Mapping[Partition, int]:
         raise ValueError("d must be at least 1")
     cores = _core_walk(n, d)
     weights = Counter(cores.values())
-    if [weights[w] for w in range(n // d + 1)] != _core_counts(n, d)[n::-d]:
+    if tuple(weights[w] for w in range(n // d + 1)) != _core_counts(n, d)[n::-d]:
         raise CrossCheckError(f"the {d}-cores walked for n = {n} are not c_{d}(n - {d}w) in number")
     sizes = partition_tuple_counts(d, max(weights))
     return MappingProxyType({core: sizes[w] for core, w in cores.items()})
 
 
-def _core_counts(n: int, d: int) -> list[int]:
-    """c_d(k) for k <= n: the coefficients of prod_k (1 - x^(dk))^d / (1 - x^k)."""
+@lru_cache(maxsize=32)
+def _core_counts(n: int, d: int) -> tuple[int, ...]:
+    """c_d(k) for k <= n: the coefficients of prod_k (1 - x^(dk))^d / (1 - x^k).
+
+    Memoized, so a census cell's cost and its core_census share one count.
+    """
     counts = [partition_count(k) for k in range(n + 1)]
     for step in range(d, n + 1, d):
-        for _ in range(d):
-            for k in range(n, step - 1, -1):
-                counts[k] -= counts[k - step]
-    return counts
+        for _ in range(d):  # times (1 - x^step), reading the old coefficients
+            counts[step:] = map(sub, counts[step:], counts[:-step])
+    return tuple(counts)
 
 
 def _plus(a: tuple, b: tuple) -> tuple:
@@ -487,8 +486,7 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     Read off core_census, which gives a core of weight w the d-quotient count
     partition_tuple_count(d, w), so nothing here compares the two.  Returns 0
     when n - |core| is negative or not divisible by d; raises ValueError if
-    core is not actually a d-core.  gl blocks reads core_census itself; the
-    acceptance tests compare this count with |Irr(C_d wr S_w)|.
+    core is not actually a d-core.
     """
     if d < 1:
         raise ValueError("d must be at least 1")

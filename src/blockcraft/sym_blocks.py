@@ -10,21 +10,15 @@ Heights are pure valuation arithmetic:
 
     height(lam) = nu_p((pw)!) - nu_p(prod of the hooks of lam).
 
-The checks (block_labels, bhz_verify, am_verify_abelian, and the sym blocks
-census) need only four numbers per block, its least and top hook valuations
-and its members at the top and in all, so they read
-``partitions.valuation_census(n, p)``, which walks only the p-cores and
-checks that the top is nu_p((pw)!): the least height is zero, and the
-greatest is nu_p((pw)!) minus the least valuation.
-block_members_and_heights is the per-member route, with hook_valuation on
-each member of ``partitions_by_core``.
+The checks need only four numbers per block, its least and top hook
+valuations and its members at the top and in all, so they read
+``partitions.valuation_census(n, p)``.  block_members_and_heights is the
+per-member route, with hook_valuation on each member.
 
 Alperin-McKay counting is implemented in the abelian-defect regime w < p,
-where the Brauer correspondent's character count is |Irr((C_p x| C_{p-1}) wr S_w)|,
-built from explicit degree enumeration once per (p, w); the global side is
-the block's count in valuation_census, which core_census takes from the
-p-quotient count of p-tuples of partitions, so the two sides of the
-comparison never share code.
+where the Brauer correspondent's character count is |Irr((C_p x| C_{p-1}) wr
+S_w)|, built from explicit degree enumeration once per (p, w); the global
+side is the block's p-quotient count, so the two sides share no code.
 """
 
 from __future__ import annotations

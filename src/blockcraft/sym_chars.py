@@ -5,14 +5,9 @@ compares hook valuations with Legendre's nu_p(n!), so no large factorial is
 formed.  It reads them off ``partitions.valuation_census``, which the block
 checks read too: it walks only the p-cores and computes no hook.
 macdonald_count counts the odd degrees in closed form.  Character tables
-come from the Murnaghan-Nakayama rule applied to whole columns: the column
-of S_n at a cycle type rho is gathered, through the rim rho_1-hooks of each
-label, from one column of the table of S_{n - rho_1}, so the tables are
-built column by column in increasing n, each smaller one once, with no
-per-entry recursion or memo.  A table is stored once, as those columns: the
-degrees are its identity column, and code that reads rows (row
-orthogonality, central characters) transposes the columns for as long as
-the call runs.
+come from the Murnaghan-Nakayama rule applied to whole columns (_columns),
+and are stored once, as those columns: the degrees are the identity column,
+and code that reads rows transposes the columns for as long as it runs.
 
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
@@ -24,16 +19,10 @@ mod each p.
 Block idempotents e_B = sum_{chi in B} chi(1)/|G| sum_{x p-regular} chi(x) x^{-1}
 are handled as exact rational coefficient vectors on class sums, and
 multiplied via the integer structure constants of the class algebra.
-
-Resource bounds: tables are refused above n = 10, idempotent work above
-n = 6, and the census checks (sym mckay, blocks, bhz and am, and gl blocks)
-above n = 60 by default; the BLOCKCRAFT_MAX_N environment variable raises
-all three.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -44,41 +33,21 @@ from operator import mul
 from types import MappingProxyType
 
 from .arith import is_prime, nu_factorial
-from .errors import CrossCheckError, ResourceLimitError, UsageError
+from .budget import BUDGETS, over_budget
+from .errors import CrossCheckError, ResourceLimitError
 from .partitions import (
     Partition,
     _rim_hook_map,
     enumerate_partitions,
     hook_lengths,
+    partition_count_capped,
     valuation_census,
 )
 
-DEFAULT_TABLE_BOUND = 10
-DEFAULT_IDEMPOTENT_BOUND = 6
-DEFAULT_CENSUS_BOUND = 60
 
-
-def _env_bound(default: int) -> int:
-    raw = os.environ.get("BLOCKCRAFT_MAX_N")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"BLOCKCRAFT_MAX_N must be an integer, got {raw!r}") from exc
-    return max(value, default)
-
-
-def table_bound() -> int:
-    return _env_bound(DEFAULT_TABLE_BOUND)
-
-
-def idempotent_bound() -> int:
-    return _env_bound(DEFAULT_IDEMPOTENT_BOUND)
-
-
-def census_bound() -> int:
-    return _env_bound(DEFAULT_CENSUS_BOUND)
+def table_products(n: int) -> int:
+    """Products in the orthogonality sums of S_n's table: p(n)^3, a lower bound past the budget."""
+    return partition_count_capped(n, BUDGETS["table product"]) ** 3
 
 
 def sym_degree(lam: Partition) -> int:
@@ -140,11 +109,11 @@ class SymCharacterTable:
 
 def build_table(n: int) -> SymCharacterTable:
     """Full exact table of S_n via the Murnaghan-Nakayama rule."""
-    limit = table_bound()
-    if n > limit:
-        raise ResourceLimitError(f"character table for n={n} exceeds bound {limit}")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    reason = over_budget("table product", table_products(n))
+    if reason:
+        raise ResourceLimitError(f"character table of S_{n}: {reason}")
     return _table(n)
 
 
@@ -174,7 +143,7 @@ def _columns(n: int) -> Mapping[Partition, tuple[int, ...]]:
 
 @cache
 def _table(n: int) -> SymCharacterTable:
-    """The memo behind build_table, keyed on n alone; callers check the bound."""
+    """The memo behind build_table, keyed on n alone; callers check the budget."""
     classes = enumerate_partitions(n)
     class_sizes = {rho: cycle_type_class_size(rho) for rho in classes}
     if sum(class_sizes.values()) != factorial(n):
@@ -325,9 +294,10 @@ def block_idempotent_p_integral(n: int, p: int, block) -> bool:
     The coefficient formula only sees p-regular classes; idempotency is
     checked by genuine multiplication in the exact rational class algebra.
     """
-    limit = idempotent_bound()
-    if n > limit:
-        raise ResourceLimitError(f"idempotent check for n={n} exceeds bound {limit}")
+    rows = partition_count_capped(n, BUDGETS["table product"])  # each of rows^4 Fraction terms
+    reason = over_budget("table product", 33 * rows**4)  # takes about 33 table products
+    if reason:
+        raise ResourceLimitError(f"idempotent check for S_{n}: {reason}")
     if not is_prime(p):
         raise ValueError("p must be prime")
     table = build_table(n)

@@ -1,10 +1,8 @@
 """The local-group engine: exact degree multisets of C_m x| C_d, B wr S_w and A x B.
 
 Every local side is built here, and irr_lprime_count is the one place that
-counts ell'-characters.  Degrees are all we ever need downstream (the
-conjecture checks are pure counts), so no character labels are stored; one
-count, |Irr(C_d wr S_w)| for gl blocks, is by recurrence and needs none.  The
-constructions are standard Clifford theory:
+counts ell'-characters.  The checks are pure counts, so no character label
+is stored.  The constructions are standard Clifford theory:
 
 * For C_m x| C_d acting by x -> u*x, each orbit O of <u> on Z_m = Irr(C_m)
   of size o contributes d/o characters of degree o (the stabilizer is cyclic,
@@ -111,11 +109,6 @@ def metacyclic_degrees(spec: MetacyclicSpec) -> DegreeMultiset:
     return DegreeMultiset.from_counter(counts, spec.m * spec.d)
 
 
-def cyclic_degrees(m: int) -> DegreeMultiset:
-    """The m linear characters of C_m."""
-    return metacyclic_degrees(MetacyclicSpec(m=m, d=1, u=1 % m))
-
-
 def direct_product(a: DegreeMultiset, b: DegreeMultiset) -> DegreeMultiset:
     """Degree multiset of A x B: each pair of characters gives one of the product degree."""
     counts: Counter = Counter()
@@ -195,7 +188,7 @@ def sylow2_local_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    layers = [cyclic_degrees(1)]
+    layers = [TRIVIAL_GROUP]
     while len(layers) < n.bit_length():
         layers.append(wreath_degrees(layers[-1], 2))
     sylow = reduce(direct_product, (layer for k, layer in enumerate(layers) if n >> k & 1))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -17,10 +18,11 @@ from blockcraft.glq_chars import (
     gl_order,
     green_degree,
     irr_pprime_count_gl,
+    label_count,
     semisimple_class_count,
     unipotent_degree,
 )
-from blockcraft.partitions import enumerate_partitions, hook_lengths
+from blockcraft.partitions import enumerate_partitions, hook_lengths, partition_count
 from blockcraft.sym_chars import sym_degree
 
 
@@ -177,6 +179,19 @@ def test_enumerate_class_types_matches_itertools_oracle():
             ]
             assert list(enumerate_class_types(n, q)) == expected
     assert enumerate_class_types(0, 7) == (((), 1),)
+
+
+def test_label_count_matches_the_class_type_walk():
+    # sum over the listed class types of prod p(m_i), the labels enumerate_series_labels yields.
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 1000003):
+        for n in range(13 if q < 20 else 10):
+            walked = sum(
+                math.prod(partition_count(m) for _, m in entries)
+                for entries, _ in enumerate_class_types(n, q)
+            )
+            assert label_count(n, q) == walked, (n, q)
+    assert label_count(4, 2) == sum(1 for _ in enumerate_series_labels(4, 2))
+    assert label_count(26, 2) == 168483  # the 4 727 class types of GL_26(2)
 
 
 def test_class_type_walk_lists_only_types_that_occur():

@@ -6,10 +6,10 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +20,8 @@ from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run
 from blockcraft.errors import UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
 from blockcraft.report import VerificationReport, emit_reports, sort_reports
+from blockcraft.budget import BUDGETS
 from blockcraft.sym_blocks import bhz_verify, block_labels
-from blockcraft.sym_chars import census_bound
 
 GOLDEN = Path(__file__).parent / "golden" / "v1"
 
@@ -135,27 +135,23 @@ def test_cli_internal_value_error_exits_2(capsys, monkeypatch):
     assert captured.err == "internal error: planted\n"
 
 
-def test_non_integer_max_n_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "ten")
-    with pytest.raises(UsageError):
-        census_bound()
-    assert main(["sym", "table", "--n", "3"]) == 1
-    assert capsys.readouterr().err == "error: BLOCKCRAFT_MAX_N must be an integer, got 'ten'\n"
-
-
 CENSUS_CHECKS = ("sym_mckay", "sym_bhz", "sym_blocks", "sym_am", "gl_blocks")
+
+
+def _no_core_counts(n, d):
+    raise AssertionError("a cell past the census budget's first terms counted its cores")
 
 
 @pytest.mark.parametrize("name", CENSUS_CHECKS)
 def test_census_checks_refuse_n_above_the_census_bound(name, monkeypatch):
-    # Only the precondition is asked: over the bound, nothing may be enumerated.
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    # The census budget: at n = 10^6 the n^2 steps alone exceed it, so no core is counted.
     check = CHECKS[name]
     values = {param: {"p": 2, "q": 2, "ell": 7}.get(param) for param in check.params}
-    assert check.refusal({**values, "n": 70}) == "n=70 exceeds the census bound 60"
     assert check.refusal({**values, "n": 60}) is None
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "80")
-    assert check.refusal({**values, "n": 70}) is None
+    monkeypatch.setattr(cli, "_core_counts", _no_core_counts)
+    reason = check.refusal({**values, "n": 10**6})
+    assert reason.startswith("predicted work of at least ")
+    assert reason.endswith(f" census steps exceeds the budget of {BUDGETS['census step']}")
 
 
 def test_cli_no_command_is_usage_error(capsys):
@@ -163,10 +159,9 @@ def test_cli_no_command_is_usage_error(capsys):
     assert main(["sym"]) == 1
 
 
-def test_cli_table_bound_is_resource_error(capsys, monkeypatch):
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+def test_cli_table_bound_is_resource_error(capsys):
     assert main(["sym", "table", "--n", "40"]) == 1
-    assert "bound" in capsys.readouterr().err
+    assert "table products exceeds the budget" in capsys.readouterr().err
 
 
 def test_cli_failed_verification_exits_2(capsys, monkeypatch):
@@ -316,7 +311,7 @@ def test_ell_context_works_out_d_once(monkeypatch):
 
 
 def test_gl_mckay_cell_finds_the_order_of_q_once(monkeypatch):
-    # The precondition and EllContext.of both ask for d; the memo answers the second.
+    # The cost and EllContext.of both ask for d; the memo answers the second.
     glq_blocks.d_ell.cache_clear()
     calls = _count_calls(monkeypatch, "multiplicative_order")
     assert main(["gl", "mckay", "--n", "4", "--q", "7", "--ell", "5"]) == 0
@@ -412,7 +407,6 @@ def _limit_address_space():
 def test_cli_sym_checks_at_a_huge_prime_run_small_and_quick(command):
     # For p > n every partition is its own p-core: nothing may be sized by p.
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    env.pop("BLOCKCRAFT_MAX_N", None)
     done = subprocess.run(
         [sys.executable, "-m", "blockcraft.cli", *command, "--n", "5", "--p", "1000000007"],
         env=env,
@@ -429,16 +423,22 @@ def test_cli_sym_checks_at_a_huge_prime_run_small_and_quick(command):
 # The check registry: one entry drives the CLI command and the sweep cell
 # ---------------------------------------------------------------------------
 
-# A value for every parameter that passes every check's precondition.
+# A value for every parameter that every check admits.
 PASSING = {"n": 5, "p": 2, "q": 3, "ell": 2}
-# Per check, parameter values that fail its precondition, and the reason.
+# Per check, parameter values that it refuses, and the reason.
 FAILING = {
     "sym_mckay": ({"p": 3}, "sym mckay local side is only available at p=2"),
     "sym_blocks": ({"p": 4}, "p=4 is not prime"),
-    "sym_table": ({"n": 11}, "n=11 exceeds the table bound 10"),
+    "sym_table": (
+        {"n": 18},
+        "predicted work of at least 57066625 table products exceeds the budget of 28000000",
+    ),
     "sym_bhz": ({"p": 1}, "p=1 is not prime"),
     "sym_am": ({"p": 9}, "p=9 is not prime"),
-    "nakayama": ({"n": 12}, "n=12 exceeds the table bound 10"),
+    "nakayama": (
+        {"n": 18},
+        "predicted work of at least 57066625 table products exceeds the budget of 28000000",
+    ),
     "gl_degrees": ({"q": 6}, "q=6 is not a prime power"),
     "gl_mckay": ({"ell": 4}, "ell=4 is not prime"),
     "gl_blocks": ({"q": 9, "ell": 3}, "ell=3 divides q=9"),
@@ -480,7 +480,9 @@ def test_every_check_refuses_negative_n(name):
 def test_gl_mckay_refuses_a_local_base_above_the_bound(tmp_path, capsys):
     # d = 2: the base C_{q^2 - 1} x| C_2 would take q^2 - 1 = 2^44 - 1 orbit flags.
     values = {"n": 2, "q": 4194304, "ell": 5}
-    reason = "q^2 - 1 = 17592186044415 exceeds the local base bound 1048576"
+    reason = (
+        "predicted work of at least 17592186044415 base elements exceeds the budget of 4500000"
+    )
     assert CHECKS["gl_mckay"].refusal(values) == reason
     assert main(_cli_argv("gl_mckay", values)) == 1
     captured = capsys.readouterr()
@@ -493,20 +495,20 @@ def test_gl_mckay_refuses_a_local_base_above_the_bound(tmp_path, capsys):
     assert CHECKS["gl_mckay"].refusal({**values, "ell": 2}) is None
 
 
-def test_gl_blocks_above_the_census_bound_is_cli_error_and_sweep_skip(
-    tmp_path, capsys, monkeypatch
-):
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+def test_gl_blocks_above_the_census_bound_is_cli_error_and_sweep_skip(tmp_path, capsys):
     # The defining prime is refused first, whatever n is.
-    assert CHECKS["gl_blocks"].refusal({"n": 70, "q": 9, "ell": 3}) == "ell=3 divides q=9"
-    values = {"n": 61, "q": 2, "ell": 7}
-    reason = "n=61 exceeds the census bound 60"
+    assert CHECKS["gl_blocks"].refusal({"n": 10**6, "q": 9, "ell": 3}) == "ell=3 divides q=9"
+    # d = 3: n^2 + 30 (n/3)^2 census steps, more than the census budget.
+    values = {"n": 10**6, "q": 2, "ell": 7}
+    reason = (
+        "predicted work of at least 4333326666670 census steps exceeds the budget of 50000000"
+    )
     assert main(_cli_argv("gl_blocks", values)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {reason}\n"
     assert main(_sweep_argv(tmp_path, "gl_blocks", values)) == 0
-    assert capsys.readouterr().err == f"skip gl_blocks ell=7 n=61 q=2: {reason}\n"
+    assert capsys.readouterr().err == f"skip gl_blocks ell=7 n=1000000 q=2: {reason}\n"
 
 
 def _no_walk(n, d):
@@ -515,60 +517,61 @@ def _no_walk(n, d):
 
 @pytest.mark.parametrize("command", [["sym", "bhz"], ["sym", "am"], ["sym", "blocks"]])
 def test_census_cells_above_the_block_bound_walk_no_core(command, capsys, monkeypatch):
-    # The 13-cores of the sizes 200 - 13w are counted before any walk, and there are too many.
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "200")
+    # The 35 726 285 13-cores of the sizes 200 - 13w are counted before any walk, and
+    # 1000 census steps each are too many.
     monkeypatch.setattr(partitions, "_core_walk", _no_walk)
     assert main([*command, "--n", "200", "--p", "13"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: n=200 has 35726285 blocks (13-cores), more than the block bound 10000\n"
+        "error: predicted work of at least 114133437150 census steps exceeds the budget of 50000000\n"
     )
 
 
 def test_gl_blocks_above_the_block_bound_is_cli_error_and_sweep_skip(
     tmp_path, capsys, monkeypatch
 ):
-    # d = 1 000 002 > n: every partition of 40 is its own d-core, one block each.
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+    # d = 1 000 002 > n: every partition of 50 is its own d-core, one block each, and
+    # the walk enters every partition of each size up to 50.
     monkeypatch.setattr(partitions, "_core_walk", _no_walk)
-    values = {"n": 40, "q": 2, "ell": 1000003}
-    reason = "n=40 has 37338 blocks (1000002-cores), more than the block bound 10000"
+    values = {"n": 50, "q": 2, "ell": 1000003}
+    reason = (
+        "predicted work of at least 269027050 census steps exceeds the budget of 50000000"
+    )
     assert main(_cli_argv("gl_blocks", values)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {reason}\n"
     assert main(_sweep_argv(tmp_path, "gl_blocks", values)) == 0
-    assert capsys.readouterr().err == f"skip gl_blocks ell=1000003 n=40 q=2: {reason}\n"
+    assert capsys.readouterr().err == f"skip gl_blocks ell=1000003 n=50 q=2: {reason}\n"
 
 
-def test_gl_blocks_of_weight_60_runs_and_every_row_passes(capsys, monkeypatch):
+def test_gl_blocks_of_weight_60_runs_and_every_row_passes(capsys):
     # d_3(4) = 1: GL_60(4) has one unipotent 3-block, of weight 60, whose Weyl
     # group count |Irr(S_60)| = p(60) comes from the divisor-sum recurrence.
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
     assert main(["gl", "blocks", "--n", "60", "--q", "4", "--ell", "3", "--format", "json"]) == 0
     block, total = json.loads(capsys.readouterr().out)
     assert block["local_count"] == total["global_count"] == "966467"
     assert block["passed"] and total["passed"]
-    # No weight bound remains: weight 41 at d = 2 is admitted once the census bound allows n.
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "200")
-    assert CHECKS["gl_blocks"].refusal({"n": 82, "q": 2, "ell": 3}) is None
+    # No weight bound remains: weight 500 at d = 2 is within the census budget.
+    assert CHECKS["gl_blocks"].refusal({"n": 1000, "q": 2, "ell": 3}) is None
 
 
 @pytest.mark.parametrize("name", ["sym_bhz", "sym_am", "sym_blocks"])
 def test_block_bound_refuses_only_above_it(name, monkeypatch):
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
-    # S_22 has 137 7-blocks: a bound of 137 admits the cell, and one of 136 refuses it.
-    monkeypatch.setattr(cli, "BLOCK_BOUND", 137)
+    # S_22 has 137 7-blocks, 137 000 of the cell's census steps: a budget of exactly its
+    # predicted work admits the cell, and one step less refuses it.
+    work = CHECKS[name].cost(n=22, p=7)["census step"]
+    assert work == 22 * 22 + 30 * 3**2 + 22 * sum(partitions._core_counts(22, 7)) + 137_000
+    monkeypatch.setitem(BUDGETS, "census step", work)
     assert CHECKS[name].refusal({"n": 22, "p": 7}) is None
-    monkeypatch.setattr(cli, "BLOCK_BOUND", 136)
-    reason = "n=22 has 137 blocks (7-cores), more than the block bound 136"
+    monkeypatch.setitem(BUDGETS, "census step", work - 1)
+    reason = f"predicted work of at least {work} census steps exceeds the budget of {work - 1}"
     assert CHECKS[name].refusal({"n": 22, "p": 7}) == reason
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
-def test_precondition_is_cli_error_and_sweep_skip(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
+def test_precondition_is_cli_error_and_sweep_skip(name, tmp_path, capsys):
     override, reason = FAILING[name]
     values = {**PASSING, **override}
     assert main(_cli_argv(name, values)) == 1
@@ -591,10 +594,10 @@ def test_sweep_runners_are_the_public_runners_of_the_cli():
 
 
 def test_sweep_works_out_each_cell_refusal_once(tmp_path, capsys, monkeypatch):
-    # The registry's wrapper is the one place a precondition is checked: a
-    # sweep cell makes one refusal call, and gl mckay asks for d twice (its
-    # precondition, then EllContext.of), as on the command line; the d_ell
-    # memo answers the second.
+    # The registry's wrapper is the one place a cell is admitted: a sweep
+    # cell makes one refusal call, and gl mckay asks for d twice (its cost,
+    # then EllContext.of), as on the command line; the d_ell memo answers
+    # the second.
     refusals = []
     original = cli.Check.refusal
 
@@ -615,17 +618,6 @@ def test_sweep_works_out_each_cell_refusal_once(tmp_path, capsys, monkeypatch):
     assert refusals == ["gl_mckay", "gl_mckay", "sym_mckay", "sym_mckay"]
     assert calls == {"d_ell": [(7, 5), (7, 5), (4194304, 5)]}
     assert capsys.readouterr().err.count("skip ") == 2
-
-
-def test_sweep_under_a_bad_max_n_is_one_usage_error(tmp_path, capsys, monkeypatch):
-    # A bound that cannot be read is an error, not a refusal to skip.
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "ten")
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"cells": [{"check": "sym_table", "n": [2, 3]}]}))
-    assert main(["sweep", "--config", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: BLOCKCRAFT_MAX_N must be an integer, got 'ten'\n"
 
 
 def test_sweep_calls_the_runner_in_the_registry(tmp_path, capsys, monkeypatch):
@@ -664,8 +656,7 @@ def test_cli_fuzz_small_sym_and_oracle_vectors(name, n, p):
 def _assert_one_clean_exit(argv):
     """Run the CLI on argv: exit 0, 1 or 2, no traceback, at most one stderr line."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
-        os.environ.pop("BLOCKCRAFT_MAX_N", None)
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
@@ -705,6 +696,107 @@ def test_cli_fuzz_one_cell_sweeps(name, n, p, q, ell):
         config = Path(tmp) / "sweep.json"
         config.write_text(json.dumps({"cells": [cell]}))
         _assert_one_clean_exit(["sweep", "--config", str(config), "--format", "csv"])
+
+
+# ---------------------------------------------------------------------------
+# Admission: each cell's predicted work must fit its unit's budget
+# ---------------------------------------------------------------------------
+
+def _run_cli(argv):
+    """The CLI in a child under a 1 GiB address space, killed after 10 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "blockcraft.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+
+
+# Each ran for more than 20 s, growing, before GL cells were bounded.
+UNBOUNDED_GL_CELLS = [
+    pytest.param(["gl", "degrees", "--n", "40", "--q", "2"], id="degrees-40-2"),
+    pytest.param(["gl", "mckay", "--n", "40", "--q", "2", "--ell", "3"], id="mckay-40-2-3"),
+    pytest.param(["gl", "mckay", "--n", "30", "--q", "1000003", "--ell", "3"], id="mckay-30-1000003-3"),
+    pytest.param(["gl", "mckay", "--n", "1000000", "--q", "2", "--ell", "1000003"], id="mckay-10^6-2-1000003"),
+]
+
+
+@pytest.mark.parametrize("argv", UNBOUNDED_GL_CELLS)
+def test_gl_cells_past_the_label_budget_exit_1_at_once(argv, monkeypatch):
+    done = _run_cli(argv)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: predicted work of at least ")
+    assert done.stderr.endswith(f" labels exceeds the budget of {BUDGETS['label']}\n")
+    assert done.stderr.count("\n") == 1
+    # In process: well under a second, and no class type is listed, no degree built.
+    calls = _count_calls(monkeypatch, "enumerate_class_types", "all_degrees", "_local_degrees")
+    check = next(c for c in CHECKS.values() if [c.group, c.command] == argv[:2])
+    params = {argv[i][2:]: int(argv[i + 1]) for i in range(2, len(argv), 2)}
+    start = time.perf_counter()
+    assert check.refusal(params) == done.stderr[len("error: ") : -1]
+    assert time.perf_counter() - start < 1
+    assert not any(calls.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gl", "mckay", "--n", "20100", "--q", "2", "--ell", "20029"],  # q^20028 - 1: 6 030 digits
+        ["gl", "degrees", "--n", "14", "--q", "100000000000000000000117"],  # |GL_14(q)|: 4 508
+    ],
+)
+def test_huge_integers_give_reports_or_one_error_line(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert "internal error" not in captured.err
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_census_cell_counts_its_cores_once():
+    # Admission and core_census both read the core counts of (30, 3): one computation.
+    for memo in (partitions._core_counts, partitions.core_census, partitions.valuation_census):
+        memo.cache_clear()
+    assert main(["sym", "bhz", "--n", "30", "--p", "3", "--format", "csv"]) == 0
+    # (30, 3) computed once and read once more; (10, 3), (3, 3) and (1, 3) for the block series.
+    info = partitions._core_counts.cache_info()
+    assert (info.misses, info.hits) == (4, 1)
+
+
+# Prime powers for p, q and ell: small, at the frontier, and up to the primality limit.
+PRIME_POWERS = [
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 61, 1024, 1000003, 1000000007, 4194304,
+    2305843009213693951, 3**40, 100000000000000000000117,
+]
+ANY_PRIME = st.one_of(st.integers(-3, 40), st.sampled_from(PRIME_POWERS), st.integers(0, 10**30))
+
+
+@settings(max_examples=300, deadline=timedelta(milliseconds=500))
+@given(
+    name=st.sampled_from(sorted(CHECKS)),
+    n=st.one_of(st.integers(-3, 80), st.integers(0, 10**6)),
+    p=ANY_PRIME,
+    q=ANY_PRIME,
+    ell=ANY_PRIME,
+)
+def test_every_admitted_cell_is_predicted_within_its_budgets(name, n, p, q, ell):
+    # Refusal is in process and quick for any size; a refused cell gets one short line.
+    check = CHECKS[name]
+    params = {k: v for k, v in {"n": n, "p": p, "q": q, "ell": ell}.items() if k in check.params}
+    reason = check.refusal(params)
+    if reason is None:
+        for unit, work in check.cost(**params).items():
+            assert work <= BUDGETS[unit], (unit, work)
+    else:
+        assert "\n" not in reason and len(reason) < 200
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +868,25 @@ def test_cli_sweep_boolean_grid_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: bad grid value True")
     assert captured.err.count("\n") == 1
+
+
+def test_sweep_config_cells_are_counted_before_any_is_listed(tmp_path):
+    # As a list, 10^11 cells would need far more than the child's 1 GiB.
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"cells": [{"check": "sym_mckay", "n": "1..100000000000"}]}))
+    done = _run_cli(["sweep", "--config", str(path)])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: sweep config has 100000000000 cells, more than {cli.MAX_SWEEP_CELLS}\n"
+    )
+
+
+def test_sweep_cell_count_multiplies_grids_and_adds_entries():
+    grid = {"check": "gl_mckay", "n": "1..50", "q": list(range(2, 52)), "ell": 3}
+    assert len(expand_sweep_config({"cells": [grid] * 4})) == 4 * 50 * 50 == cli.MAX_SWEEP_CELLS
+    with pytest.raises(UsageError, match="sweep config has 10001 cells, more than 10000"):
+        expand_sweep_config({"cells": [grid] * 4 + [{"check": "sym_mckay", "n": 3}]})
 
 
 @pytest.mark.parametrize("grid", ["5..3", []])

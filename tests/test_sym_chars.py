@@ -6,6 +6,7 @@ import pytest
 
 from blockcraft import sym_chars
 from blockcraft.arith import nu, nu_factorial
+from blockcraft.budget import BUDGETS
 from blockcraft.errors import CrossCheckError, ResourceLimitError
 from blockcraft.partitions import enumerate_partitions, hook_lengths, hook_valuation
 from blockcraft.sym_chars import (
@@ -155,25 +156,23 @@ def test_orthogonality_catches_any_one_wrong_entry():
 
 
 def test_table_bound(monkeypatch):
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
-    with pytest.raises(ResourceLimitError):
+    # build_table checks the table budget itself: p(11)^3 = 175 616 products.
+    monkeypatch.setitem(BUDGETS, "table product", 175_615)
+    with pytest.raises(ResourceLimitError, match="175616 table products exceeds the budget"):
         build_table(11)
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "11")
+    monkeypatch.setitem(BUDGETS, "table product", 175_616)
     table = build_table(11)
     assert len(table.classes) == len(enumerate_partitions(11))
 
 
-def test_env_var_raises_both_bounds(monkeypatch):
-    from blockcraft.sym_chars import idempotent_bound, table_bound
-
-    monkeypatch.delenv("BLOCKCRAFT_MAX_N", raising=False)
-    assert (table_bound(), idempotent_bound()) == (10, 6)
+def test_idempotent_check_is_bounded_by_the_table_budget(monkeypatch):
+    # 33 table products per term, p(n)^4 terms: at S_10 that is 102 685 968.
+    with pytest.raises(ResourceLimitError, match="102685968 table products"):
+        block_idempotent_p_integral(10, 2, {(10,)})
+    monkeypatch.setitem(BUDGETS, "table product", 33 * 11**4)  # p(6) = 11
     with pytest.raises(ResourceLimitError):
         block_idempotent_p_integral(7, 2, {(7,)})
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "8")
-    assert (table_bound(), idempotent_bound()) == (10, 8)  # can only raise
-    monkeypatch.setenv("BLOCKCRAFT_MAX_N", "3")
-    assert (table_bound(), idempotent_bound()) == (10, 6)
+    assert block_idempotent_p_integral(6, 2, central_character_blocks(6, 2).blocks[0])
 
 
 def test_central_character_values_are_integers():

@@ -13,7 +13,7 @@ from blockcraft.sym_chars import sym_degree
 from blockcraft.wreath_local import (
     DegreeMultiset,
     MetacyclicSpec,
-    cyclic_degrees,
+    TRIVIAL_GROUP,
     cyclic_wreath_character_count,
     cyclic_wreath_character_counts,
     direct_product,
@@ -22,6 +22,15 @@ from blockcraft.wreath_local import (
     sylow2_local_count,
     wreath_degrees,
 )
+
+
+def cyclic_degrees(m):
+    """The m linear characters of C_m."""
+    return metacyclic_degrees(MetacyclicSpec(m=m, d=1, u=1 % m))
+
+
+def test_the_trivial_group_is_c_1():
+    assert cyclic_degrees(1) == TRIVIAL_GROUP
 
 
 # ---------------------------------------------------------------------------
