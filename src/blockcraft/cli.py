@@ -137,19 +137,16 @@ def _census_cost(n: int, p: int, sylow: int = 0) -> dict[str, int]:
     return {"census step": work}
 
 
-def _gl_cost(n: int, q: int, ell: int = 0) -> dict[str, int]:
-    """Green labels of GL_n(q), and gl mckay's local base C_{q^d-1} x| C_d when n >= d.
+def _gl_cost(n: int, q: int) -> dict[str, int]:
+    """Green labels of GL_n(q); gl mckay's local side costs nothing that grows with q^d.
 
     A label weighs 1 + (b/2900)^2, b >= log2 |GL_n(q)| the bits its degree
     products multiply.  The unipotent labels, p(n), come first, as a lower
-    bound.  The base is not sized past 2^64.
+    bound.
     """
     weight = 1 + (n * n * q.bit_length()) ** 2 // 2900**2
     labels = partition_count_capped(n, cap := BUDGETS["label"] // weight)
-    cost = {"label": weight * (label_count(n, q) if labels <= cap else labels)}
-    if ell and q % ell and n >= (d := d_ell(q, ell)):
-        cost["base element"] = min(q ** min(d, 64), 1 << 64) - 1
-    return cost
+    return {"label": weight * (label_count(n, q) if labels <= cap else labels)}
 
 
 def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
@@ -321,7 +318,7 @@ def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
     ]
 
 
-@_register("gl_mckay", "gl mckay", cost=_gl_cost)
+@_register("gl_mckay", "gl mckay", cost=lambda n, q, ell: _gl_cost(n, q))
 def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
     return [verify_gl_mckay_defining(n, q) if q % ell == 0 else verify_gl_mckay(n, q, ell)]
 

@@ -52,7 +52,7 @@ from .wreath_local import (
     wreath_degrees,
 )
 
-@cache  # a gl mckay or gl blocks cell asks twice: its cost, then its EllContext
+@cache  # a gl blocks cell asks twice: its cost, then its EllContext
 def d_ell(q: int, ell: int) -> int:
     """Multiplicative order of q modulo ell (the prime ell must not divide q)."""
     if not is_prime(ell):

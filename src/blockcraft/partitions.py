@@ -330,8 +330,9 @@ def _core_walk(n: int, d: int) -> dict[Partition, int]:
     part a at depth k has bead a + k, which the rows above it never move.
     So removing the top row of a d-core leaves a d-core, and the walk enters
     only d-cores: a row goes on only if its bead b is below d or b - d
-    already holds a bead.  For d > n nothing is pruned, and each partition
-    of n is its own core.
+    already holds a bead.  The top bead so far is low + depth - 1, so a row
+    that fits has part at most low + d - 1, and no larger part is tried.  For
+    d > n nothing is pruned, and each partition of n is its own core.
     """
     cores: dict[Partition, int] = {}
     rows: list[int] = []  # the parts placed so far, bottom up
@@ -344,12 +345,13 @@ def _core_walk(n: int, d: int) -> dict[Partition, int]:
         while True:  # the top row placed so far has part low (low = 1 at the root)
             if remaining % d == 0:
                 cores[tuple(reversed(rows))] = remaining // d
-            for part in range(low + 1, remaining // 2 + 1):  # leaves room for a row >= part
+            top = min(remaining, low + d - 1)
+            for part in range(low + 1, min(remaining // 2, top) + 1):  # room for a row >= part
                 if fits(part + depth, beads):
                     rows.append(part)
                     walk(remaining - part, part, depth + 1, beads | 1 << (part + depth))
                     rows.pop()
-            for part in range(remaining, max(low, remaining // 2), -d):  # a top row leaving d*w
+            for part in range(top - (top - remaining) % d, max(low, remaining // 2), -d):
                 if fits(part + depth, beads):
                     cores[(part, *reversed(rows))] = (remaining - part) // d
             if low > remaining or not fits(low + depth, beads):

@@ -6,7 +6,9 @@ is stored.  The constructions are standard Clifford theory:
 
 * For C_m x| C_d acting by x -> u*x, each orbit O of <u> on Z_m = Irr(C_m)
   of size o contributes d/o characters of degree o (the stabilizer is cyclic,
-  so invariant characters extend, and Gallagher gives d/o extensions).
+  so invariant characters extend, and Gallagher gives d/o extensions).  The
+  orbits are counted, not walked: gcd(u^e - 1, m) elements, the kernel of
+  x -> (u^e - 1)x, have an orbit size dividing e.
 
 * For B wr S_w, characters are indexed by functions phi from Irr(B) to
   partitions with total size w, of degree
@@ -20,8 +22,9 @@ is stored.  The constructions are standard Clifford theory:
   degrees at sizes t1, t2 multiplies by the binomial C(t1+t2, t1); the
   product of these binomials over all folds is the integer multinomial
   w!/prod |phi(chi)|!, so every entry is an exact int and no Fraction is
-  needed.  The k characters of one degree are folded in by binary powering
-  (square and multiply, truncated at size w) rather than k single folds.
+  needed.  The k characters of one degree, of table 1 + U, are folded in as
+  (1 + U)^k = sum_{j <= min(k, w)} C(k, j) U^j, since U^j is empty up to size
+  j - 1: at most w convolutions, whatever k is.
 
 * For A x B, Irr(A x B) = Irr(A) x Irr(B), and degrees multiply.
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .arith import divisors, is_prime
 from .errors import CrossCheckError
@@ -91,22 +94,21 @@ class MetacyclicSpec:
 
 
 def metacyclic_degrees(spec: MetacyclicSpec) -> DegreeMultiset:
-    """Degree multiset of C_m x| C_d; sum of squares is m*d by construction."""
-    seen = [False] * spec.m
+    """Degree multiset of C_m x| C_d; sum of squares is m*d by construction.
+
+    exact[e] elements of Z_m have orbit size e | d: gcd(u^e - 1, m), less exact[f] for f | e.
+    """
+    exact: dict[int, int] = {}
     counts: Counter = Counter()
-    for start in range(spec.m):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            size += 1
-            x = x * spec.u % spec.m
-        if spec.d % size:
-            raise CrossCheckError(f"orbit size {size} does not divide d={spec.d}")
-        counts[size] += spec.d // size
-    return DegreeMultiset.from_counter(counts, spec.m * spec.d)
+    for e in divisors(spec.d):  # ascending, so each f | e is counted before e
+        exact[e] = gcd(pow(spec.u, e, spec.m) - 1, spec.m) - sum(
+            n for f, n in exact.items() if e % f == 0
+        )
+        orbits, rest = divmod(exact[e], e)
+        if rest:
+            raise CrossCheckError(f"{exact[e]} elements of orbit size {e} are not whole orbits")
+        counts[e] = orbits * (spec.d // e)
+    return DegreeMultiset.from_counter(+counts, spec.m * spec.d)
 
 
 def direct_product(a: DegreeMultiset, b: DegreeMultiset) -> DegreeMultiset:
@@ -136,17 +138,15 @@ def wreath_degrees(base: DegreeMultiset, w: int) -> DegreeMultiset:
         raise ValueError("w must be nonnegative")
     shapes = [Counter(sym_degree(mu) for mu in enumerate_partitions(t)) for t in range(w + 1)]
     table = [Counter({1: 1})] + [Counter() for _ in range(w)]
-    for char_degree, count in base.entries:
-        power = [
-            Counter({char_degree**t * f: c for f, c in shapes[t].items()})
-            for t in range(w + 1)
-        ]
-        while count:
-            if count & 1:
-                table = _convolve(table, power, w)
-            count >>= 1
-            if count:
-                power = _convolve(power, power, w)
+    for delta, count in base.entries:
+        single = [Counter({delta**t * f: c for f, c in shapes[t].items()}) for t in range(w + 1)]
+        single[0] = Counter()  # U, one character's table less its size-0 entry
+        fold = [Counter({1: 1})] + [Counter() for _ in range(w)]
+        for j in range(1, min(count, w) + 1):  # fold = (1 + U)^count, power = U^j
+            power = _convolve(power, single, w) if j > 1 else single
+            for t in range(j, w + 1):
+                fold[t].update({degree: comb(count, j) * c for degree, c in power[t].items()})
+        table = _convolve(table, fold, w)
     return DegreeMultiset.from_counter(table[w], base.group_order**w * factorial(w))
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -410,6 +411,14 @@ def test_core_census_matches_the_listing_oracle_past_small_n():
     for n, d in ((40, 2), (40, 3), (36, 4), (36, 5), (30, 6)):
         groups = partitions_by_core(n, d)
         assert dict(core_census(n, d)) == {core: len(group) for core, group in groups.items()}
+
+
+def test_core_walk_tries_at_most_d_parts_per_core():
+    # A row that fits has part at most low + d - 1, so the walk tries at most d parts per core.
+    started = time.process_time()
+    cores = partitions._core_walk(2968, 3)
+    assert time.process_time() - started < 0.2
+    assert len(cores) == sum(partitions._core_counts(2968, 3)[2968::-3])
 
 
 def _walk_dropping_a_core(n, d, walk=partitions._core_walk):

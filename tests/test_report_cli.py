@@ -477,22 +477,31 @@ def test_every_check_refuses_negative_n(name):
     assert CHECKS[name].refusal({**PASSING, "n": -1}) == "n must be nonnegative"
 
 
-def test_gl_mckay_refuses_a_local_base_above_the_bound(tmp_path, capsys):
-    # d = 2: the base C_{q^2 - 1} x| C_2 would take q^2 - 1 = 2^44 - 1 orbit flags.
+def test_gl_mckay_admits_a_local_base_of_any_size(capsys):
+    # d = 2: the base C_{q^2 - 1} x| C_2 has 2^44 - 1 elements; its orbits are counted, not walked.
     values = {"n": 2, "q": 4194304, "ell": 5}
-    reason = (
-        "predicted work of at least 17592186044415 base elements exceeds the budget of 4500000"
+    assert CHECKS["gl_mckay"].refusal(values) is None
+    assert main(_cli_argv("gl_mckay", values) + ["--stable", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "gl_mckay,ell=5;n=2;q=4194304,8796099313662,8796099313662,true,0"
+    ]
+    # A base of (2^61 - 1)^4 - 1 elements, under a 1 GiB address space: no list of Z_m fits.
+    code = (
+        "from blockcraft.wreath_local import MetacyclicSpec, metacyclic_degrees\n"
+        "q = 2**61 - 1\n"
+        "base = metacyclic_degrees(MetacyclicSpec(m=q**4 - 1, d=4, u=q))\n"
+        "assert sum(m * d * d for d, m in base.entries) == (q**4 - 1) * 4\n"
     )
-    assert CHECKS["gl_mckay"].refusal(values) == reason
-    assert main(_cli_argv("gl_mckay", values)) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {reason}\n"
-    assert main(_sweep_argv(tmp_path, "gl_mckay", values)) == 0
-    assert capsys.readouterr().err == f"skip gl_mckay ell=5 n=2 q=4194304: {reason}\n"
-    # No base is built below n = d, nor at the defining prime.
-    assert CHECKS["gl_mckay"].refusal({**values, "n": 1}) is None
-    assert CHECKS["gl_mckay"].refusal({**values, "ell": 2}) is None
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_gl_blocks_above_the_census_bound_is_cli_error_and_sweep_skip(tmp_path, capsys):
@@ -595,9 +604,8 @@ def test_sweep_runners_are_the_public_runners_of_the_cli():
 
 def test_sweep_works_out_each_cell_refusal_once(tmp_path, capsys, monkeypatch):
     # The registry's wrapper is the one place a cell is admitted: a sweep
-    # cell makes one refusal call, and gl mckay asks for d twice (its cost,
-    # then EllContext.of), as on the command line; the d_ell memo answers
-    # the second.
+    # cell makes one refusal call, and gl mckay asks for d once, in
+    # EllContext.of, since its cost counts labels only.
     refusals = []
     original = cli.Check.refusal
 
@@ -610,13 +618,13 @@ def test_sweep_works_out_each_cell_refusal_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "sweep.json"
     cells = [
         {"check": "gl_mckay", "n": 4, "q": 7, "ell": 5},
-        {"check": "gl_mckay", "n": 2, "q": 4194304, "ell": 5},  # refused: local base too large
+        {"check": "gl_mckay", "n": 40, "q": 2, "ell": 3},  # refused: past the label budget
         {"check": "sym_mckay", "n": [0, 3]},  # n = 0 refused
     ]
     path.write_text(json.dumps({"cells": cells}))
     assert main(["sweep", "--config", str(path), "--format", "csv"]) == 0
     assert refusals == ["gl_mckay", "gl_mckay", "sym_mckay", "sym_mckay"]
-    assert calls == {"d_ell": [(7, 5), (7, 5), (4194304, 5)]}
+    assert calls == {"d_ell": [(7, 5)]}
     assert capsys.readouterr().err.count("skip ") == 2
 
 

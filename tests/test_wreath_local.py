@@ -118,7 +118,7 @@ def _gl_local_base(q, d):
 
 def _oracle_grid():
     # Covers w = 0, degrees of multiplicity 1 (a single fold) and
-    # multiplicities above 4 (repeated squaring).
+    # multiplicities above w (binomial powers truncated at size w).
     for w in range(7):
         yield f"C_2 w={w}", cyclic_degrees(2), w
     for p in (3, 5, 7):
@@ -136,9 +136,75 @@ def test_wreath_degrees_match_brute_force_oracle(base, w):
     assert wreath_degrees(base, w).entries == oracle_wreath_entries(base, w)
 
 
+def oracle_wreath_degrees(base, w):
+    """B wr S_w by the definition: each base character folded in on its own, with no powering."""
+    shapes = [[sym_degree(mu) for mu in enumerate_partitions(t)] for t in range(w + 1)]
+    table = [Counter({1: 1})] + [Counter() for _ in range(w)]
+    for delta in (d for d, m in base.entries for _ in range(m)):
+        folded = [Counter() for _ in range(w + 1)]
+        for t1, partials in enumerate(table):
+            for t2 in range(w + 1 - t1):
+                for f in shapes[t2]:
+                    for partial, count in partials.items():
+                        folded[t1 + t2][math.comb(t1 + t2, t2) * partial * delta**t2 * f] += count
+        table = folded
+    return tuple(sorted(table[w].items()))
+
+
+def test_wreath_degrees_match_the_one_at_a_time_fold():
+    bases = {str(base): base for _, base, _ in _oracle_grid()}
+    for base in bases.values():
+        for w in range(6):
+            assert wreath_degrees(base, w).entries == oracle_wreath_degrees(base, w), (base, w)
+
+
+def test_wreath_degrees_makes_at_most_w_convolutions_per_degree(monkeypatch):
+    # 2^61 - 2 linear characters: w - 1 powers of U and one fold, however many characters.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    convolve = wreath_local._convolve
+    monkeypatch.setattr(wreath_local, "_convolve", counted)
+    k = 2**61 - 2
+    ms = wreath_degrees(DegreeMultiset(((1, k),), k), 14)
+    assert len(calls) <= 15
+    assert ms.character_count == cyclic_wreath_character_count(k, 14)
+
+
 # ---------------------------------------------------------------------------
 # Metacyclic groups
 # ---------------------------------------------------------------------------
+
+def oracle_metacyclic_degrees(spec):
+    """Degrees of C_m x| C_d by walking the orbits of x -> u*x on Z_m, one element at a time."""
+    seen = [False] * spec.m
+    counts = Counter()
+    for start in range(spec.m):
+        size, x = 0, start
+        while not seen[x]:
+            seen[x] = True
+            size += 1
+            x = x * spec.u % spec.m
+        if size:
+            assert spec.d % size == 0
+            counts[size] += spec.d // size
+    return tuple(sorted(counts.items()))
+
+
+def test_metacyclic_orbit_count_matches_the_orbit_walk():
+    specs = 0
+    for m in range(1, 121):
+        for d in range(1, 13):
+            for u in range(m):
+                if pow(u, d, m) == 1 % m:
+                    spec = MetacyclicSpec(m=m, d=d, u=u)
+                    assert metacyclic_degrees(spec).entries == oracle_metacyclic_degrees(spec), spec
+                    specs += 1
+    assert specs > 5000
+
 
 def test_metacyclic_s3_shape():
     ms = metacyclic_degrees(MetacyclicSpec(m=3, d=2, u=2))
