@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
 from itertools import product
 from math import factorial, isqrt, prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import _MR_LIMIT, is_prime, prime_power_radical
 from .budget import BUDGETS, over_budget
@@ -75,8 +73,7 @@ from .sym_chars import (
 from .wreath_local import cyclic_wreath_character_counts, sylow2_local_count
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A check as registered by _register: sweep name, CLI path, parameters, cost, precondition."""
 
     name: str
@@ -163,32 +160,24 @@ def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
     group, command = path.split()
 
     def register(runner):
-        signature = inspect.signature(runner)
-        check = Check(
-            name=name,
-            group=group,
-            command=command,
-            params=tuple(signature.parameters),
-            defaults={
-                param: spec.default
-                for param, spec in signature.parameters.items()
-                if spec.default is not spec.empty
-            },
-            cost=cost,
-            precondition=precondition,
-        )
+        params = runner.__code__.co_varnames[: runner.__code__.co_argcount]
+        values = runner.__defaults__ or ()
+        defaults = dict(zip(params[len(params) - len(values) :], values))
+        check = Check(name, group, command, params, defaults, cost, precondition)
 
         @functools.wraps(runner)
         def guarded(*args, **kwargs):
-            cell = signature.bind(*args, **kwargs)
-            cell.apply_defaults()
-            reason = check.refusal(cell.arguments)
+            given = dict(zip(params, args))
+            cell = {**defaults, **given, **kwargs}
+            if len(args) > len(given) or given.keys() & kwargs or cell.keys() != {*params}:
+                raise TypeError(f"{name} takes {', '.join(params)}, not {args} and {kwargs}")
+            reason = check.refusal(cell)
             if reason:
                 raise RefusalError(reason)
             start = time.perf_counter()
             reports = runner(*args, **kwargs)
             elapsed = int((time.perf_counter() - start) * 1000)
-            return [replace(report, elapsed_ms=elapsed) for report in reports]
+            return [report._replace(elapsed_ms=elapsed) for report in reports]
 
         CHECKS[name] = check
         _SWEEP_RUNNERS[name] = guarded
@@ -199,8 +188,8 @@ def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
 
 @_register(
     "sym_mckay", "sym mckay",
-    # The Sylow 2-subgroup's top layer P_k, k = n.bit_length() - 1, takes about 8^k / 4 steps.
-    cost=lambda n, p: _census_cost(n, 2, sylow=8 ** n.bit_length() // 32),
+    # The Sylow 2-subgroup takes about 6^b / 32 steps, b = n.bit_length() (fit at b = 9..12).
+    cost=lambda n, p: _census_cost(n, 2, sylow=6 ** n.bit_length() // 32),
     precondition=lambda n, p: (
         "sym mckay local side is only available at p=2" if p != 2
         else "n must be positive" if n < 1 else None

@@ -25,9 +25,9 @@ recomputed from a member; gl blocks compares each block's count with
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cache
+from typing import NamedTuple
 
 from .arith import is_prime, multiplicative_order, nu, prime_power_radical
 from .errors import CrossCheckError
@@ -62,17 +62,17 @@ def d_ell(q: int, ell: int) -> int:
     return multiplicative_order(q % ell, ell)
 
 
-@dataclass(frozen=True)
-class EllContext:
+class EllContext(namedtuple("EllContext", "q ell d")):
     """A prime power q, a prime ell not dividing q, and d = d_ell(q)."""
 
-    q: int
-    ell: int
-    d: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        prime_power_radical(self.q)
-        object.__setattr__(self, "d", d_ell(self.q, self.ell))
+    def __new__(cls, q: int, ell: int):
+        prime_power_radical(q)
+        return super().__new__(cls, q, ell, d_ell(q, ell))
+
+    def __getnewargs__(self):  # copy and pickle rebuild from q and ell
+        return self.q, self.ell
 
     @classmethod
     def of(cls, q: int, ell: int) -> "EllContext":
@@ -217,8 +217,7 @@ def verify_gl_mckay_defining(n: int, q: int) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
-class GlUnipotentBlockLabel:
+class GlUnipotentBlockLabel(NamedTuple):
     """Unipotent ell-block label of GL_n(q): (context, d-core, weight), n = |core| + d*weight.
 
     The corresponding d-cuspidal pair is (GL_1(q^d)^w x GL_r(q)-shaped Levi,

@@ -25,8 +25,7 @@ arithmetic is exact.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -163,20 +162,20 @@ def unipotent_degree(lam: Partition, q: int) -> int:
     return q ** _a_stat(lam) * quotient
 
 
-@dataclass(frozen=True)
-class SeriesLabel:
+class SeriesLabel(namedtuple("SeriesLabel", "components")):
     """Green label of one irreducible character: ((d_i, m_i, lam^i), ...).
 
     One component per distinct polynomial factor of the semisimple part,
     carrying the unipotent label lam^i of GL_{m_i}(q^{d_i}).
     """
 
-    components: tuple[tuple[int, int, Partition], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for d, m, lam in self.components:
+    def __new__(cls, components: tuple[tuple[int, int, Partition], ...]):
+        for d, m, lam in components:
             if sum(lam) != m:
                 raise ValueError(f"partition {lam!r} does not have size {m}")
+        return super().__new__(cls, components)
 
     @property
     def n(self) -> int:

@@ -58,10 +58,10 @@ from __future__ import annotations
 import threading
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from operator import sub
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .arith import is_prime, nu_factorial
 from .errors import CrossCheckError
@@ -213,8 +213,7 @@ def partition_from_beta(beta: tuple[int, ...]) -> Partition:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class CoreQuotient:
+class CoreQuotient(NamedTuple):
     """d-core and d-quotient of a partition: size(core) + d*weight = n."""
 
     d: int

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import UsageError
 
@@ -44,8 +44,10 @@ def _param_repr(value) -> str:
     return str(value)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple(
+    "VerificationReport",
+    "conjecture parameters global_count local_count passed elapsed_ms notes",
+)):
     """One conjecture instance: both sides of the count, verdict, timing.
 
     For counting conjectures passed means global_count == local_count; for
@@ -55,38 +57,35 @@ class VerificationReport:
     verifier called directly leaves it 0.
     """
 
-    conjecture: str
-    parameters: dict
-    global_count: int
-    local_count: int
-    passed: bool
-    elapsed_ms: int = 0
-    notes: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.conjecture not in CONJECTURES:
-            raise ValueError(f"unknown conjecture tag {self.conjecture!r}")
+    def __new__(cls, conjecture: str, parameters: dict, global_count: int, local_count: int,
+                passed: bool, elapsed_ms: int = 0, notes: tuple = ()):
+        if conjecture not in CONJECTURES:
+            raise ValueError(f"unknown conjecture tag {conjecture!r}")
+        return super().__new__(
+            cls, conjecture, parameters, global_count, local_count, passed, elapsed_ms, notes
+        )
 
     def param_items(self) -> list[tuple[str, str]]:
         return sorted((k, _param_repr(v)) for k, v in self.parameters.items())
 
-    def sort_key(self):
-        return (self.conjecture, self.param_items())
 
-
-def sort_reports(reports) -> list[VerificationReport]:
-    return sorted(reports, key=VerificationReport.sort_key)
+def sort_reports(reports) -> list[tuple[list[tuple[str, str]], VerificationReport]]:
+    """(param_items, report) pairs in emission order: by conjecture, then by param_items."""
+    pairs = ((r.param_items(), r) for r in reports)
+    return sorted(pairs, key=lambda pair: (pair[1].conjecture, pair[0]))
 
 
 def strip_timings(reports) -> list[VerificationReport]:
     """Zero out elapsed_ms so output bytes are reproducible (golden files)."""
-    return [replace(r, elapsed_ms=0) for r in reports]
+    return [r._replace(elapsed_ms=0) for r in reports]
 
 
-def _to_json_obj(r: VerificationReport) -> dict:
+def _to_json_obj(items: list[tuple[str, str]], r: VerificationReport) -> dict:
     return {
         "conjecture": r.conjecture,
-        "parameters": dict(r.param_items()),
+        "parameters": dict(items),
         "global_count": str(r.global_count),
         "local_count": str(r.local_count),
         "passed": r.passed,
@@ -95,16 +94,16 @@ def _to_json_obj(r: VerificationReport) -> dict:
     }
 
 
-def _emit_json(reports) -> str:
-    return json.dumps([_to_json_obj(r) for r in reports], indent=2) + "\n"
+def _emit_json(ordered) -> str:
+    return json.dumps([_to_json_obj(items, r) for items, r in ordered], indent=2) + "\n"
 
 
-def _emit_csv(reports) -> str:
+def _emit_csv(ordered) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["conjecture", "params", "global", "local", "passed", "elapsed_ms"])
-    for r in reports:
-        params = ";".join(f"{k}={v}" for k, v in r.param_items())
+    for items, r in ordered:
+        params = ";".join(f"{k}={v}" for k, v in items)
         writer.writerow(
             [r.conjecture, params, str(r.global_count), str(r.local_count),
              str(r.passed).lower(), r.elapsed_ms]
@@ -112,11 +111,11 @@ def _emit_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _emit_text(reports) -> str:
+def _emit_text(ordered) -> str:
     lines = []
-    for r in reports:
+    for items, r in ordered:
         status = "PASS" if r.passed else "FAIL"
-        params = " ".join(f"{k}={v}" for k, v in r.param_items())
+        params = " ".join(f"{k}={v}" for k, v in items)
         lines.append(
             f"[{status}] {r.conjecture} {params}: "
             f"global={r.global_count} local={r.local_count} ({r.elapsed_ms} ms)"
@@ -127,12 +126,12 @@ def _emit_text(reports) -> str:
 
 
 def emit_reports(reports, fmt: str) -> str:
-    """Serialize reports (sorted) to the requested format: json, csv, or text."""
-    ordered = sort_reports(reports)
-    if fmt == "json":
-        return _emit_json(ordered)
-    if fmt == "csv":
-        return _emit_csv(ordered)
-    if fmt == "text":
-        return _emit_text(ordered)
-    raise UsageError(f"unknown report format {fmt!r} (expected json, csv, or text)")
+    """Serialize reports (sorted) to the requested format: json, csv, or text.
+
+    Each report's params are rendered once, by sort_reports, into the key
+    that both orders the report and fills its params column or line.
+    """
+    emit = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}.get(fmt)
+    if emit is None:
+        raise UsageError(f"unknown report format {fmt!r} (expected json, csv, or text)")
+    return emit(sort_reports(reports))

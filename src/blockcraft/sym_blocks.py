@@ -23,7 +23,7 @@ side is the block's p-quotient count, so the two sides share no code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .arith import is_prime, nu_factorial, primitive_root
@@ -49,21 +49,19 @@ from .wreath_local import (
 )
 
 
-@dataclass(frozen=True)
-class SymBlockLabel:
+class SymBlockLabel(namedtuple("SymBlockLabel", "p core weight")):
     """Nakayama label (p, p-core, weight) of a block of S_n, n = |core| + p*weight."""
 
-    p: int
-    core: Partition
-    weight: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __new__(cls, p: int, core: Partition, weight: int):
+        if not is_prime(p):
             raise ValueError("p must be prime")
-        if self.weight < 0:
+        if weight < 0:
             raise ValueError("weight must be nonnegative")
-        if not is_core(self.core, self.p):
-            raise ValueError(f"{self.core!r} is not a {self.p}-core")
+        if not is_core(core, p):
+            raise ValueError(f"{core!r} is not a {p}-core")
+        return super().__new__(cls, p, core, weight)
 
     @property
     def n(self) -> int:
@@ -92,16 +90,16 @@ def block_labels(n: int, p: int) -> tuple[SymBlockLabel, ...]:
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
 
-@dataclass(frozen=True)
-class BlockCharacterData:
-    label: SymBlockLabel
-    members: tuple[Partition, ...]
-    heights: dict
-    defect_group_order: int
+class BlockCharacterData(
+    namedtuple("BlockCharacterData", "label members heights defect_group_order")
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.heights.values()) != 0:
-            raise CrossCheckError(f"block {self.label} has no height-zero character")
+    def __new__(cls, label: SymBlockLabel, members: tuple[Partition, ...], heights: dict,
+                defect_group_order: int):
+        if min(heights.values()) != 0:
+            raise CrossCheckError(f"block {label} has no height-zero character")
+        return super().__new__(cls, label, members, heights, defect_group_order)
 
 
 def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, prod
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .arith import is_prime, nu_factorial
 from .budget import BUDGETS, over_budget
@@ -89,8 +89,7 @@ def cycle_type_class_size(rho: Partition) -> int:
     return factorial(sum(rho)) // cycle_type_centralizer_order(rho)
 
 
-@dataclass(frozen=True)
-class SymCharacterTable:
+class SymCharacterTable(NamedTuple):
     """Exact character table of S_n, stored once, by columns.
 
     classes holds the cycle types in canonical (reverse lexicographic)
@@ -196,8 +195,7 @@ def central_character_values(table: SymCharacterTable) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BlockPartitionOracle:
+class BlockPartitionOracle(NamedTuple):
     """Partition of Irr(S_n) into p-blocks by the central-character congruence."""
 
     n: int

@@ -34,8 +34,7 @@ construction time, so a wrong degree formula cannot propagate silently.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from math import comb, factorial, gcd
 
@@ -45,23 +44,22 @@ from .partitions import enumerate_partitions
 from .sym_chars import sym_degree
 
 
-@dataclass(frozen=True)
-class DegreeMultiset:
+class DegreeMultiset(namedtuple("DegreeMultiset", "entries group_order")):
     """Multiset of exact character degrees: ((degree, multiplicity), ...) plus |G|."""
 
-    entries: tuple[tuple[int, int], ...]
-    group_order: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(d < 1 or m < 1 for d, m in self.entries):
+    def __new__(cls, entries: tuple[tuple[int, int], ...], group_order: int):
+        if any(d < 1 or m < 1 for d, m in entries):
             raise ValueError("degrees and multiplicities must be positive")
-        if list(self.entries) != sorted(self.entries):
+        if list(entries) != sorted(entries):
             raise ValueError("entries must be sorted by degree")
-        square_sum = sum(m * d * d for d, m in self.entries)
-        if square_sum != self.group_order:
+        square_sum = sum(m * d * d for d, m in entries)
+        if square_sum != group_order:
             raise CrossCheckError(
-                f"sum of squared degrees {square_sum} != group order {self.group_order}"
+                f"sum of squared degrees {square_sum} != group order {group_order}"
             )
+        return super().__new__(cls, entries, group_order)
 
     @classmethod
     def from_counter(cls, counts: Counter, group_order: int) -> "DegreeMultiset":
@@ -76,21 +74,20 @@ class DegreeMultiset:
 TRIVIAL_GROUP = DegreeMultiset(((1, 1),), 1)
 
 
-@dataclass(frozen=True)
-class MetacyclicSpec:
+class MetacyclicSpec(namedtuple("MetacyclicSpec", "m d u")):
     """C_m x| C_d with the generator of C_d acting on Z_m as x -> u*x."""
 
-    m: int
-    d: int
-    u: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.d < 1:
+    def __new__(cls, m: int, d: int, u: int):
+        self = super().__new__(cls, m, d, u)
+        if m < 1 or d < 1:
             raise ValueError("m and d must be positive")
-        if not 0 <= self.u < self.m:
+        if not 0 <= u < m:
             raise ValueError("u must be reduced modulo m")
-        if pow(self.u, self.d, self.m) != 1 % self.m:
+        if pow(u, d, m) != 1 % m:
             raise ValueError(f"u^d != 1 mod m for {self!r}: not a valid action")
+        return self
 
 
 def metacyclic_degrees(spec: MetacyclicSpec) -> DegreeMultiset:

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockcraft.cli as cli
-from blockcraft import glq_blocks, partitions, sym_blocks
+from blockcraft import glq_blocks, partitions, report, sym_blocks
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
@@ -84,7 +85,27 @@ def test_unknown_format_rejected():
 def test_reports_sorted_by_conjecture_then_params():
     reports = list(reversed(_sample_reports()))
     ordered = sort_reports(reports)
-    assert ordered[0].conjecture == "alperin_mckay"
+    assert [r.conjecture for _, r in ordered] == ["alperin_mckay", "mckay"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_reports_renders_each_reports_params_once(fmt, monkeypatch):
+    with open(GOLDEN / "sweep_desk_config.json", encoding="utf-8") as fh:
+        reports, _ = cli.run_sweep(json.load(fh))
+    ordered = [r for _, r in sort_reports(reports)]
+    shuffled = list(reports)
+    random.Random(1).shuffle(shuffled)
+    renders = []
+
+    def counted(value):
+        renders.append(value)
+        return param_repr(value)
+
+    param_repr = report._param_repr
+    monkeypatch.setattr(report, "_param_repr", counted)
+    payload = emit_reports(shuffled, fmt)
+    assert len(renders) == sum(len(r.parameters) for r in reports)
+    assert payload == emit_reports(ordered, fmt)
 
 
 def test_unknown_conjecture_tag_rejected():
@@ -566,6 +587,14 @@ def test_gl_blocks_of_weight_60_runs_and_every_row_passes(capsys):
     assert CHECKS["gl_blocks"].refusal({"n": 1000, "q": 2, "ell": 3}) is None
 
 
+def test_sym_mckay_admits_every_n_below_2048():
+    # The Sylow 2-subgroup costs 6^b / 32 census steps, b = n.bit_length(): 47 086 495 steps
+    # in all at n = 2047, which took 1.2 s; n = 2048 adds a twelfth layer to P.
+    assert CHECKS["sym_mckay"].cost(n=2047, p=2) == {"census step": 47_086_495}
+    assert CHECKS["sym_mckay"].refusal({"n": 2047, "p": 2}) is None
+    assert "exceeds the budget" in CHECKS["sym_mckay"].refusal({"n": 2048, "p": 2})
+
+
 @pytest.mark.parametrize("name", ["sym_bhz", "sym_am", "sym_blocks"])
 def test_block_bound_refuses_only_above_it(name, monkeypatch):
     # S_22 has 137 7-blocks, 137 000 of the cell's census steps: a budget of exactly its
@@ -640,6 +669,16 @@ def test_sweep_calls_the_runner_in_the_registry(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"cells": [{"check": "sym_mckay", "n": [3, 5]}]}))
     assert main(["sweep", "--config", str(path), "--format", "csv"]) == 0
     assert calls == [{"n": 3, "p": 2}, {"n": 5, "p": 2}]
+
+
+def test_runner_takes_its_arguments_as_a_call_would():
+    # Positional and keyword calls, with the default p = 2, give the same report.
+    reports = [cli.run_sym_mckay(6), cli.run_sym_mckay(6, 2), cli.run_sym_mckay(p=2, n=6)]
+    assert len({(r.global_count, r.passed) for [r] in reports}) == 1
+    for args, kwargs in [((), {}), ((), {"p": 2}), ((6,), {"n": 6}), ((6, 2, 3), {}),
+                         ((6,), {"q": 2})]:
+        with pytest.raises(TypeError):
+            cli.run_sym_mckay(*args, **kwargs)
 
 
 # Primes far beyond n: 10^9 + 7 and 2^61 - 1.

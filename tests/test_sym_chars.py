@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -150,7 +149,7 @@ def test_orthogonality_catches_any_one_wrong_entry():
     for i in range(len(table.classes)):
         for rho, column in table.columns.items():
             wrong = column[:i] + (column[i] + 1,) + column[i + 1:]
-            bad = replace(table, columns={**table.columns, rho: wrong})
+            bad = table._replace(columns={**table.columns, rho: wrong})
             assert not row_orthogonality_holds(bad)
             assert not column_orthogonality_holds(bad)
 
@@ -189,7 +188,7 @@ def test_central_character_values_are_integers():
 def test_central_character_values_refuse_a_fraction():
     # chi^(2,1) at a transposition set to 1: omega = 3 * 1 / 2 is not an integer.
     table = build_table(3)
-    bad = replace(table, columns={**table.columns, (2, 1): (1, 1, -1)})
+    bad = table._replace(columns={**table.columns, (2, 1): (1, 1, -1)})
     with pytest.raises(CrossCheckError):
         central_character_values(bad)
 
