@@ -5,38 +5,37 @@ the unique partition of 0.  The canonical enumeration order is reverse
 lexicographic: ``(4), (3,1), (2,2), (2,1,1), (1,1,1,1)``.
 
 Hook-length multisets are tuples sorted in decreasing order, one entry per
-box of the Young diagram.  Cores and quotients are computed on the d-runner
-abacus with the beta-set padded to a multiple of d beads; that normalization
-makes the d-quotient well defined (it does not depend on how far we pad).
+box of the Young diagram.
 
-The Murnaghan-Nakayama kernel works on beta-sets as int bitmasks: bit k is
-set when there is a bead at position k.  A partition with r parts has r
-beads, so position 0 is empty and each partition has exactly one mask
-(``()`` is 0).  Removing a rim t-hook moves one bead from pos to the empty
-pos - t, which is two XORs; the leg length is the number of beads strictly
-between them.  A bead that lands on position 0 gives zero parts, and that
-low run of set bits is shifted out to keep the mask unique.  The character
-tables use the rule on whole columns, through ``_rim_hook_map(m, k)``: for
-each partition of m, the positions among the partitions of m - k that one
-rim k-hook takes it to, split by leg parity.  ``mn_character_value`` is the
-per-value route, which carries signed coefficients on masks through the parts
-of the cycle type without recursion.
+Beads have one format, an int bitmask: bit k is set when there is a bead at
+position k.  The row at depth k from the bottom with part a has its bead at
+a + k, so a partition with r parts has r beads, position 0 is empty and each
+partition has exactly one mask (``()`` is 0): that is ``_beta_bits``.  Its
+inverse, ``_partition_of_bits``, takes any bead count, since a bead's part
+is its position minus the beads below it, and zero parts drop out.  Cores
+and quotients are read on the d-runner abacus with the mask padded to a
+multiple of d beads; that normalization makes the d-quotient well defined
+(it does not depend on how far we pad).  Runner r's bead at level k is the
+bit r + d*k, and its level mask decodes to the quotient's r-th partition.
 
-Hook valuations are read off the beta-set too.  In the row with bead b the
-hooks are {1, ..., b} minus {b - c : c a lower bead}, so
+Removing a rim t-hook moves one bead from pos to the empty pos - t, which is
+two XORs; the leg length is the number of beads strictly between them.  A
+bead that lands on position 0 gives zero parts, and that low run of set bits
+is shifted out to keep the mask unique.  The character tables use the rule
+on whole columns, through ``_rim_hook_map(m, k)``: for each partition of m,
+the positions among the partitions of m - k that one rim k-hook takes it
+to, split by leg parity.  ``mn_character_value`` is the per-value route,
+which carries signed coefficients on masks through the parts of the cycle
+type without recursion.
 
-    nu_p(prod of hooks) = sum over beads b of (nu_p(b!) - sum_{c < b} nu_p(b - c)),
-
-and only the lower beads on b's runner of the p-abacus (c = b mod p) give
-nonzero terms.  Adding rows from the bottom up, the row at depth k with part
-a has bead a + k whatever lies above it, so its term is final as soon as
-the rows below it are known: ``hook_valuation`` sums these terms for one
-partition.  ``valuation_census`` computes no hook.  The hooks of lam that p
-divides are p times the hooks of its p-quotient (James-Kerber 2.7), so its
-valuation is its weight w plus those of the quotient's p partitions, and
-every block of weight w has the same valuations: only the p-cores are
-walked, and each block reads a coefficient of a power series whose terms
-are 4-tuples (least valuation, top valuation, members at the top, members).
+``hook_valuation`` sums nu_p over the hooks of one partition, one hook at a
+time, and shares no formula with the census.  ``valuation_census`` computes
+no hook.  The hooks of lam that p divides are p times the hooks of its
+p-quotient (James-Kerber 2.7), so its valuation is its weight w plus those
+of the quotient's p partitions, and every block of weight w has the same
+valuations: only the p-cores are walked, and each block reads a coefficient
+of a power series whose terms are 4-tuples (least valuation, top valuation,
+members at the top, members).
 
 No partition of n has a hook longer than n, so for d > n each one is its
 own d-core: ``d_core``, ``is_core`` and the censuses never build an abacus
@@ -63,7 +62,7 @@ from operator import sub
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .arith import is_prime, nu_factorial
+from .arith import is_prime, nu, nu_factorial
 from .errors import CrossCheckError
 
 Partition = tuple[int, ...]
@@ -160,57 +159,11 @@ def hook_lengths(lam: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
-def _valuation_tables(p: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """nu_p(m) and nu_p(m!) for 0 <= m < 2**bits, with nu_p(0) stored as 0."""
+def hook_valuation(lam: Partition, p: int) -> int:
+    """nu_p of the product of the hook lengths of lam, one hook at a time."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    nu = [0] * (1 << bits)
-    nu_fact = nu[:]
-    for m in range(1, len(nu)):
-        if m % p == 0:
-            nu[m] = nu[m // p] + 1
-        nu_fact[m] = nu_fact[m - 1] + nu[m]
-    return tuple(nu), tuple(nu_fact)
-
-
-def hook_valuation(lam: Partition, p: int) -> int:
-    """nu_p of the product of the hook lengths of lam, read off its beta-set."""
-    top = lam[0] + len(lam) - 1 if lam else 0  # the highest bead
-    nu, nu_fact = _valuation_tables(p, top.bit_length())
-    runners: dict[int, list[int]] = {}
-    total = 0
-    for depth, part in enumerate(reversed(lam)):
-        bead = part + depth
-        lower = runners.setdefault(bead % p, [])  # the lower beads on its runner
-        total += nu_fact[bead] - sum(nu[bead - below] for below in lower)
-        lower.append(bead)
-    return total
-
-
-def beta_set(lam: Partition, beads: int) -> tuple[int, ...]:
-    """First-column beta-numbers of lam with the given number of beads.
-
-    Returns (lam_i + beads - 1 - i) for i = 0..beads-1 with lam padded by
-    zeros; strictly decreasing.
-    """
-    if beads < len(lam):
-        raise ValueError("bead count smaller than the number of parts")
-    padded = lam + (0,) * (beads - len(lam))
-    return tuple(padded[i] + beads - 1 - i for i in range(beads))
-
-
-def partition_from_beta(beta: tuple[int, ...]) -> Partition:
-    """Inverse of beta_set: recover the partition from a strictly decreasing beta-set."""
-    b = len(beta)
-    parts = []
-    for i, val in enumerate(beta):
-        if val < 0 or (i and val >= beta[i - 1]):
-            raise ValueError("beta-set must be strictly decreasing and nonnegative")
-        part = val - (b - 1 - i)
-        if part > 0:
-            parts.append(part)
-    return tuple(parts)
+    return sum(nu(hook, p) for hook in hook_lengths(lam) if hook % p == 0)
 
 
 class CoreQuotient(NamedTuple):
@@ -222,21 +175,24 @@ class CoreQuotient(NamedTuple):
     quotient: tuple[Partition, ...]
 
 
-def _abacus_runners(lam: Partition, d: int) -> list[list[int]]:
-    """Bead levels of lam on each runner of the d-abacus, highest first."""
-    rows = max(1, len(lam))
-    beads = d * ((rows + d - 1) // d)
-    runners: list[list[int]] = [[] for _ in range(d)]
-    for pos in beta_set(lam, beads):  # strictly decreasing, so each runner is too
-        runners[pos % d].append(pos // d)
-    return runners
+def _beta_bits(lam: Partition) -> int:
+    """The beta-set of lam with len(lam) beads, as a bitmask (bit k set = bead at k)."""
+    return sum(1 << (part + depth) for depth, part in enumerate(reversed(lam)))
+
+
+def _partition_of_bits(bits: int) -> Partition:
+    """Inverse of _beta_bits, for any bead count: a part is its bead less the beads below it."""
+    parts = []
+    while bits:
+        low = bits & -bits  # the lowest bead left; len(parts) beads lie below it
+        parts.append(low.bit_length() - 1 - len(parts))
+        bits ^= low
+    return tuple(part for part in reversed(parts) if part)
 
 
 def _core_of_counts(counts, d: int) -> Partition:
     """The d-core with counts[r] beads on runner r, every bead slid to the top."""
-    positions = [r + d * k for r, count in enumerate(counts) for k in range(count)]
-    positions.sort(reverse=True)
-    return partition_from_beta(tuple(positions))
+    return _partition_of_bits(sum(1 << r + d * k for r, c in enumerate(counts) for k in range(c)))
 
 
 @lru_cache(maxsize=None)
@@ -251,9 +207,14 @@ def d_core_and_quotient(lam: Partition, d: int) -> CoreQuotient:
     if d < 1:
         raise ValueError("d must be at least 1")
     validate_partition(lam)
-    runners = _abacus_runners(lam, d)
-    core = _core_of_counts([len(levels) for levels in runners], d)
-    quotient = tuple(partition_from_beta(tuple(levels)) for levels in runners)
+    pad = -len(lam) % d  # beads put below lam's, to fill whole levels
+    bits = _beta_bits(lam) << pad | (1 << pad) - 1
+    runners = [0] * d  # the level mask of each runner
+    for pos in range(bits.bit_length()):
+        if bits >> pos & 1:
+            runners[pos % d] |= 1 << pos // d
+    core = _core_of_counts([levels.bit_count() for levels in runners], d)
+    quotient = tuple(map(_partition_of_bits, runners))
     weight = sum(sum(mu) for mu in quotient)
     if sum(core) + d * weight != sum(lam):
         raise CrossCheckError("abacus core/quotient sizes inconsistent")
@@ -313,7 +274,7 @@ def partitions_by_core(n: int, d: int) -> Mapping[Partition, tuple[Partition, ..
     cores: dict[int, Partition] = {}
     groups: dict[Partition, list[Partition]] = {}
     for lam in enumerate_partitions(n):
-        key = sum(1 << (count_bits * (pos % d)) for pos in beta_set(lam, len(lam)))
+        key = sum(1 << count_bits * ((a + depth) % d) for depth, a in enumerate(reversed(lam)))
         if key not in cores:
             counts = [key >> (count_bits * r) & mask for r in range(d)]
             low = min(counts)  # full bottom levels, which depend on the bead count only
@@ -497,11 +458,6 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     if rest < 0 or rest % d != 0:
         return 0
     return core_census(n, d).get(core, 0)
-
-
-def _beta_bits(lam: Partition) -> int:
-    """The beta-set of lam with len(lam) beads, as a bitmask (bit k set = bead at k)."""
-    return sum(1 << pos for pos in beta_set(lam, len(lam)))
 
 
 def _rim_hooks(bits: int, length: int):

@@ -86,7 +86,8 @@ def block_labels(n: int, p: int) -> tuple[SymBlockLabel, ...]:
         weight, rest = divmod(n - sum(core), p)
         if rest:
             raise CrossCheckError(f"{p}-core {core!r} of a partition of {n} leaves {rest} boxes")
-        labels.append(SymBlockLabel(p=p, core=core, weight=weight))
+        # The census has checked p and its keys are p-cores, so __new__'s checks are skipped.
+        labels.append(SymBlockLabel._make((p, core, weight)))
     return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
 
 

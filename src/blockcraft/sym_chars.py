@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial, prod
 from operator import mul
@@ -230,6 +229,7 @@ def _is_p_regular(rho: Partition, p: int) -> bool:
 
 def block_idempotent(table: SymCharacterTable, p: int, block) -> dict:
     """Coefficients of e_B on class sums: exact rationals, zero off p-regular classes."""
+    from fractions import Fraction  # here, not at the top: it loads decimal and numbers
     order = factorial(table.n)
     weights = [
         degree if lam in block else 0
@@ -249,6 +249,7 @@ def _structure_constants(n: int) -> dict:
     the class sums of K and L:  |K||L|/|G| sum_chi chi(K)chi(L)chi(M)/chi(1)
     (classes of S_n are self-inverse, so no inversion is needed on M).
     """
+    from fractions import Fraction
     table = build_table(n)
     order = factorial(n)
     degrees = table.columns[(1,) * n]
@@ -270,6 +271,7 @@ def _structure_constants(n: int) -> dict:
 
 def class_algebra_product(table: SymCharacterTable, left: dict, right: dict) -> dict:
     """Product of two central elements given by class-sum coefficient vectors."""
+    from fractions import Fraction
     constants = _structure_constants(table.n)
     out = {rho: Fraction(0) for rho in table.classes}
     for rho_k, ck in left.items():

@@ -11,11 +11,10 @@ from hypothesis import given, settings, strategies as st
 from blockcraft.arith import is_prime, nu
 from blockcraft.partitions import (
     CoreQuotient,
-    _abacus_runners,
     _beta_bits,
     _core_counts,
+    _partition_of_bits,
     _rim_hooks,
-    beta_set,
     conjugate,
     core_census,
     count_partitions_with_core,
@@ -27,7 +26,6 @@ from blockcraft.partitions import (
     is_core,
     mn_character_value,
     partition_count,
-    partition_from_beta,
     partition_tuple_count,
     partitions_by_core,
     validate_partition,
@@ -39,10 +37,21 @@ from blockcraft.sym_chars import build_table, column_orthogonality_holds
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles.  These deliberately avoid the beta-set/abacus route
+# Independent oracles.  These deliberately avoid the bitmask abacus route
 # used by the library: partition counts come from Euler's pentagonal
-# recurrence, and rim hooks are removed directly on the Young diagram.
+# recurrence, rim hooks are removed directly on the Young diagram, and the
+# bead oracles use tuple beta-sets of their own.
 # ---------------------------------------------------------------------------
+
+def beta_tuple(lam, beads):
+    """The beta-numbers lam_i + beads - 1 - i of lam padded with zeros, strictly decreasing."""
+    return tuple(part + beads - 1 - i for i, part in enumerate(lam + (0,) * (beads - len(lam))))
+
+
+def from_beta_tuple(beta):
+    """The partition of a strictly decreasing beta-set: bead less the beads below, zeros dropped."""
+    return tuple(part for part in (val - (len(beta) - 1 - i) for i, val in enumerate(beta)) if part)
+
 
 def oracle_partition_count(n):
     counts = [1] + [0] * n
@@ -113,7 +122,7 @@ def oracle_hook_lengths(lam):
 
 def oracle_rim_hook_removals(lam, length):
     """(partition, leg) pairs by moving one bead of a tuple beta-set down by length."""
-    beta = beta_set(lam, len(lam))
+    beta = beta_tuple(lam, len(lam))
     present = set(beta)
     out = []
     for idx, pos in enumerate(beta):
@@ -124,7 +133,7 @@ def oracle_rim_hook_removals(lam, length):
             sorted((target if k == idx else val for k, val in enumerate(beta)), reverse=True)
         )
         leg = sum(1 for val in beta if target < val < pos)
-        out.append((partition_from_beta(new_beta), leg))
+        out.append((from_beta_tuple(new_beta), leg))
     return tuple(out)
 
 
@@ -135,10 +144,10 @@ def oracle_from_core_and_quotient(core, quotient, d):
     rows = max(1, len(core))
     beads = d * ((rows + d - 1) // d) + d * weight
     counts = [0] * d
-    for pos in beta_set(core, beads):
+    for pos in beta_tuple(core, beads):
         counts[pos % d] += 1
-    positions = [r + d * level for r in range(d) for level in beta_set(quotient[r], counts[r])]
-    return partition_from_beta(tuple(sorted(positions, reverse=True)))
+    positions = [r + d * level for r in range(d) for level in beta_tuple(quotient[r], counts[r])]
+    return from_beta_tuple(tuple(sorted(positions, reverse=True)))
 
 
 def mask_rim_hook_removals(lam, length):
@@ -148,23 +157,22 @@ def mask_rim_hook_removals(lam, length):
         raise ValueError("hook length must be positive")
     out = []
     for moved, leg in _rim_hooks(_beta_bits(lam), length):
-        beads = tuple(pos for pos in range(moved.bit_length() - 1, -1, -1) if moved >> pos & 1)
-        out.append((partition_from_beta(beads), leg))
+        out.append((_partition_of_bits(moved), leg))
     return tuple(out)
 
 
 def oracle_hook_valuation(lam, p):
-    """nu_p of the hook product, one hook at a time (the former per-box route)."""
-    return sum(nu(h, p) for h in hook_lengths(lam) if h % p == 0)
+    """nu_p of the whole hook product, from the double-loop hook oracle."""
+    return nu(math.prod(oracle_hook_lengths(lam)), p)
 
 
 def oracle_groups_by_core(n, d):
     """The former partitions_by_core: the core of each partition off its full abacus."""
     groups = {}
     for lam in enumerate_partitions(n):
-        runners = _abacus_runners(lam, d)
-        positions = (r + d * k for r, levels in enumerate(runners) for k in range(len(levels)))
-        core = partition_from_beta(tuple(sorted(positions, reverse=True)))
+        counts = Counter(pos % d for pos in beta_tuple(lam, d * -(-max(1, len(lam)) // d)))
+        positions = (r + d * k for r in range(d) for k in range(counts[r]))
+        core = from_beta_tuple(tuple(sorted(positions, reverse=True)))
         groups.setdefault(core, []).append(lam)
     return [(core, tuple(members)) for core, members in groups.items()]
 
@@ -294,19 +302,14 @@ def test_hook_valuation_examples_and_guards():
 # Beta-sets, cores, quotients
 # ---------------------------------------------------------------------------
 
-def test_beta_set_roundtrip():
-    lam = (4, 2, 2, 1)
-    for beads in (4, 7, 12):
-        assert partition_from_beta(beta_set(lam, beads)) == lam
-
-
-def test_partition_from_beta_rejects_bad_input():
-    with pytest.raises(ValueError):
-        partition_from_beta((2, 2))
-    with pytest.raises(ValueError):
-        partition_from_beta((1, 3))
-    with pytest.raises(ValueError):
-        partition_from_beta((3, -1))
+def test_partition_of_bits_roundtrip():
+    # Extra beads below the lowest one, as many as 2d for d <= 5, give zero parts.
+    for n in range(0, 13):
+        for lam in enumerate_partitions(n):
+            for extra in range(11):
+                bits = _beta_bits(lam) << extra | (1 << extra) - 1
+                assert _partition_of_bits(bits) == lam, (lam, extra)
+    assert _beta_bits((4, 2, 2, 1)) == 0b10011010  # beads at 1, 3, 4 and 7
 
 
 def test_core_quotient_examples():

@@ -318,6 +318,13 @@ def test_sym_blocks_cell_computes_no_hooks_or_heights(monkeypatch):
     assert all(not made for made in calls.values()), {k: len(v) for k, v in calls.items()}
 
 
+def test_sym_bhz_cell_checks_no_census_core(monkeypatch):
+    # The census keys are p-cores by construction: no block label reruns is_core.
+    calls = _count_calls(monkeypatch, "is_core")
+    assert main(["sym", "bhz", "--n", "20", "--p", "3"]) == 0
+    assert calls == {"is_core": []}
+
+
 def test_gl_blocks_cell_computes_no_d_core(monkeypatch):
     # Each block is labelled by its key in the d-core census; no core is recomputed.
     calls = _count_calls(monkeypatch, "d_core")
@@ -927,6 +934,13 @@ def test_sweep_config_cells_are_counted_before_any_is_listed(tmp_path):
     assert done.stderr == (
         f"error: sweep config has 100000000000 cells, more than {cli.MAX_SWEEP_CELLS}\n"
     )
+
+
+def test_sweep_range_past_sys_maxsize_is_counted():
+    # len() of such a range raises OverflowError, so the count takes stop - start.
+    config = {"cells": [{"check": "sym_mckay", "n": f"1..{10**20}"}]}
+    with pytest.raises(UsageError, match=f"sweep config has {10**20} cells, more than"):
+        expand_sweep_config(config)
 
 
 def test_sweep_cell_count_multiplies_grids_and_adds_entries():
