@@ -18,14 +18,15 @@ mod each p.
 
 Block idempotents e_B = sum_{chi in B} chi(1)/|G| sum_{x p-regular} chi(x) x^{-1}
 are handled as exact rational coefficient vectors on class sums, and
-multiplied via the integer structure constants of the class algebra.
+multiplied through the central characters, which diagonalize the class
+algebra, so no structure constant is formed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from functools import cache, lru_cache
+from functools import cache
 from math import factorial, prod
 from operator import mul
 from types import MappingProxyType
@@ -230,6 +231,8 @@ def _is_p_regular(rho: Partition, p: int) -> bool:
 def block_idempotent(table: SymCharacterTable, p: int, block) -> dict:
     """Coefficients of e_B on class sums: exact rationals, zero off p-regular classes."""
     from fractions import Fraction  # here, not at the top: it loads decimal and numbers
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     order = factorial(table.n)
     weights = [
         degree if lam in block else 0
@@ -241,51 +244,26 @@ def block_idempotent(table: SymCharacterTable, p: int, block) -> dict:
     }
 
 
-@lru_cache(maxsize=None)
-def _structure_constants(n: int) -> dict:
-    """Integer structure constants of the class algebra of S_n.
+def class_algebra_product(table: SymCharacterTable, left: dict, right: dict) -> dict:
+    """Product of two central elements given by class-sum coefficient vectors.
 
-    a[(K, L, M)] is the coefficient of the class sum of M in the product of
-    the class sums of K and L:  |K||L|/|G| sum_chi chi(K)chi(L)chi(M)/chi(1)
-    (classes of S_n are self-inverse, so no inversion is needed on M).
+    The central characters diagonalize the class algebra: omega(xy) =
+    omega(x) omega(y), and x = sum_chi omega_chi(x) f_chi with
+    f_chi = chi(1)/|G| sum_K chi(K) K.  So the coefficient of the class sum
+    of M in xy is sum_chi omega_chi(x) omega_chi(y) chi(1) chi(M) / |G|.
     """
     from fractions import Fraction
-    table = build_table(n)
-    order = factorial(n)
-    degrees = table.columns[(1,) * n]
-    constants = {}
-    for rho_k, column_k in table.columns.items():
-        for rho_l, column_l in table.columns.items():
-            front = Fraction(table.class_sizes[rho_k] * table.class_sizes[rho_l], order)
-            for rho_m, column_m in table.columns.items():
-                total = sum(
-                    Fraction(a * b * c, degree)
-                    for a, b, c, degree in zip(column_k, column_l, column_m, degrees)
-                )
-                value = front * total
-                if value.denominator != 1 or value < 0:
-                    raise CrossCheckError("class algebra structure constant not a nonnegative integer")
-                constants[(rho_k, rho_l, rho_m)] = int(value)
-    return constants
-
-
-def class_algebra_product(table: SymCharacterTable, left: dict, right: dict) -> dict:
-    """Product of two central elements given by class-sum coefficient vectors."""
-    from fractions import Fraction
-    constants = _structure_constants(table.n)
-    out = {rho: Fraction(0) for rho in table.classes}
-    for rho_k, ck in left.items():
-        if not ck:
-            continue
-        for rho_l, cl in right.items():
-            if not cl:
-                continue
-            weight = ck * cl
-            for rho_m in table.classes:
-                a = constants[(rho_k, rho_l, rho_m)]
-                if a:
-                    out[rho_m] += weight * a
-    return out
+    x = [left.get(rho, 0) for rho in table.classes]
+    y = [right.get(rho, 0) for rho in table.classes]
+    weights = [
+        sum(map(mul, x, omega)) * sum(map(mul, y, omega)) * degree
+        for omega, degree in zip(central_character_values(table), table.columns[(1,) * table.n])
+    ]
+    order = factorial(table.n)
+    return {
+        rho: Fraction(sum(map(mul, weights, column)), order)
+        for rho, column in table.columns.items()
+    }
 
 
 def block_idempotent_p_integral(n: int, p: int, block) -> bool:
@@ -294,10 +272,6 @@ def block_idempotent_p_integral(n: int, p: int, block) -> bool:
     The coefficient formula only sees p-regular classes; idempotency is
     checked by genuine multiplication in the exact rational class algebra.
     """
-    rows = partition_count_capped(n, BUDGETS["table product"])  # each of rows^4 Fraction terms
-    reason = over_budget("table product", 33 * rows**4)  # takes about 33 table products
-    if reason:
-        raise ResourceLimitError(f"idempotent check for S_{n}: {reason}")
     if not is_prime(p):
         raise ValueError("p must be prime")
     table = build_table(n)

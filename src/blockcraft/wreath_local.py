@@ -35,8 +35,7 @@ construction time, so a wrong degree formula cannot propagate silently.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import reduce
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from .arith import divisors, is_prime
 from .errors import CrossCheckError
@@ -84,7 +83,7 @@ class MetacyclicSpec(namedtuple("MetacyclicSpec", "m d u")):
         if m < 1 or d < 1:
             raise ValueError("m and d must be positive")
         if not 0 <= u < m:
-            raise ValueError("u must be reduced modulo m")
+            raise ValueError("u must satisfy 0 <= u < m")
         if pow(u, d, m) != 1 % m:
             raise ValueError(f"u^d != 1 mod m for {self!r}: not a valid action")
         return self
@@ -181,12 +180,13 @@ def sylow2_local_count(n: int) -> int:
     """|Irr_{2'}(N_{S_n}(P))| = |P/P'| for P a Sylow 2-subgroup, which is self-normalizing.
 
     P is the direct product of P_k over the binary digits 2^k of n, where
-    P_0 = 1 and P_k = P_{k-1} wr C_2 is built as P_{k-1} wr S_2.
+    P_0 = 1 and P_k = P_{k-1} wr C_2 is built as P_{k-1} wr S_2.  A degree
+    of a direct product is odd iff both factors' are, so the count is the
+    product of the layers' odd-degree counts, and P itself is never formed.
     """
     if n < 1:
         raise ValueError("n must be positive")
     layers = [TRIVIAL_GROUP]
     while len(layers) < n.bit_length():
         layers.append(wreath_degrees(layers[-1], 2))
-    sylow = reduce(direct_product, (layer for k, layer in enumerate(layers) if n >> k & 1))
-    return irr_lprime_count(sylow, 2)
+    return prod(irr_lprime_count(layer, 2) for k, layer in enumerate(layers) if n >> k & 1)

@@ -164,14 +164,19 @@ def test_table_bound(monkeypatch):
     assert len(table.classes) == len(enumerate_partitions(11))
 
 
-def test_idempotent_check_is_bounded_by_the_table_budget(monkeypatch):
-    # 33 table products per term, p(n)^4 terms: at S_10 that is 102 685 968.
-    with pytest.raises(ResourceLimitError, match="102685968 table products"):
-        block_idempotent_p_integral(10, 2, {(10,)})
-    monkeypatch.setitem(BUDGETS, "table product", 33 * 11**4)  # p(6) = 11
-    with pytest.raises(ResourceLimitError):
-        block_idempotent_p_integral(7, 2, {(7,)})
-    assert block_idempotent_p_integral(6, 2, central_character_blocks(6, 2).blocks[0])
+def test_idempotent_check_is_bounded_by_the_table_budget():
+    # No budget of its own: build_table's p(n)^3 table products refuse S_18 and admit S_17.
+    with pytest.raises(ResourceLimitError, match="table products exceeds the budget"):
+        block_idempotent_p_integral(18, 2, {(18,)})
+    principal = next(b for b in central_character_blocks(10, 2).blocks if (10,) in b)
+    assert block_idempotent_p_integral(10, 2, principal)
+
+
+def test_block_idempotent_rejects_a_non_prime_p():
+    with pytest.raises(ValueError, match="prime"):
+        block_idempotent(build_table(4), 4, {(4,)})
+    with pytest.raises(ValueError, match="prime"):  # before the table budget is asked
+        block_idempotent_p_integral(18, 4, {(18,)})
 
 
 def test_central_character_values_are_integers():
@@ -263,6 +268,51 @@ def test_distinct_block_idempotents_are_orthogonal():
             for i in range(len(idems)):
                 for j in range(i + 1, len(idems)):
                     assert class_algebra_product(table, idems[i], idems[j]) == zero
+
+
+def oracle_structure_constants(table):
+    """The former engine: a[K, L, M] = |K||L|/|G| sum_chi chi(K) chi(L) chi(M) / chi(1).
+
+    Classes of S_n are self-inverse, so M needs no inversion.  Every constant
+    must be a nonnegative integer.
+    """
+    order = math.factorial(table.n)
+    degrees = table.columns[(1,) * table.n]
+    constants = {}
+    for rho_k, column_k in table.columns.items():
+        for rho_l, column_l in table.columns.items():
+            front = Fraction(table.class_sizes[rho_k] * table.class_sizes[rho_l], order)
+            for rho_m, column_m in table.columns.items():
+                value = front * sum(
+                    Fraction(a * b * c, degree)
+                    for a, b, c, degree in zip(column_k, column_l, column_m, degrees)
+                )
+                assert value.denominator == 1 and value >= 0, (rho_k, rho_l, rho_m)
+                constants[rho_k, rho_l, rho_m] = int(value)
+    return constants
+
+
+def oracle_product(table, constants, left, right):
+    out = {rho: Fraction(0) for rho in table.classes}
+    for (rho_k, rho_l, rho_m), a in constants.items():
+        out[rho_m] += left.get(rho_k, 0) * right.get(rho_l, 0) * a
+    return out
+
+
+def test_class_algebra_product_matches_the_structure_constant_oracle():
+    for n in range(2, 7):
+        table = build_table(n)
+        constants = oracle_structure_constants(table)
+        for p in (2, 3, 5):
+            idems = [block_idempotent(table, p, b) for b in central_character_blocks(n, p).blocks]
+            for left in idems:
+                for right in idems:
+                    expected = oracle_product(table, constants, left, right)
+                    assert class_algebra_product(table, left, right) == expected, (n, p)
+    # Read by class key, not position: these dicts list the classes in reverse order.
+    left = {rho: Fraction(i + 1, 3) for i, rho in enumerate(reversed(table.classes))}
+    right = {rho: Fraction(2 - i * i, 7) for i, rho in enumerate(reversed(table.classes))}
+    assert class_algebra_product(table, left, right) == oracle_product(table, constants, left, right)
 
 
 def test_idempotents_sum_to_identity():

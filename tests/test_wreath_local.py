@@ -268,6 +268,8 @@ def test_metacyclic_count_matches_class_count_oracle():
 def test_metacyclic_rejects_bad_action():
     with pytest.raises(ValueError):
         MetacyclicSpec(m=5, d=2, u=3)  # 3^2 = 4 != 1 mod 5
+    with pytest.raises(ValueError, match="0 <= u < m"):
+        MetacyclicSpec(m=5, d=2, u=9)  # 9 = 4 mod 5 is a valid action, but not reduced
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +349,15 @@ def test_sylow2_local_count_wreathes_each_layer(monkeypatch):
     monkeypatch.setattr(wreath_local, "wreath_degrees", counting)
     assert sylow2_local_count(24) == 2**7
     assert calls == [(1, 2), (2, 2), (8, 2), (128, 2)]
+
+
+def test_sylow2_local_count_never_forms_the_direct_product(monkeypatch):
+    # 2047 = 2^0 + ... + 2^10: the odd-degree counts of the layers multiply.
+    def refuse(a, b):
+        raise AssertionError("direct_product called")
+
+    monkeypatch.setattr(wreath_local, "direct_product", refuse)
+    assert sylow2_local_count(2047) == 2**55
 
 
 def test_direct_product_examples():
