@@ -21,12 +21,12 @@ bit r + d*k, and its level mask decodes to the quotient's r-th partition.
 Removing a rim t-hook moves one bead from pos to the empty pos - t, which is
 two XORs; the leg length is the number of beads strictly between them.  A
 bead that lands on position 0 gives zero parts, and that low run of set bits
-is shifted out to keep the mask unique.  The character tables use the rule
-on whole columns, through ``_rim_hook_map(m, k)``: for each partition of m,
-the positions among the partitions of m - k that one rim k-hook takes it
-to, split by leg parity.  ``mn_character_value`` is the per-value route,
-which carries signed coefficients on masks through the parts of the cycle
-type without recursion.
+is shifted out to keep the mask unique.  ``_rim_hooks`` lists one mask's
+hooks.  The tables read ``_rim_hook_map(m, k)``, shared by all classes of
+S_m with first part k: for each partition of m, the positions among the
+partitions of m - k that one rim k-hook takes it to, by leg parity.
+``mn_character_value`` is the per-value route: signed coefficients on
+masks go through the parts of the cycle type without recursion.
 
 ``hook_valuation`` sums nu_p over the hooks of one partition, one hook at a
 time, and shares no formula with the census.  ``valuation_census`` computes
@@ -460,7 +460,7 @@ def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     return core_census(n, d).get(core, 0)
 
 
-def _rim_hooks(bits: int, length: int):
+def _rim_hooks(bits: int, length: int) -> list[tuple[int, int]]:
     """(mask, leg) for each rim hook of the given length, top row first.
 
     A rim hook is a bead at pos moving down to the empty position pos - length;
@@ -468,15 +468,16 @@ def _rim_hooks(bits: int, length: int):
     landing on position 0 is stripped with the run of beads above it (zero
     parts), so every result is again the unique len(partition)-bead mask.
     """
-    targets = (bits >> length) & ~bits  # empty positions with a bead length above
+    hooks, targets = [], (bits >> length) & ~bits  # empty positions with a bead length above
     while targets:
         target = 1 << (targets.bit_length() - 1)
         bead = target << length
         moved = bits ^ bead ^ target
         if moved & 1:
             moved >>= (moved ^ (moved + 1)).bit_length() - 1
-        yield moved, (bits & (bead - (target << 1))).bit_count()
+        hooks.append((moved, (bits & (bead - (target << 1))).bit_count()))
         targets ^= target
+    return hooks
 
 
 @cache

@@ -5,9 +5,10 @@ compares hook valuations with Legendre's nu_p(n!), so no large factorial is
 formed.  It reads them off ``partitions.valuation_census``, which the block
 checks read too: it walks only the p-cores and computes no hook.
 macdonald_count counts the odd degrees in closed form.  Character tables
-come from the Murnaghan-Nakayama rule applied to whole columns (_columns),
-and are stored once, as those columns: the degrees are the identity column,
-and code that reads rows transposes the columns for as long as it runs.
+come from the Murnaghan-Nakayama rule on whole columns (_columns), one
+first part at a time on ints of 64-bit slots, refused if a rim-hook sum
+could overflow a slot.  Stored once as columns, the identity column holds
+the degrees, and code that reads rows transposes them while it runs.
 
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
@@ -25,10 +26,12 @@ algebra, so no structure constant is formed.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cache
-from math import factorial, prod
-from operator import mul
+from itertools import groupby, repeat
+from math import factorial, lcm, prod
+from operator import floordiv, itemgetter, mod, mul
+from sys import byteorder
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -79,10 +82,7 @@ def macdonald_count(n: int) -> int:
 
 def cycle_type_centralizer_order(rho: Partition) -> int:
     """z_rho = prod i^{m_i} m_i! for the cycle type rho."""
-    z = 1
-    for i, m in Counter(rho).items():
-        z *= i**m * factorial(m)
-    return z
+    return prod(i**m * factorial(m) for i, m in Counter(rho).items())
 
 
 def cycle_type_class_size(rho: Partition) -> int:
@@ -121,23 +121,40 @@ def _columns(n: int) -> Mapping[Partition, tuple[int, ...]]:
     """The table of S_n by columns: each class maps to its values over enumerate_partitions(n).
 
     This is the Murnaghan-Nakayama rule on whole columns: chi^lam(rho) is
-    the signed sum of chi^mu(rho[1:]) over the rim rho[0]-hooks lam -> mu,
-    and rho[1:] is a class of S_{n - rho[0]}, so the column at rho gathers
-    one column of a smaller table through _rim_hook_map(n, rho[0]).  The
-    smaller tables are built first, in increasing n, so each is computed
-    once, shared by every larger n, and the memo never nests deeper than
-    two calls.
+    the signed sum of chi^mu(rho[1:]) over the rim rho[0]-hooks lam -> mu.
+    The classes with first part k (the k-family, together in class order)
+    all read _rim_hook_map(n, k), so _packed_hook_sums builds a family's
+    columns at once: at most n * p(n) sums, not p(n)^2.  Smaller tables are
+    built first, so each is computed once, shared by every larger n, and
+    the memo never nests deeper than two calls.
     """
     if not n:
         return MappingProxyType({(): (1,)})
     smaller = [_columns(m) for m in range(n)]
     columns = {}
-    for rho in enumerate_partitions(n):
-        take = smaller[n - rho[0]][rho[1:]].__getitem__
-        columns[rho] = tuple(
-            sum(map(take, even)) - sum(map(take, odd)) for even, odd in _rim_hook_map(n, rho[0])
-        )
+    for k, family in groupby(enumerate_partitions(n), itemgetter(0)):
+        family = tuple(family)
+        sums = _packed_hook_sums([smaller[n - k][rho[1:]] for rho in family], _rim_hook_map(n, k))
+        columns.update((rho, tuple(sums[i :: len(family)])) for i, rho in enumerate(family))
     return MappingProxyType(columns)
+
+
+def _packed_hook_sums(columns: list, hooks: tuple) -> Sequence[int]:
+    """sum(column[even]) - sum(column[odd]) for each (even, odd) in hooks and each column, in turn.
+
+    A row packs into sum(value_i 2^(64 i)) by flipping and subtracting the sign bits (bias)
+    of its array('q') bytes, and sums unpack by the inverse.  CrossCheckError is raised
+    unless |value| times a label's most hooks is below 2^63: no slot may overflow silently.
+    """
+    from array import array  # here, not at the top: only the tables load it
+    most = max(max(map(abs, column)) for column in columns)
+    if most * max(len(even) + len(odd) for even, odd in hooks) >> 63 or most >> 63:
+        raise CrossCheckError(f"rim hook sums of values up to {most} leave their 64-bit slots")
+    bias, size = int.from_bytes((bytes(7) + b"\x80") * len(columns), "little"), 8 * len(columns)
+    rows = (int.from_bytes(array("q", row).tobytes(), byteorder) for row in zip(*columns))
+    take = [(row ^ bias) - bias for row in rows].__getitem__
+    sums = (sum(map(take, even)) - sum(map(take, odd)) for even, odd in hooks)
+    return array("q", b"".join(((total + bias) ^ bias).to_bytes(size, byteorder) for total in sums))
 
 
 @cache
@@ -185,13 +202,12 @@ def central_character_values(table: SymCharacterTable) -> tuple[tuple[int, ...],
     sizes = tuple(table.class_sizes.values())
     out = []
     for lam, degree, row in zip(table.classes, degrees, zip(*table.columns.values())):
-        omega = []
-        for rho, size, value in zip(table.classes, sizes, row):
-            quotient, rem = divmod(size * value, degree)
-            if rem:
-                raise CrossCheckError(f"central character of {lam!r} at {rho!r} is not integral")
-            omega.append(quotient)
-        out.append(tuple(omega))
+        products = tuple(map(mul, sizes, row))
+        omega = tuple(map(floordiv, products, repeat(degree)))
+        if tuple(map(mul, omega, repeat(degree))) != products:
+            rho = next(rho for rho, a, b in zip(table.classes, omega, products) if a * degree != b)
+            raise CrossCheckError(f"central character of {lam!r} at {rho!r} is not integral")
+        out.append(omega)
     return tuple(out)
 
 
@@ -220,12 +236,8 @@ def central_character_blocks(n: int, p: int) -> BlockPartitionOracle:
     table = build_table(n)
     by_signature: dict = {}
     for lam, omega in zip(table.classes, _omega_rows(n)):
-        by_signature.setdefault(tuple(value % p for value in omega), []).append(lam)
+        by_signature.setdefault(tuple(map(mod, omega, repeat(p))), []).append(lam)
     return BlockPartitionOracle(n=n, p=p, blocks=tuple(map(frozenset, by_signature.values())))
-
-
-def _is_p_regular(rho: Partition, p: int) -> bool:
-    return all(part % p for part in rho)
 
 
 def block_idempotent(table: SymCharacterTable, p: int, block) -> dict:
@@ -239,7 +251,7 @@ def block_idempotent(table: SymCharacterTable, p: int, block) -> dict:
         for lam, degree in zip(table.classes, table.columns[(1,) * table.n])
     ]
     return {
-        rho: Fraction(sum(map(mul, weights, column)) if _is_p_regular(rho, p) else 0, order)
+        rho: Fraction(sum(map(mul, weights, column)) if all(part % p for part in rho) else 0, order)
         for rho, column in table.columns.items()
     }
 
@@ -251,15 +263,17 @@ def class_algebra_product(table: SymCharacterTable, left: dict, right: dict) -> 
     omega(x) omega(y), and x = sum_chi omega_chi(x) f_chi with
     f_chi = chi(1)/|G| sum_K chi(K) K.  So the coefficient of the class sum
     of M in xy is sum_chi omega_chi(x) omega_chi(y) chi(1) chi(M) / |G|.
+    Each side is scaled to integer numerators, so only ints are summed.
     """
     from fractions import Fraction
-    x = [left.get(rho, 0) for rho in table.classes]
-    y = [right.get(rho, 0) for rho in table.classes]
+    x, y = ([side.get(rho, 0) for rho in table.classes] for side in (left, right))
+    x_den, y_den = lcm(*(v.denominator for v in x)), lcm(*(v.denominator for v in y))
+    x, y = [int(v * x_den) for v in x], [int(v * y_den) for v in y]
     weights = [
         sum(map(mul, x, omega)) * sum(map(mul, y, omega)) * degree
         for omega, degree in zip(central_character_values(table), table.columns[(1,) * table.n])
     ]
-    order = factorial(table.n)
+    order = factorial(table.n) * x_den * y_den
     return {
         rho: Fraction(sum(map(mul, weights, column)), order)
         for rho, column in table.columns.items()

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -7,7 +8,13 @@ from blockcraft import sym_chars
 from blockcraft.arith import nu, nu_factorial
 from blockcraft.budget import BUDGETS
 from blockcraft.errors import CrossCheckError, ResourceLimitError
-from blockcraft.partitions import enumerate_partitions, hook_lengths, hook_valuation
+from blockcraft.partitions import (
+    _rim_hook_map,
+    enumerate_partitions,
+    hook_lengths,
+    hook_valuation,
+    mn_character_value,
+)
 from blockcraft.sym_chars import (
     block_idempotent,
     block_idempotent_p_integral,
@@ -115,6 +122,61 @@ def test_build_table_small():
     assert t3.columns[(1, 1, 1)] == (1, 2, 1)  # the identity column holds the degrees
 
 
+@cache
+def oracle_columns(n):
+    """The former build, one class at a time: a signed sum of a smaller column per label."""
+    if not n:
+        return {(): (1,)}
+    columns = {}
+    for rho in enumerate_partitions(n):
+        take = oracle_columns(n - rho[0])[rho[1:]].__getitem__
+        columns[rho] = tuple(
+            sum(map(take, even)) - sum(map(take, odd)) for even, odd in _rim_hook_map(n, rho[0])
+        )
+    return columns
+
+
+def test_packed_columns_match_the_per_class_oracle():
+    for n in range(0, 15):
+        assert list(sym_chars._columns(n).items()) == list(oracle_columns(n).items()), n
+
+
+def test_largest_admitted_table_matches_the_per_value_route():
+    columns = sym_chars._columns(17)
+    labels = enumerate_partitions(17)
+    assert len(labels) == 297
+    for i, rho in enumerate(labels):
+        if i % 23 == 0 or rho[0] in (1, 16, 17):  # every 23rd class, and the outer families
+            for j in range(i % 11, len(labels), 37):  # every 37th label, from a moving offset
+                assert columns[rho][j] == mn_character_value(labels[j], rho), (labels[j], rho)
+    assert columns[(1,) * 17] == tuple(map(sym_degree, labels))
+
+
+def test_a_label_with_no_rim_hook_reads_zero():
+    # (3, 2, 1), a 2-core, has no rim 2-hook: it reads 0 on every class of S_6 with first part 2.
+    labels = enumerate_partitions(6)
+    assert _rim_hook_map(6, 2)[labels.index((3, 2, 1))] == ((), ())
+    family = [rho for rho in labels if rho[0] == 2]
+    assert len(family) == 3
+    assert [sym_chars._columns(6)[rho][labels.index((3, 2, 1))] for rho in family] == [0, 0, 0]
+    columns = [(5, -7), (-3, 2)]  # two columns over two labels
+    hooks = (((0,), (1,)), ((), ()), ((1, 1), (0,)))
+    sums = sym_chars._packed_hook_sums(columns, hooks)
+    assert list(sums) == [5 + 7, -3 - 2, 0, 0, -14 - 5, 4 + 3]
+
+
+def test_packing_refuses_a_sum_that_could_leave_its_slot():
+    most = 2**63 - 1
+    hooks = (((0,), ()), ((0,), (1,)))  # a label with two rim hooks
+    assert list(sym_chars._packed_hook_sums([(most // 2, -(most // 2))], hooks)) == [
+        most // 2, most - 1,
+    ]
+    with pytest.raises(CrossCheckError, match="64-bit"):
+        sym_chars._packed_hook_sums([(most // 2 + 1, 0)], hooks)
+    with pytest.raises(CrossCheckError, match="64-bit"):  # past a slot: no OverflowError
+        sym_chars._packed_hook_sums([(0, -(2**70))], hooks)
+
+
 def test_table_is_stored_once_as_its_columns():
     for n in range(0, 8):
         table = build_table(n)
@@ -194,7 +256,7 @@ def test_central_character_values_refuse_a_fraction():
     # chi^(2,1) at a transposition set to 1: omega = 3 * 1 / 2 is not an integer.
     table = build_table(3)
     bad = table._replace(columns={**table.columns, (2, 1): (1, 1, -1)})
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(CrossCheckError, match=r"of \(2, 1\) at \(2, 1\) is not integral"):
         central_character_values(bad)
 
 
@@ -313,6 +375,17 @@ def test_class_algebra_product_matches_the_structure_constant_oracle():
     left = {rho: Fraction(i + 1, 3) for i, rho in enumerate(reversed(table.classes))}
     right = {rho: Fraction(2 - i * i, 7) for i, rho in enumerate(reversed(table.classes))}
     assert class_algebra_product(table, left, right) == oracle_product(table, constants, left, right)
+
+
+def test_class_algebra_product_takes_int_coefficients_and_missing_classes():
+    table = build_table(6)
+    for block in central_character_blocks(6, 3).blocks:
+        e = block_idempotent(table, 3, block)
+        assert class_algebra_product(table, {(1,) * 6: 1}, e) == e  # the identity, one int entry
+    transposition = {(2, 1, 1, 1, 1): 1}  # (sum of transpositions)^2 = 15 + 3 K_(3) + 2 K_(2,2)
+    square = class_algebra_product(table, transposition, transposition)
+    nonzero = {rho: c for rho, c in square.items() if c}
+    assert nonzero == {(3, 1, 1, 1): 3, (2, 2, 1, 1): 2, (1,) * 6: 15}
 
 
 def test_idempotents_sum_to_identity():
