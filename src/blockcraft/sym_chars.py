@@ -269,9 +269,11 @@ def class_algebra_product(table: SymCharacterTable, left: dict, right: dict) -> 
     x, y = ([side.get(rho, 0) for rho in table.classes] for side in (left, right))
     x_den, y_den = lcm(*(v.denominator for v in x)), lcm(*(v.denominator for v in y))
     x, y = [int(v * x_den) for v in x], [int(v * y_den) for v in y]
+    memo = not over_budget("table product", table_products(table.n)) and table is _table(table.n)
+    omegas = _omega_rows(table.n) if memo else central_character_values(table)
     weights = [
         sum(map(mul, x, omega)) * sum(map(mul, y, omega)) * degree
-        for omega, degree in zip(central_character_values(table), table.columns[(1,) * table.n])
+        for omega, degree in zip(omegas, table.columns[(1,) * table.n])
     ]
     order = factorial(table.n) * x_den * y_den
     return {
@@ -291,5 +293,4 @@ def block_idempotent_p_integral(n: int, p: int, block) -> bool:
     table = build_table(n)
     coeffs = block_idempotent(table, p, frozenset(block))
     p_integral = all(c.denominator % p for c in coeffs.values())
-    square = class_algebra_product(table, coeffs, coeffs)
-    return p_integral and square == coeffs
+    return p_integral and class_algebra_product(table, coeffs, coeffs) == coeffs

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from math import comb, factorial, gcd, prod
+from operator import itemgetter, le
 
 from .arith import divisors, is_prime
 from .errors import CrossCheckError
@@ -51,7 +52,7 @@ class DegreeMultiset(namedtuple("DegreeMultiset", "entries group_order")):
     def __new__(cls, entries: tuple[tuple[int, int], ...], group_order: int):
         if any(d < 1 or m < 1 for d, m in entries):
             raise ValueError("degrees and multiplicities must be positive")
-        if list(entries) != sorted(entries):
+        if not all(map(le, entries, entries[1:])):  # as list(entries) == sorted(entries)
             raise ValueError("entries must be sorted by degree")
         square_sum = sum(m * d * d for d, m in entries)
         if square_sum != group_order:
@@ -62,7 +63,7 @@ class DegreeMultiset(namedtuple("DegreeMultiset", "entries group_order")):
 
     @classmethod
     def from_counter(cls, counts: Counter, group_order: int) -> "DegreeMultiset":
-        return cls(tuple(sorted(counts.items())), group_order)
+        return cls(tuple(sorted(counts.items(), key=itemgetter(0))), group_order)  # keys are distinct
 
     @property
     def character_count(self) -> int:

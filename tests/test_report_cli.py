@@ -1,8 +1,10 @@
+import gc
 import io
 import itertools
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockcraft.cli as cli
-from blockcraft import glq_blocks, partitions, report, sym_blocks
+from blockcraft import glq_blocks, glq_chars, partitions, report, sym_blocks
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
@@ -750,6 +752,104 @@ def test_cli_fuzz_one_cell_sweeps(name, n, p, q, ell):
         config = Path(tmp) / "sweep.json"
         config.write_text(json.dumps({"cells": [cell]}))
         _assert_one_clean_exit(["sweep", "--config", str(config), "--format", "csv"])
+
+
+# ---------------------------------------------------------------------------
+# Process entry: run() freezes the start-up heap; main() and the import do not
+# ---------------------------------------------------------------------------
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _entry_env(*front):
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([*map(str, front), str(SRC)])}
+
+
+def test_process_entry_freezes_the_startup_heap(tmp_path):
+    # sitecustomize registers its handler before anything else, so it runs last at exit.
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "blockcraft.cli", "sym", "mckay", "--n", "5"],
+        env=_entry_env(tmp_path), capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("[PASS] mckay n=5 p=2")
+    assert re.fullmatch(r"freeze count (\d+)\n", done.stderr), done.stderr
+    assert int(done.stderr.split()[-1]) > 0
+
+
+def test_main_and_the_import_freeze_nothing(capsys):
+    before = gc.get_freeze_count()
+    for _ in range(2):
+        assert main(["sym", "mckay", "--n", "5"]) == 0
+    assert gc.get_freeze_count() == before
+    code = (
+        "import atexit, gc\n"
+        "before = atexit._ncallbacks()\n"
+        "import blockcraft.cli\n"
+        "print(gc.get_freeze_count(), atexit._ncallbacks() - before)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=_entry_env(), capture_output=True, text=True, timeout=10
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 0\n", "")
+
+
+def _console_script() -> list[str]:
+    """Interpreter arguments that call the [project.scripts] target as pip's `blockcraft` wrapper does."""
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, attr = re.search(r'^blockcraft = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    return ["-c", f"import sys\nfrom {module} import {attr}\nsys.argv[0] = 'blockcraft'\nsys.exit({attr}())"]
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        pytest.param(["sym", "mckay", "--n", "5"], 0, id="pass"),
+        pytest.param(["sym", "table", "--n", "18"], 1, id="refused"),
+        pytest.param(["sym", "mckay", "--n", "x"], 1, id="usage"),
+        pytest.param(["sym", "mckay", "--n", "6", "--format", "json", "--stable", "--output"], 0,
+                     id="output"),
+    ],
+)
+def test_console_script_and_python_m_give_the_same_process(argv, status, tmp_path):
+    results = {}
+    for entry, head in (("script", _console_script()), ("module", ["-m", "blockcraft.cli"])):
+        out = [str(tmp_path / f"{entry}.json")] if argv[-1] == "--output" else []
+        done = subprocess.run(
+            [sys.executable, *head, *argv, *out], env=_entry_env(), capture_output=True, timeout=10
+        )
+        results[entry] = (done.returncode, done.stdout, done.stderr)
+    assert results["script"] == results["module"]
+    code, stdout, stderr = results["module"]
+    assert code == status, stderr
+    if argv[-1] == "--output":
+        assert (stdout, stderr) == (b"", b"")
+        for entry in results:
+            assert (tmp_path / f"{entry}.json").read_text() == (GOLDEN / "sym_mckay_n6_p2.json").read_text()
+    else:
+        assert (stdout == b"") == (status == 1) and stderr.startswith(b"error: ") == (status == 1)
+
+
+def test_planted_wrong_gl_degree_is_a_cross_check_failure(capsys, monkeypatch):
+    real = glq_chars._unipotent_counts
+
+    def planted(m, q):  # the first unipotent degree of each GL_3(q^d) one too large
+        counts = real(m, q)
+        return ((counts[0][0] + 1, counts[0][1]), *counts[1:]) if m == 3 else counts
+
+    glq_chars.all_degrees.cache_clear()
+    monkeypatch.setattr(glq_chars, "_unipotent_counts", planted)
+    try:
+        assert main(["gl", "degrees", "--n", "3", "--q", "2"]) == 2
+    finally:
+        glq_chars.all_degrees.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cross-check failure: sum of squared degrees ")
 
 
 # ---------------------------------------------------------------------------

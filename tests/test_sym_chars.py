@@ -377,6 +377,27 @@ def test_class_algebra_product_matches_the_structure_constant_oracle():
     assert class_algebra_product(table, left, right) == oracle_product(table, constants, left, right)
 
 
+def test_class_algebra_product_reads_the_central_characters_of_build_table(monkeypatch):
+    calls, built = [], []
+    original, original_table = sym_chars.central_character_values, sym_chars._table
+    monkeypatch.setattr(sym_chars, "central_character_values", lambda t: calls.append(t.n) or original(t))
+    monkeypatch.setattr(sym_chars, "_table", lambda n: built.append(n) or original_table(n))
+    sym_chars._omega_rows.cache_clear()
+    table = build_table(7)
+    e = block_idempotent(table, 3, central_character_blocks(7, 3).blocks[0])
+    squares = [class_algebra_product(table, e, e) for _ in range(3)]
+    assert calls == [7]  # once, for the memo, which central_character_blocks filled
+    # A table that is not build_table's own, with equal values, takes its own central characters.
+    copy = table._replace(columns=dict(table.columns))
+    assert class_algebra_product(copy, e, e) == squares[0] == e
+    assert calls == [7, 7]
+    # Past the table budget no memo is asked for, so no table of that n is built.
+    built.clear()
+    monkeypatch.setitem(BUDGETS, "table product", sym_chars.table_products(6))
+    assert class_algebra_product(copy, e, e) == e
+    assert calls == [7, 7, 7] and built == []
+
+
 def test_class_algebra_product_takes_int_coefficients_and_missing_classes():
     table = build_table(6)
     for block in central_character_blocks(6, 3).blocks:

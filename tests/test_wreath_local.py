@@ -388,6 +388,25 @@ def test_degree_multiset_rejects_wrong_order():
         DegreeMultiset(entries=((2, 1), (1, 1)), group_order=5)
 
 
+def test_degree_multiset_accepts_exactly_the_positive_sorted_entries():
+    # The rule the constructor had when it sorted a copy of its entries to compare.
+    values = (-1, 0, 1, 2)
+    pairs = list(product(values, values))
+    for size in range(4):
+        for entries in product(pairs, repeat=size):
+            order = sum(m * d * d for d, m in entries)
+            expected = all(d >= 1 and m >= 1 for d, m in entries) and list(entries) == sorted(entries)
+            try:
+                accepted = DegreeMultiset(entries, order).entries == entries
+            except ValueError:
+                accepted = False
+            assert accepted == expected, entries
+    counts = Counter({5: 2, 1: 7, 3: 1, 2**70: 4, 4: 9})
+    assert DegreeMultiset.from_counter(counts, sum(m * d * d for d, m in counts.items())).entries == (
+        tuple(sorted(counts.items()))
+    )
+
+
 def test_wreath_sum_of_squares_explicit():
     base = metacyclic_degrees(MetacyclicSpec(m=7, d=3, u=2))
     for w in (2, 3):
