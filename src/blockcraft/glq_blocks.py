@@ -26,7 +26,7 @@ recomputed from a member; gl blocks compares each block's count with
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from .arith import is_prime, multiplicative_order, nu, prime_power_radical
@@ -41,7 +41,7 @@ from .glq_chars import (
     semisimple_class_count,
     unipotent_degree,
 )
-from .partitions import Partition, core_census, d_core
+from .partitions import Partition, census_labels, core_census, d_core
 from .report import VerificationReport
 from .wreath_local import (
     DegreeMultiset,
@@ -234,9 +234,4 @@ def unipotent_blocks(n: int, context: EllContext) -> tuple[GlUnipotentBlockLabel
 
     One label per key of core_census(n, d), which lists no partition.
     """
-    labels = (
-        GlUnipotentBlockLabel(context=context, core=core, weight=(n - sum(core)) // context.d)
-        for core in core_census(n, context.d)
-    )
-    return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
-
+    return census_labels(core_census(n, context.d), n, context.d, partial(GlUnipotentBlockLabel, context))

@@ -22,8 +22,8 @@ Removing a rim t-hook moves one bead from pos to the empty pos - t, which is
 two XORs; the leg length is the number of beads strictly between them.  A
 bead that lands on position 0 gives zero parts, and that low run of set bits
 is shifted out to keep the mask unique.  ``_rim_hooks`` lists one mask's
-hooks.  The tables read ``_rim_hook_map(m, k)``, shared by all classes of
-S_m with first part k: for each partition of m, the positions among the
+hooks.  The table of S_m reads ``_rim_hook_map(m, k)`` once, for all its
+classes with first part k: for each partition of m, the positions among the
 partitions of m - k that one rim k-hook takes it to, by leg parity.
 ``mn_character_value`` is the per-value route: signed coefficients on
 masks go through the parts of the cycle type without recursion.
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, defaultdict
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from functools import cache, lru_cache, reduce
 from operator import sub
 from types import MappingProxyType
@@ -442,6 +442,15 @@ def valuation_census(n: int, p: int) -> Mapping[Partition, tuple[int, int, int, 
     return MappingProxyType({core: terms[w] for core, w in weights.items()})
 
 
+def census_labels(census: Mapping[Partition, object], n: int, d: int, label: Callable) -> tuple:
+    """label(core, weight) for each d-core key of a census of n, largest weight first."""
+    weights = sorted(((*divmod(n - sum(core), d), core) for core in census), reverse=True)
+    for _, rest, core in weights:
+        if rest:
+            raise CrossCheckError(f"{d}-core {core!r} of a partition of {n} leaves {rest} boxes")
+    return tuple(label(core, weight) for weight, _, core in weights)
+
+
 def count_partitions_with_core(n: int, d: int, core: Partition) -> int:
     """Number of partitions of n with the given d-core.
 
@@ -486,13 +495,13 @@ def _mask_positions(m: int) -> Mapping[int, int]:
     return MappingProxyType({_beta_bits(lam): i for i, lam in enumerate(enumerate_partitions(m))})
 
 
-@cache
 def _rim_hook_map(m: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Where one rim k-hook takes each partition of m, in canonical order.
 
     Entry i is (even, odd): the positions in enumerate_partitions(m - k) of
     the i-th partition of m with one rim k-hook removed, split by the parity
-    of the hook's leg length.
+    of the hook's leg length.  Not memoized: the one table build that reads
+    each map is, so a map is freed once its table is built.
     """
     position = _mask_positions(m - k)
     out = []

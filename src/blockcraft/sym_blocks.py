@@ -30,6 +30,7 @@ from .arith import is_prime, nu_factorial, primitive_root
 from .errors import CrossCheckError, UnsupportedRegimeError
 from .partitions import (
     Partition,
+    census_labels,
     d_core,
     enumerate_partitions,
     hook_valuation,
@@ -41,7 +42,6 @@ from .report import VerificationReport
 from .sym_chars import sym_degree
 from .wreath_local import (
     TRIVIAL_GROUP,
-    DegreeMultiset,
     MetacyclicSpec,
     irr_lprime_count,
     metacyclic_degrees,
@@ -81,14 +81,8 @@ def block_of(lam: Partition, p: int) -> SymBlockLabel:
 
 def block_labels(n: int, p: int) -> tuple[SymBlockLabel, ...]:
     """All p-blocks of S_n, largest weight first: one label per p-core of valuation_census(n, p)."""
-    labels = []
-    for core in valuation_census(n, p):
-        weight, rest = divmod(n - sum(core), p)
-        if rest:
-            raise CrossCheckError(f"{p}-core {core!r} of a partition of {n} leaves {rest} boxes")
-        # The census has checked p and its keys are p-cores, so __new__'s checks are skipped.
-        labels.append(SymBlockLabel._make((p, core, weight)))
-    return tuple(sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True))
+    # The census has checked p and its keys are p-cores, so __new__'s checks are skipped.
+    return census_labels(valuation_census(n, p), n, p, lambda c, w: SymBlockLabel._make((p, c, w)))
 
 
 class BlockCharacterData(
@@ -124,6 +118,7 @@ def block_members_and_heights(label: SymBlockLabel) -> BlockCharacterData:
 def bhz_verify(label: SymBlockLabel) -> VerificationReport:
     """Brauer height zero for one block: all heights zero <=> weight < p."""
     least, top, _, members = valuation_census(label.n, label.p)[label.core]
+    defect_valuation = label.defect_valuation
     all_height_zero = least == top
     abelian_defect = label.weight < label.p
     return VerificationReport(
@@ -138,8 +133,8 @@ def bhz_verify(label: SymBlockLabel) -> VerificationReport:
         local_count=int(abelian_defect),
         passed=all_height_zero == abelian_defect,
         notes=(
-            f"defect group order {label.p ** label.defect_valuation}",
-            f"members {members}, max height {label.defect_valuation - least}",
+            f"defect group order {label.p ** defect_valuation}",
+            f"members {members}, max height {defect_valuation - least}",
         ),
     )
 
@@ -162,11 +157,17 @@ def bhz_witness_search(w: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _am_local_group(p: int, w: int) -> DegreeMultiset:
-    """(C_p x| C_{p-1}) wr S_w, built once per (p, w); at w = 0 the trivial group, with no base."""
+def _am_local_group(p: int, w: int) -> tuple[int, int, bool]:
+    """Order, character count and all-p'-degrees flag of (C_p x| C_{p-1}) wr S_w, once per (p, w).
+
+    At w = 0 it is the trivial group, with no base.
+    """
     if w == 0:
-        return TRIVIAL_GROUP
-    return wreath_degrees(metacyclic_degrees(MetacyclicSpec(m=p, d=p - 1, u=primitive_root(p))), w)
+        local = TRIVIAL_GROUP
+    else:
+        local = wreath_degrees(metacyclic_degrees(MetacyclicSpec(m=p, d=p - 1, u=primitive_root(p))), w)
+    count = local.character_count
+    return local.group_order, count, irr_lprime_count(local, p) == count
 
 
 def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
@@ -185,14 +186,11 @@ def am_verify_abelian(label: SymBlockLabel) -> VerificationReport:
     p, w = label.p, label.weight
     least, top, _, global_count = valuation_census(label.n, p)[label.core]
 
-    local = _am_local_group(p, w)
-    local_count = local.character_count
-    local_all_pprime = irr_lprime_count(local, p) == local.character_count
-
+    local_order, local_count, local_all_pprime = _am_local_group(p, w)
     members_height_zero = least == top
 
     notes = [
-        f"local group (C_{p} x| C_{p - 1}) wr S_{w}, order {local.group_order}",
+        f"local group (C_{p} x| C_{p - 1}) wr S_{w}, order {local_order}",
         f"local degrees all p': {local_all_pprime}",
         f"members all height zero: {members_height_zero}",
     ]

@@ -5,7 +5,7 @@ compares hook valuations with Legendre's nu_p(n!), so no large factorial is
 formed.  It reads them off ``partitions.valuation_census``, which the block
 checks read too: it walks only the p-cores and computes no hook.
 macdonald_count counts the odd degrees in closed form.  Character tables
-come from the Murnaghan-Nakayama rule on whole columns (_columns), one
+come from the Murnaghan-Nakayama rule on whole columns (_table), one
 first part at a time on ints of 64-bit slots, refused if a rim-hook sum
 could overflow a slot.  Stored once as columns, the identity column holds
 the degrees, and code that reads rows transposes them while it runs.
@@ -95,9 +95,8 @@ class SymCharacterTable(NamedTuple):
     classes holds the cycle types in canonical (reverse lexicographic)
     order, which is also the order of the labels; columns maps each class
     to its values over the labels in that order, so the identity column
-    (1^n) holds the degrees.  columns is the memo of _columns(n) itself:
-    build_table hands the same table to every caller, so columns and
-    class_sizes are read-only.
+    (1^n) holds the degrees.  build_table hands the same table, the memo
+    of _table(n), to every caller, so columns and class_sizes are read-only.
     """
 
     n: int
@@ -114,29 +113,6 @@ def build_table(n: int) -> SymCharacterTable:
     if reason:
         raise ResourceLimitError(f"character table of S_{n}: {reason}")
     return _table(n)
-
-
-@cache
-def _columns(n: int) -> Mapping[Partition, tuple[int, ...]]:
-    """The table of S_n by columns: each class maps to its values over enumerate_partitions(n).
-
-    This is the Murnaghan-Nakayama rule on whole columns: chi^lam(rho) is
-    the signed sum of chi^mu(rho[1:]) over the rim rho[0]-hooks lam -> mu.
-    The classes with first part k (the k-family, together in class order)
-    all read _rim_hook_map(n, k), so _packed_hook_sums builds a family's
-    columns at once: at most n * p(n) sums, not p(n)^2.  Smaller tables are
-    built first, so each is computed once, shared by every larger n, and
-    the memo never nests deeper than two calls.
-    """
-    if not n:
-        return MappingProxyType({(): (1,)})
-    smaller = [_columns(m) for m in range(n)]
-    columns = {}
-    for k, family in groupby(enumerate_partitions(n), itemgetter(0)):
-        family = tuple(family)
-        sums = _packed_hook_sums([smaller[n - k][rho[1:]] for rho in family], _rim_hook_map(n, k))
-        columns.update((rho, tuple(sums[i :: len(family)])) for i, rho in enumerate(family))
-    return MappingProxyType(columns)
 
 
 def _packed_hook_sums(columns: list, hooks: tuple) -> Sequence[int]:
@@ -159,13 +135,33 @@ def _packed_hook_sums(columns: list, hooks: tuple) -> Sequence[int]:
 
 @cache
 def _table(n: int) -> SymCharacterTable:
-    """The memo behind build_table, keyed on n alone; callers check the budget."""
+    """The memo behind build_table, keyed on n alone; callers check the budget.
+
+    The columns come from the Murnaghan-Nakayama rule on whole columns:
+    chi^lam(rho) is the signed sum of chi^mu(rho[1:]) over the rim rho[0]-hooks
+    lam -> mu.  The classes with first part k (the k-family, together in class
+    order) all read _rim_hook_map(n, k), so _packed_hook_sums builds a family's
+    columns at once: at most n * p(n) sums, not p(n)^2.  Smaller tables are
+    built first, so each is computed once, shared by every larger n, and the
+    memo never nests deeper than two calls.
+    """
     classes = enumerate_partitions(n)
     class_sizes = {rho: cycle_type_class_size(rho) for rho in classes}
     if sum(class_sizes.values()) != factorial(n):
         raise CrossCheckError("class sizes do not sum to n!")
+    if n:
+        smaller = [_table(m).columns for m in range(n)]
+        columns = {}
+        for k, family in groupby(classes, itemgetter(0)):
+            family = tuple(family)
+            hooks = _rim_hook_map(n, k)
+            sums = _packed_hook_sums([smaller[n - k][rho[1:]] for rho in family], hooks)
+            columns.update((rho, tuple(sums[i :: len(family)])) for i, rho in enumerate(family))
+    else:  # groupby cannot read the first part of ()
+        columns = {(): (1,)}
     return SymCharacterTable(
-        n=n, classes=classes, class_sizes=MappingProxyType(class_sizes), columns=_columns(n)
+        n=n, classes=classes, class_sizes=MappingProxyType(class_sizes),
+        columns=MappingProxyType(columns),
     )
 
 

@@ -318,6 +318,19 @@ def test_unipotent_blocks_match_per_partition_labels(q, ell):
         assert unipotent_blocks(n, ctx) == tuple(expected)
 
 
+def test_unipotent_blocks_are_the_census_keys_largest_weight_first():
+    # The six contexts of acceptance criterion 10: d = 1, ..., 6.
+    for q, ell in ((8, 7), (13, 7), (2, 7), (5, 13), (3, 11), (3, 7)):
+        ctx = EllContext.of(q, ell)
+        for n in range(0, 26):
+            labels = [
+                GlUnipotentBlockLabel(ctx, core, (n - sum(core)) // ctx.d)
+                for core in core_census(n, ctx.d)
+            ]
+            expected = sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True)
+            assert unipotent_blocks(n, ctx) == tuple(expected), (ctx, n)
+
+
 def test_block_census_sizes_examples():
     # A block's census count is |Irr(C_d wr S_w)|, which gl blocks compares it with.
     for q, core, weight, size in (

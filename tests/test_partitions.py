@@ -676,7 +676,6 @@ def test_table_matches_per_value_route():
 
 def test_table_does_not_depend_on_build_order():
     sym_chars._table.cache_clear()
-    sym_chars._columns.cache_clear()
     sym_chars._table(13)
     table = build_table(8)
     assert table.columns == {
@@ -691,7 +690,7 @@ def test_column_orthogonality_of_larger_tables():
 
 
 def test_build_table_fills_no_mn_memo():
-    for memo in (sym_chars._table, sym_chars._columns, partitions._mn):
+    for memo in (sym_chars._table, partitions._mn):
         memo.cache_clear()
     build_table(9)
     assert partitions._mn.cache_info().currsize == 0

@@ -50,6 +50,14 @@ def test_block_members_and_heights_examples():
     assert data.defect_group_order == 1
 
 
+def test_block_labels_are_the_census_keys_largest_weight_first():
+    for n in range(0, 21):
+        for p in (2, 3, 5, 7):
+            labels = [SymBlockLabel(p, core, (n - sum(core)) // p) for core in valuation_census(n, p)]
+            expected = sorted(labels, key=lambda lab: (lab.weight, lab.core), reverse=True)
+            assert block_labels(n, p) == tuple(expected), (n, p)
+
+
 def test_blocks_partition_irr():
     for n in range(1, 26):
         for p in (2, 3, 5, 7):

@@ -138,11 +138,11 @@ def oracle_columns(n):
 
 def test_packed_columns_match_the_per_class_oracle():
     for n in range(0, 15):
-        assert list(sym_chars._columns(n).items()) == list(oracle_columns(n).items()), n
+        assert list(sym_chars._table(n).columns.items()) == list(oracle_columns(n).items()), n
 
 
 def test_largest_admitted_table_matches_the_per_value_route():
-    columns = sym_chars._columns(17)
+    columns = sym_chars._table(17).columns
     labels = enumerate_partitions(17)
     assert len(labels) == 297
     for i, rho in enumerate(labels):
@@ -158,7 +158,8 @@ def test_a_label_with_no_rim_hook_reads_zero():
     assert _rim_hook_map(6, 2)[labels.index((3, 2, 1))] == ((), ())
     family = [rho for rho in labels if rho[0] == 2]
     assert len(family) == 3
-    assert [sym_chars._columns(6)[rho][labels.index((3, 2, 1))] for rho in family] == [0, 0, 0]
+    columns = sym_chars._table(6).columns
+    assert [columns[rho][labels.index((3, 2, 1))] for rho in family] == [0, 0, 0]
     columns = [(5, -7), (-3, 2)]  # two columns over two labels
     hooks = (((0,), (1,)), ((), ()), ((1, 1), (0,)))
     sums = sym_chars._packed_hook_sums(columns, hooks)
@@ -180,8 +181,19 @@ def test_packing_refuses_a_sum_that_could_leave_its_slot():
 def test_table_is_stored_once_as_its_columns():
     for n in range(0, 8):
         table = build_table(n)
-        assert table.columns is sym_chars._columns(n)
+        assert table is sym_chars._table(n)
         assert tuple(table.columns) == table.classes
+
+
+def test_a_cold_table_reads_each_rim_hook_map_once(monkeypatch):
+    # The one cache is _table's: each (m, k) family of a smaller table is built once, and the
+    # maps themselves are not kept.
+    assert not hasattr(_rim_hook_map, "cache_info")
+    calls = []
+    monkeypatch.setattr(sym_chars, "_rim_hook_map", lambda m, k: calls.append((m, k)) or _rim_hook_map(m, k))
+    sym_chars._table.cache_clear()
+    sym_chars._table(12)
+    assert sorted(calls) == [(m, k) for m in range(1, 13) for k in range(1, m + 1)]
 
 
 def test_memoized_table_is_read_only():
