@@ -24,6 +24,8 @@ fields (golden files).
 
 `blockcraft` and `python -m blockcraft.cli` enter through run(), which freezes the
 start-up heap (gc.freeze): shutdown then need not collect what exit discards anyway.
+Importing this module runs no layer: each layer loads when a check first uses it,
+so the first cell to use a layer pays for loading it in its elapsed_ms.
 """
 
 from __future__ import annotations
@@ -31,14 +33,15 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib.util
 import json
 import sys
 import time
+import types
 from itertools import product
 from math import factorial, isqrt, prod
 from typing import Callable, NamedTuple
 
-from .arith import _MR_LIMIT, is_prime, prime_power_radical
 from .budget import BUDGETS, over_budget
 from .errors import (
     CrossCheckError,
@@ -47,34 +50,34 @@ from .errors import (
     UnsupportedRegimeError,
     UsageError,
 )
-from .glq_blocks import (
-    EllContext,
-    d_ell,
-    unipotent_blocks,
-    verify_gl_mckay,
-    verify_gl_mckay_defining,
-)
-from .glq_chars import all_degrees, gl_order, label_count
-from .partitions import (
-    _core_counts,
-    core_census,
-    partition_count,
-    partition_count_capped,
-    partitions_by_core,
-    valuation_census,
-)
-from .report import VerificationReport, emit_reports, format_partition, strip_timings
-from .sym_blocks import am_verify_abelian, bhz_verify, block_labels
-from .sym_chars import (
-    build_table,
-    central_character_blocks,
-    column_orthogonality_holds,
-    irr_pprime_count_sym,
-    macdonald_count,
-    row_orthogonality_holds,
-    table_products,
-)
-from .wreath_local import cyclic_wreath_character_counts, sylow2_local_count
+
+
+def _lazy_layer(name: str) -> types.ModuleType:
+    """blockcraft.<name>, registered to run on its first attribute access unless imported already.
+
+    On Python 3.11, LazyLoader is not safe when threads first touch a module at
+    once, so only this module, whose process is single-threaded, registers
+    layers with it; the package's __getattr__ imports under the import locks.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+arith = _lazy_layer("arith")
+partitions = _lazy_layer("partitions")
+sym_chars = _lazy_layer("sym_chars")
+sym_blocks = _lazy_layer("sym_blocks")
+wreath_local = _lazy_layer("wreath_local")
+glq_chars = _lazy_layer("glq_chars")
+glq_blocks = _lazy_layer("glq_blocks")
+report = _lazy_layer("report")
 
 
 class Check(NamedTuple):
@@ -97,17 +100,18 @@ class Check(NamedTuple):
         n, p, q, ell = params.get("n"), params.get("p"), params.get("q"), params.get("ell")
         if n is not None and n < 0:
             return "n must be nonnegative"
+        limit = arith._MR_LIMIT
         for name in ("p", "q", "ell"):
-            if params.get(name, 0) >= _MR_LIMIT:
-                return f"{name}={params[name]} is not below {_MR_LIMIT}, where primality is exact"
-        if p is not None and not is_prime(p):
+            if params.get(name, 0) >= limit:
+                return f"{name}={params[name]} is not below {limit}, where primality is exact"
+        if p is not None and not arith.is_prime(p):
             return f"p={p} is not prime"
         if q is not None:
             try:
-                prime_power_radical(q)
+                arith.prime_power_radical(q)
             except ValueError:
                 return f"q={q} is not a prime power"
-        if ell is not None and not is_prime(ell):
+        if ell is not None and not arith.is_prime(ell):
             return f"ell={ell} is not prime"
         if self.precondition and (reason := self.precondition(**params)):
             return reason
@@ -118,7 +122,7 @@ class Check(NamedTuple):
 CHECKS: dict[str, Check] = {}
 # Check name -> runner.  The CLI and sweeps look a runner up here when they
 # call it, so a runner replaced in this dict is the one that runs.
-_SWEEP_RUNNERS: dict[str, Callable[..., list[VerificationReport]]] = {}
+_SWEEP_RUNNERS: dict[str, Callable[..., list[report.VerificationReport]]] = {}
 
 
 def _census_cost(n: int, p: int, sylow: int = 0) -> dict[str, int]:
@@ -133,7 +137,7 @@ def _census_cost(n: int, p: int, sylow: int = 0) -> dict[str, int]:
     for m in sorted({min(n, isqrt(budget) // 8), n}):
         if work > budget:
             break
-        counts = _core_counts(m, p)
+        counts = partitions._core_counts(m, p)
         work = fixed + n * sum(counts) + 1000 * sum(counts[n % p :: p])
     return {"census step": work}
 
@@ -146,8 +150,8 @@ def _gl_cost(n: int, q: int) -> dict[str, int]:
     bound.
     """
     weight = 1 + (n * n * q.bit_length()) ** 2 // 2900**2
-    labels = partition_count_capped(n, cap := BUDGETS["label"] // weight)
-    return {"label": weight * (label_count(n, q) if labels <= cap else labels)}
+    labels = partitions.partition_count_capped(n, cap := BUDGETS["label"] // weight)
+    return {"label": weight * (glq_chars.label_count(n, q) if labels <= cap else labels)}
 
 
 def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
@@ -181,7 +185,7 @@ def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
             start = time.perf_counter()
             reports = runner(*args, **kwargs)
             elapsed = int((time.perf_counter() - start) * 1000)
-            return [report._replace(elapsed_ms=elapsed) for report in reports]
+            return [r._replace(elapsed_ms=elapsed) for r in reports]
 
         CHECKS[name] = check
         _SWEEP_RUNNERS[name] = guarded
@@ -199,12 +203,12 @@ def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
         else "n must be positive" if n < 1 else None
     ),
 )
-def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
-    global_count = irr_pprime_count_sym(n, 2)
-    local_count = sylow2_local_count(n)
-    macdonald = macdonald_count(n)
+def run_sym_mckay(n: int, p: int = 2) -> list[report.VerificationReport]:
+    global_count = sym_chars.irr_pprime_count_sym(n, 2)
+    local_count = wreath_local.sylow2_local_count(n)
+    macdonald = sym_chars.macdonald_count(n)
     return [
-        VerificationReport(
+        report.VerificationReport(
             conjecture="mckay",
             parameters={"n": n, "p": 2},
             global_count=global_count,
@@ -216,42 +220,42 @@ def run_sym_mckay(n: int, p: int = 2) -> list[VerificationReport]:
 
 
 @_register("sym_blocks", "sym blocks", cost=_census_cost)
-def run_sym_blocks(n: int, p: int) -> list[VerificationReport]:
-    census = valuation_census(n, p)
+def run_sym_blocks(n: int, p: int) -> list[report.VerificationReport]:
+    census = partitions.valuation_census(n, p)
     notes = []
     total = 0
-    for label in block_labels(n, p):
+    for label in sym_blocks.block_labels(n, p):
         members = census[label.core][3]
         total += members
         notes.append(
-            f"core={format_partition(label.core)} weight={label.weight} "
+            f"core={report.format_partition(label.core)} weight={label.weight} "
             f"members={members} defect_order={p ** label.defect_valuation}"
         )
     return [
-        VerificationReport(
+        report.VerificationReport(
             conjecture="block_census",
             parameters={"n": n, "p": p},
-            global_count=partition_count(n),
+            global_count=partitions.partition_count(n),
             local_count=total,
-            passed=partition_count(n) == total,
+            passed=partitions.partition_count(n) == total,
             notes=tuple(notes),
         )
     ]
 
 
-@_register("sym_table", "sym table", cost=lambda n: {"table product": table_products(n)})
-def run_sym_table(n: int) -> list[VerificationReport]:
-    table = build_table(n)
-    rows_ok = row_orthogonality_holds(table)
-    cols_ok = column_orthogonality_holds(table)
+@_register("sym_table", "sym table", cost=lambda n: {"table product": sym_chars.table_products(n)})
+def run_sym_table(n: int) -> list[report.VerificationReport]:
+    table = sym_chars.build_table(n)
+    rows_ok = sym_chars.row_orthogonality_holds(table)
+    cols_ok = sym_chars.column_orthogonality_holds(table)
     square_sum = sum(degree**2 for degree in table.columns[(1,) * n])
     order = factorial(n)
     notes = [f"row orthogonality exact: {rows_ok}", f"column orthogonality exact: {cols_ok}"]
-    notes.append("classes: " + " ".join(format_partition(r) for r in table.classes))
+    notes.append("classes: " + " ".join(report.format_partition(r) for r in table.classes))
     for lam, row in zip(table.classes, zip(*table.columns.values())):
-        notes.append(f"chi{format_partition(lam)}: {' '.join(map(str, row))}")
+        notes.append(f"chi{report.format_partition(lam)}: {' '.join(map(str, row))}")
     return [
-        VerificationReport(
+        report.VerificationReport(
             conjecture="sum_squares",
             parameters={"group": f"sym{n}", "n": n},
             global_count=square_sum,
@@ -262,13 +266,15 @@ def run_sym_table(n: int) -> list[VerificationReport]:
     ]
 
 
-@_register("nakayama", "oracle nakayama", cost=lambda n, p: {"table product": table_products(n)})
-def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
-    oracle = central_character_blocks(n, p)
-    nakayama = {frozenset(members) for members in partitions_by_core(n, p).values()}
+@_register(
+    "nakayama", "oracle nakayama", cost=lambda n, p: {"table product": sym_chars.table_products(n)}
+)
+def run_oracle_nakayama(n: int, p: int) -> list[report.VerificationReport]:
+    oracle = sym_chars.central_character_blocks(n, p)
+    nakayama = {frozenset(members) for members in partitions.partitions_by_core(n, p).values()}
     agree = set(oracle.blocks) == nakayama
     return [
-        VerificationReport(
+        report.VerificationReport(
             conjecture="nakayama_oracle",
             parameters={"n": n, "p": p},
             global_count=len(oracle.blocks),
@@ -280,25 +286,26 @@ def run_oracle_nakayama(n: int, p: int) -> list[VerificationReport]:
 
 
 @_register("sym_bhz", "sym bhz", cost=_census_cost)
-def run_sym_bhz(n: int, p: int) -> list[VerificationReport]:
-    return [bhz_verify(label) for label in block_labels(n, p)]
+def run_sym_bhz(n: int, p: int) -> list[report.VerificationReport]:
+    return [sym_blocks.bhz_verify(label) for label in sym_blocks.block_labels(n, p)]
 
 
 @_register("sym_am", "sym am", cost=_census_cost)
-def run_sym_am(n: int, p: int) -> list[VerificationReport]:
+def run_sym_am(n: int, p: int) -> list[report.VerificationReport]:
     return [
-        am_verify_abelian(label)
-        for label in block_labels(n, p)
+        sym_blocks.am_verify_abelian(label)
+        for label in sym_blocks.block_labels(n, p)
         if label.weight < label.p
     ]
 
 
 @_register("gl_degrees", "gl degrees", cost=_gl_cost)
-def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
-    ms, order = all_degrees(n, q), gl_order(n, q)  # ms has checked sum m*d^2 == ms.group_order
+def run_gl_degrees(n: int, q: int) -> list[report.VerificationReport]:
+    ms = glq_chars.all_degrees(n, q)  # ms has checked sum m*d^2 == ms.group_order
+    order = glq_chars.gl_order(n, q)
     rendered = " ".join(f"{d}^{m}" for d, m in ms.entries)
     return [
-        VerificationReport(
+        report.VerificationReport(
             conjecture="sum_squares",
             parameters={"group": f"gl{n}", "n": n, "q": q},
             global_count=ms.group_order,
@@ -310,26 +317,29 @@ def run_gl_degrees(n: int, q: int) -> list[VerificationReport]:
 
 
 @_register("gl_mckay", "gl mckay", cost=lambda n, q, ell: _gl_cost(n, q))
-def run_gl_mckay(n: int, q: int, ell: int) -> list[VerificationReport]:
-    return [verify_gl_mckay_defining(n, q) if q % ell == 0 else verify_gl_mckay(n, q, ell)]
+def run_gl_mckay(n: int, q: int, ell: int) -> list[report.VerificationReport]:
+    if q % ell == 0:
+        return [glq_blocks.verify_gl_mckay_defining(n, q)]
+    return [glq_blocks.verify_gl_mckay(n, q, ell)]
 
 
 @_register(
     "gl_blocks", "gl blocks",
-    cost=lambda n, q, ell: _census_cost(n, d_ell(q, ell)),
+    cost=lambda n, q, ell: _census_cost(n, glq_blocks.d_ell(q, ell)),
     precondition=lambda n, q, ell: f"ell={ell} divides q={q}" if q % ell == 0 else None,
 )
-def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
-    context = EllContext.of(q, ell)
-    blocks = unipotent_blocks(n, context)
-    census = core_census(n, context.d)
-    weyls = cyclic_wreath_character_counts(context.d, blocks[0].weight)  # largest weight first
+def run_gl_blocks(n: int, q: int, ell: int) -> list[report.VerificationReport]:
+    context = glq_blocks.EllContext.of(q, ell)
+    blocks = glq_blocks.unipotent_blocks(n, context)
+    census = partitions.core_census(n, context.d)
+    # Largest weight first, so blocks[0] has the top weight of the Weyl group counts.
+    weyls = wreath_local.cyclic_wreath_character_counts(context.d, blocks[0].weight)
     reports = []
     for label in blocks:
         members = census[label.core]
         weyl = weyls[label.weight]
         reports.append(
-            VerificationReport(
+            report.VerificationReport(
                 conjecture="block_census",
                 parameters={
                     "n": n,
@@ -347,12 +357,12 @@ def run_gl_blocks(n: int, q: int, ell: int) -> list[VerificationReport]:
         )
     total = sum(census.values())
     reports.append(
-        VerificationReport(
+        report.VerificationReport(
             conjecture="block_census",
             parameters={"n": n, "q": q, "ell": ell, "d": context.d, "scope": "total"},
-            global_count=partition_count(n),
+            global_count=partitions.partition_count(n),
             local_count=total,
-            passed=partition_count(n) == total,
+            passed=partitions.partition_count(n) == total,
             notes=(f"blocks {len(blocks)}",),
         )
     )
@@ -425,9 +435,9 @@ def expand_sweep_config(config: dict) -> list[tuple[str, dict]]:
     ]
 
 
-def run_sweep(config: dict) -> tuple[list[VerificationReport], list[str]]:
+def run_sweep(config: dict) -> tuple[list[report.VerificationReport], list[str]]:
     """Reports of the cells that pass their preconditions, and a sorted skip note per other cell."""
-    reports: list[VerificationReport] = []
+    reports: list[report.VerificationReport] = []
     skips = []
     for name, params in expand_sweep_config(config):
         try:
@@ -480,7 +490,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _dispatch(args) -> tuple[list[VerificationReport], list[str]]:
+def _dispatch(args) -> tuple[list[report.VerificationReport], list[str]]:
     if args.group == "sweep":
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -507,8 +517,8 @@ def main(argv=None) -> int:
         for line in skips:
             print(line, file=sys.stderr)
         if getattr(args, "stable", False):
-            reports = strip_timings(reports)
-        payload = emit_reports(reports, args.format)
+            reports = report.strip_timings(reports)
+        payload = report.emit_reports(reports, args.format)
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:

@@ -85,10 +85,8 @@ def enumerate_class_types(n: int, q: int) -> tuple[tuple[tuple[tuple[int, int], 
     a degree with no polynomial left, so only types that occur are listed.
     The counts total (q-1) q^(n-1), the semisimple class census.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    if n < 0 or q < 2:
+        raise ValueError("need n >= 0 and q >= 2")
     types: list[tuple[tuple[tuple[int, int], ...], int]] = []
 
     def walk(entries, count, left, last, polys_left, run):
@@ -118,6 +116,8 @@ def label_count(n: int, q: int) -> int:
     A type takes at most available_poly_count(d, q) polynomials of degree d; by_size[j][t]
     sums prod p(m) over the multisets of j multiplicities m of total t.
     """
+    if n < 0 or q < 2:
+        raise ValueError("need n >= 0 and q >= 2")
     labels = [1] + [0] * n
     for d in range(1, n + 1):
         top = n // d
@@ -274,6 +274,6 @@ def all_degrees(n: int, q: int) -> DegreeMultiset:
 
 def irr_pprime_count_gl(n: int, q: int) -> int:
     """|Irr_{p'}(GL_n(q))| = (q-1) q^(n-1): one character per semisimple class."""
-    if n == 0:
-        return 1
-    return (q - 1) * q ** (n - 1)
+    if n < 0 or q < 2:
+        raise ValueError("need n >= 0 and q >= 2")
+    return (q - 1) * q ** (n - 1) if n else 1

@@ -151,10 +151,10 @@ def cyclic_wreath_character_counts(d: int, top: int) -> list[int]:
     """|Irr(C_d wr S_w)| = [t^w] prod_k (1 - t^k)^-d for w = 0..top.
 
     By w a(w) = d sum_k sigma(k) a(w - k): no degree is listed, and every
-    division must be exact.
+    division must be exact; a d that is not an integer is left to that check.
     """
-    if top < 0:
-        raise ValueError("w must be nonnegative")
+    if d <= 0 or top < 0:
+        raise ValueError("need d >= 1 and w >= 0")
     sigma = [0] + [sum(divisors(m)) for m in range(1, top + 1)]
     counts = [1]
     for m in range(1, top + 1):

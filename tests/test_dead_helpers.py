@@ -1,11 +1,13 @@
 """Every top-level function and class under src/ serves something that is run.
 
 A definition counts as reached when another top-level statement of some
-module under src/blockcraft uses its name (an import alone does not count,
-nor do the re-exports of __init__.py), when it is a check registered with
-cli._register, when tests/test_acceptance.py imports it, or when the
-README's library tour imports it.  Anything else is a helper that only its
-own tests call: it belongs in the test file, as an oracle, or nowhere.
+module under src/blockcraft uses its name, or reads it as an attribute of
+a module (`partitions.core_census`, as cli calls its layers; an import
+alone does not count, nor do the re-exports of __init__.py), when it is a
+check registered with cli._register, when tests/test_acceptance.py
+imports it, or when the README's library tour imports it.  Anything else
+is a helper that only its own tests call: it belongs in the test file, as
+an oracle, or nowhere.
 """
 
 import ast
@@ -13,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "blockcraft"
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
 def _imported_names(tree: ast.AST) -> set[str]:
@@ -25,9 +28,14 @@ def _imported_names(tree: ast.AST) -> set[str]:
 
 
 def _used_names(node: ast.AST) -> set[str]:
-    # Names only: src/ imports what it calls, and an attribute such as
+    # Names, and attributes of a module only: an attribute such as
     # DegreeMultiset.character_count must not hide a function of that name.
-    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name)
+        or isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in MODULES
+    }
 
 
 def _is_registered(node: ast.AST) -> bool:
@@ -86,3 +94,6 @@ def test_the_guard_sees_the_exemptions():
     assert {"mn_character_value", "verify_gl_mckay", "block_of"} <= tour
     assert not _is_registered(ast.parse("def f(): pass").body[0])
     assert _is_registered(ast.parse("@_register('x', 'a b')\ndef f(): pass").body[0])
+    used = _used_names(ast.parse("partitions.core_census(ms.character_count, f().d_core)"))
+    assert {"core_census", "partitions"} <= used
+    assert not used & {"character_count", "d_core"}

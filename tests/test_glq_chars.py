@@ -320,6 +320,24 @@ def test_irr_pprime_count_gl_examples():
     assert irr_pprime_count_gl(3, 2) == 4
 
 
+@pytest.mark.parametrize("n, q", [(-1, 2), (2, 1), (1, 0)])
+def test_irr_pprime_count_gl_refuses_what_gl_order_refuses(n, q):
+    # (q - 1) q^(n - 1) read 0.25 at n = -1 and 0 at q = 1.
+    with pytest.raises(ValueError):
+        gl_order(n, q)
+    with pytest.raises(ValueError):
+        irr_pprime_count_gl(n, q)
+
+
+@pytest.mark.parametrize("n, q", [(-1, 2), (0, 1), (-2, 0)])
+def test_label_count_refuses_what_the_class_type_walk_refuses(n, q):
+    # The label series read 1 at n = -1 for any q.
+    with pytest.raises(ValueError):
+        enumerate_class_types(n, q)
+    with pytest.raises(ValueError):
+        label_count(n, q)
+
+
 def test_irr_pprime_matches_enumeration():
     # p'-characters are exactly those with all partitions one-row; their count
     # is the semisimple class census, and the degree valuation confirms it.

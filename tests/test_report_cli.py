@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import blockcraft.cli as cli
-from blockcraft import glq_blocks, glq_chars, partitions, report, sym_blocks
+from blockcraft import glq_blocks, glq_chars, partitions, report, sym_blocks, sym_chars, wreath_local
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
 from blockcraft.errors import UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
@@ -151,7 +151,7 @@ def test_cli_internal_value_error_exits_2(capsys, monkeypatch):
     def planted(n, p):
         raise ValueError("planted")
 
-    monkeypatch.setattr(cli, "irr_pprime_count_sym", planted)
+    monkeypatch.setattr(sym_chars, "irr_pprime_count_sym", planted)
     assert main(["sym", "mckay", "--n", "6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -171,7 +171,7 @@ def test_census_checks_refuse_n_above_the_census_bound(name, monkeypatch):
     check = CHECKS[name]
     values = {param: {"p": 2, "q": 2, "ell": 7}.get(param) for param in check.params}
     assert check.refusal({**values, "n": 60}) is None
-    monkeypatch.setattr(cli, "_core_counts", _no_core_counts)
+    monkeypatch.setattr(partitions, "_core_counts", _no_core_counts)
     reason = check.refusal({**values, "n": 10**6})
     assert reason.startswith("predicted work of at least ")
     assert reason.endswith(f" census steps exceeds the budget of {BUDGETS['census step']}")
@@ -188,9 +188,7 @@ def test_cli_table_bound_is_resource_error(capsys):
 
 
 def test_cli_failed_verification_exits_2(capsys, monkeypatch):
-    import blockcraft.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "irr_pprime_count_sym", lambda n, p: 999)
+    monkeypatch.setattr(sym_chars, "irr_pprime_count_sym", lambda n, p: 999)
     assert main(["sym", "mckay", "--n", "6", "--p", "2", "--format", "json"]) == 2
     data = json.loads(capsys.readouterr().out)
     assert data[0]["passed"] is False
@@ -374,7 +372,7 @@ def test_gl_blocks_cell_lists_no_partition_of_n(monkeypatch):
 
 @pytest.mark.parametrize(
     "module, route",
-    [(cli, "cyclic_wreath_character_counts"), (partitions, "partition_tuple_counts")],
+    [(wreath_local, "cyclic_wreath_character_counts"), (partitions, "partition_tuple_counts")],
     ids=["weyl", "tuples"],
 )
 def test_gl_blocks_rows_fail_when_a_route_disagrees(module, route, capsys, monkeypatch):
@@ -808,7 +806,8 @@ def _console_script() -> list[str]:
 @pytest.mark.parametrize(
     "argv, status",
     [
-        pytest.param(["sym", "mckay", "--n", "5"], 0, id="pass"),
+        # --stable: the first cell's elapsed_ms includes loading its layers, which varies.
+        pytest.param(["sym", "mckay", "--n", "5", "--stable"], 0, id="pass"),
         pytest.param(["sym", "table", "--n", "18"], 1, id="refused"),
         pytest.param(["sym", "mckay", "--n", "x"], 1, id="usage"),
         pytest.param(["sym", "mckay", "--n", "6", "--format", "json", "--stable", "--output"], 0,

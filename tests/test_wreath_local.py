@@ -8,7 +8,12 @@ import pytest
 from blockcraft import wreath_local
 from blockcraft.arith import primitive_root
 from blockcraft.errors import CrossCheckError
-from blockcraft.partitions import enumerate_partitions, partition_count, partition_tuple_count
+from blockcraft.partitions import (
+    enumerate_partitions,
+    partition_count,
+    partition_tuple_count,
+    partition_tuple_counts,
+)
 from blockcraft.sym_chars import sym_degree
 from blockcraft.wreath_local import (
     DegreeMultiset,
@@ -319,6 +324,15 @@ def test_cyclic_wreath_count_recurrence_matches_degrees_and_tuples():
         cyclic_wreath_character_count(Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         cyclic_wreath_character_count(2, -1)
+
+
+@pytest.mark.parametrize("d", [0, -1, -5])
+def test_cyclic_wreath_counts_refuse_d_below_1_as_the_tuple_counts_do(d):
+    # The recurrence read [1, 0, 0, ...] at d = 0 and [1, -1, -1, 0, 0] at d = -1.
+    with pytest.raises(ValueError, match="need d >= 1 and w >= 0"):
+        partition_tuple_counts(d, 4)
+    with pytest.raises(ValueError, match="need d >= 1 and w >= 0"):
+        cyclic_wreath_character_counts(d, 4)
 
 
 def test_frobenius_wreath_count_abelian_defect_regime():
