@@ -18,15 +18,16 @@ enumerate_class_types lists only the class types that occur over F_q, in
 one walk per (n, q), and label_count counts their labels without it.
 all_degrees builds the multiset one class type at a time and visits no
 label: each type extends the products of the prefix of factors it shares
-with the type before it.  SeriesLabel and green_degree give the same
-degrees one label at a time, for callers that need the label.  All
-arithmetic is exact.
+with the type before it.  degree_square_sum folds the same types into
+sum chi(1)^2 and the character count alone, listing no degree.
+SeriesLabel and green_degree give the same degrees one label at a time,
+for callers that need the label.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from math import prod
 
@@ -270,6 +271,27 @@ def all_degrees(n: int, q: int) -> DegreeMultiset:
                 key = degree * scale
                 counts[key] = counts.get(key, 0) + mult * weight
     return DegreeMultiset.from_counter(counts, gl_order(n, q))
+
+
+def degree_square_sum(n: int, q: int) -> tuple[int, int]:
+    """(sum of chi(1)^2, character count) over Irr(GL_n(q)), one class type at a time.
+
+    A type's characters have degree index * prod of a unipotent degree per
+    factor, so it adds class_count * index^2 * prod S(m_i, q^{d_i}), with
+    S(m, Q) = sum k u^2 over the unipotent degrees u of GL_m(Q), and
+    class_count * prod p(m_i) characters.  No degree is listed.
+    """
+    top = _gl_pprime_part(n, q)
+    # S per factor, memoized for this call only, so each call reads the current _unipotent_counts.
+    factor_sum = cache(lambda d, m: sum(k * u * u for u, k in _unipotent_counts(m, q**d)))
+    square_sum = characters = 0
+    for entries, class_count in enumerate_class_types(n, q):
+        index, rem = divmod(top, prod(_gl_pprime_part(m, q**d) for d, m in entries))
+        if rem:
+            raise CrossCheckError("p'-part of the centralizer index is not integral")
+        square_sum += class_count * index * index * prod(factor_sum(d, m) for d, m in entries)
+        characters += class_count * prod(partition_count(m) for _, m in entries)
+    return square_sum, characters
 
 
 def irr_pprime_count_gl(n: int, q: int) -> int:

@@ -347,11 +347,13 @@ def core_census(n: int, d: int) -> Mapping[Partition, int]:
     return MappingProxyType({core: sizes[w] for core, w in cores.items()})
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=128)
 def _core_counts(n: int, d: int) -> tuple[int, ...]:
     """c_d(k) for k <= n: the coefficients of prod_k (1 - x^(dk))^d / (1 - x^k).
 
     Memoized, so a census cell's cost and its core_census share one count.
+    The bound holds a census sweep's keys (55 on the sym_census benchmark
+    grid), so a sweep counts each (n, d) once, and keeps at most 128 rows.
     """
     counts = [partition_count(k) for k in range(n + 1)]
     for step in range(d, n + 1, d):

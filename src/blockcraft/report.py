@@ -12,6 +12,10 @@ parameter values are strings.  CSV uses the header
 holding ``name=value`` pairs joined by ``;`` in name order.  Reports are
 always emitted sorted by (conjecture, parameters) so output is byte-stable
 across runs.
+
+A note is a string, or a callable with no arguments that returns one: text
+and json render such a note once, when they emit the report, and csv, which
+prints no notes, never calls it.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class VerificationReport(namedtuple(
     the height-zero biconditional the two counts are 0/1 truth values of the
     two sides, so the same equality convention applies.  elapsed_ms is the
     wall time of the whole cell, stamped by the CLI's check registry; a
-    verifier called directly leaves it 0.
+    verifier called directly leaves it 0.  A callable note is rendered at
+    emission, after the cell is timed, so its time is not in elapsed_ms.
     """
 
     __slots__ = ()
@@ -82,6 +87,10 @@ def strip_timings(reports) -> list[VerificationReport]:
     return [r._replace(elapsed_ms=0) for r in reports]
 
 
+def _rendered_notes(r: VerificationReport) -> list[str]:
+    return [note() if callable(note) else note for note in r.notes]
+
+
 def _to_json_obj(items: list[tuple[str, str]], r: VerificationReport) -> dict:
     return {
         "conjecture": r.conjecture,
@@ -90,7 +99,7 @@ def _to_json_obj(items: list[tuple[str, str]], r: VerificationReport) -> dict:
         "local_count": str(r.local_count),
         "passed": r.passed,
         "elapsed_ms": r.elapsed_ms,
-        "notes": list(r.notes),
+        "notes": _rendered_notes(r),
     }
 
 
@@ -120,7 +129,7 @@ def _emit_text(ordered) -> str:
             f"[{status}] {r.conjecture} {params}: "
             f"global={r.global_count} local={r.local_count} ({r.elapsed_ms} ms)"
         )
-        for note in r.notes:
+        for note in _rendered_notes(r):
             lines.append(f"    - {note}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -13,6 +13,7 @@ from blockcraft.glq_chars import (
     all_degrees,
     available_poly_count,
     centralizer_order,
+    degree_square_sum,
     enumerate_class_types,
     enumerate_series_labels,
     gl_order,
@@ -356,6 +357,29 @@ def test_sum_of_squares_small():
     for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
         ms = all_degrees(n, q)
         assert sum(m * d * d for d, m in ms.entries) == gl_order(n, q)
+
+
+def oracle_class_numbers(top: int, q: int) -> list[int]:
+    """|Irr(GL_n(q))| for n <= top: the coefficients of prod_i (1 - x^i) / (1 - q x^i)."""
+    coeffs = [1] + [0] * top
+    for i in range(1, top + 1):
+        for k in range(i, top + 1):  # times 1 / (1 - q x^i)
+            coeffs[k] += q * coeffs[k - i]
+        for k in range(top, i - 1, -1):  # times (1 - x^i)
+            coeffs[k] -= coeffs[k - i]
+    return coeffs
+
+
+def test_degree_square_sum_matches_the_multiset():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        class_numbers = oracle_class_numbers(10, q)
+        for n in range(11):
+            ms = all_degrees(n, q)
+            square_sum, characters = degree_square_sum(n, q)
+            assert (square_sum, characters) == (ms.group_order, ms.character_count), (n, q)
+            assert characters == class_numbers[n], (n, q)
+            # label_count counts a class type's labels once, whatever its class count.
+            assert label_count(n, q) <= characters
 
 
 # sha256 of repr(all_degrees(n, q).entries) as first computed by the

@@ -2,6 +2,7 @@ import gc
 import io
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import blockcraft.cli as cli
 from blockcraft import glq_blocks, glq_chars, partitions, report, sym_blocks, sym_chars, wreath_local
 from blockcraft.cli import CHECKS, expand_sweep_config, main, run_gl_blocks, run_sym_am
-from blockcraft.errors import UsageError
+from blockcraft.errors import CrossCheckError, UsageError
 from blockcraft.glq_blocks import EllContext, verify_gl_mckay
 from blockcraft.report import VerificationReport, emit_reports, sort_reports
 from blockcraft.budget import BUDGETS
@@ -851,6 +852,85 @@ def test_planted_wrong_gl_degree_is_a_cross_check_failure(capsys, monkeypatch):
     assert captured.err.startswith("cross-check failure: sum of squared degrees ")
 
 
+GL_DEGREES_CELLS = [{"check": "gl_degrees", "n": "2..5", "q": [2, 3]}]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_gl_degrees_builds_the_degree_list_only_for_a_format_that_prints_it(
+    fmt, capsys, monkeypatch, tmp_path
+):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"cells": GL_DEGREES_CELLS}), encoding="utf-8")
+    calls = _count_calls(monkeypatch, "all_degrees")
+    assert main(["sweep", "--config", str(config), "--format", fmt]) == 0
+    capsys.readouterr()
+    cells = [(params["n"], params["q"]) for _, params in expand_sweep_config({"cells": GL_DEGREES_CELLS})]
+    assert sorted(calls["all_degrees"]) == ([] if fmt == "csv" else sorted(cells))
+
+
+def _eager_gl_degrees(n, q):
+    ms = glq_chars.all_degrees(n, q)
+    return VerificationReport(
+        conjecture="sum_squares",
+        parameters={"group": f"gl{n}", "n": n, "q": q},
+        global_count=ms.group_order,
+        local_count=glq_chars.gl_order(n, q),
+        passed=True,
+        notes=(
+            f"characters {ms.character_count}",
+            "degrees " + " ".join(f"{d}^{m}" for d, m in ms.entries),
+        ),
+    )
+
+
+def _eager_sym_table(n):
+    table = sym_chars.build_table(n)
+    rows_ok = sym_chars.row_orthogonality_holds(table)
+    cols_ok = sym_chars.column_orthogonality_holds(table)
+    rows = zip(*table.columns.values())
+    return VerificationReport(
+        conjecture="sum_squares",
+        parameters={"group": f"sym{n}", "n": n},
+        global_count=sum(d * d for d in table.columns[(1,) * n]),
+        local_count=math.factorial(n),
+        passed=rows_ok and cols_ok,
+        notes=(
+            f"row orthogonality exact: {rows_ok}",
+            f"column orthogonality exact: {cols_ok}",
+            "classes: " + " ".join(report.format_partition(r) for r in table.classes),
+            *(
+                f"chi{report.format_partition(lam)}: {' '.join(map(str, row))}"
+                for lam, row in zip(table.classes, rows)
+            ),
+        ),
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_deferred_notes_render_the_bytes_of_eager_ones(fmt, capsys):
+    cells = [
+        (["gl", "degrees", "--n", str(n), "--q", str(q)], _eager_gl_degrees(n, q))
+        for n in range(9)
+        for q in (2, 3, 4)
+    ]
+    cells += [(["sym", "table", "--n", str(n)], _eager_sym_table(n)) for n in range(9)]
+    for argv, expected in cells:
+        assert main([*argv, "--stable", "--format", fmt]) == 0
+        assert capsys.readouterr().out == emit_reports([expected], fmt), argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_deferred_note_that_fails_is_a_cross_check_failure(fmt, capsys, monkeypatch):
+    def planted(n, q):
+        raise CrossCheckError("planted")
+
+    monkeypatch.setattr(glq_chars, "all_degrees", planted)
+    assert main(["gl", "degrees", "--n", "3", "--q", "2", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cross-check failure: planted\n"
+
+
 # ---------------------------------------------------------------------------
 # Admission: each cell's predicted work must fit its unit's budget
 # ---------------------------------------------------------------------------
@@ -922,6 +1002,34 @@ def test_census_cell_counts_its_cores_once():
     # (30, 3) computed once and read once more; (10, 3), (3, 3) and (1, 3) for the block series.
     info = partitions._core_counts.cache_info()
     assert (info.misses, info.hits) == (4, 1)
+
+
+# The grid of the sym_census benchmark workload.
+SYM_CENSUS_GRID = [
+    {"check": "sym_mckay", "n": "24..29"},
+    {"check": "sym_bhz", "n": "18..22", "p": [2, 3, 5, 7]},
+    {"check": "sym_blocks", "n": "18..22", "p": [3, 5]},
+    {"check": "sym_am", "n": "14..18", "p": [5, 7]},
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_core_counts_memo_holds_a_census_sweeps_keys(seed, monkeypatch):
+    # Cells shuffled as the benchmark shuffles them: each (n, d) is counted once however often asked.
+    cells = expand_sweep_config({"cells": SYM_CENSUS_GRID})
+    random.Random(seed).shuffle(cells)
+    for memo in (partitions._core_counts, partitions.core_census, partitions.valuation_census):
+        memo.cache_clear()
+    memo, asked = partitions._core_counts, []
+
+    def spy(n, d):
+        asked.append((n, d))
+        return memo(n, d)
+
+    monkeypatch.setattr(partitions, "_core_counts", spy)
+    reports, skips = cli.run_sweep({"cells": [{"check": name, **params} for name, params in cells]})
+    assert reports and not skips
+    assert memo.cache_info().misses == len(set(asked)) < len(asked)
 
 
 # Prime powers for p, q and ell: small, at the frontier, and up to the primality limit.
