@@ -35,7 +35,9 @@ p-quotient (James-Kerber 2.7), so its valuation is its weight w plus those
 of the quotient's p partitions, and every block of weight w has the same
 valuations: only the p-cores are walked, and each block reads a coefficient
 of a power series whose terms are 4-tuples (least valuation, top valuation,
-members at the top, members).
+members at the top, members).  ``_block_series`` finds that series and its
+powers in one forward pass, as the term at t^m reads block terms of weights
+below m only.
 
 No partition of n has a hook longer than n, so for d > n each one is its
 own d-core: ``d_core``, ``is_core`` and the censuses never build an abacus
@@ -352,7 +354,7 @@ def _core_counts(n: int, d: int) -> tuple[int, ...]:
     """c_d(k) for k <= n: the coefficients of prod_k (1 - x^(dk))^d / (1 - x^k).
 
     Memoized, so a census cell's cost and its core_census share one count.
-    The bound holds a census sweep's keys (55 on the sym_census benchmark
+    The bound holds a census sweep's keys (47 on the sym_census benchmark
     grid), so a sweep counts each (n, d) once, and keeps at most 128 rows.
     """
     counts = [partition_count(k) for k in range(n + 1)]
@@ -374,40 +376,26 @@ def _times(a: tuple, b: tuple) -> tuple:
     return a[0] + b[0], a[1] + b[1], a[2] * b[2], a[3] * b[3]
 
 
-def _power(series: list, e: int, top: int) -> list:
-    """series**e, truncated at t^top, by binary powering.
-
-    Each term is (least valuation, top valuation, members at the top,
-    members), added by _plus and multiplied by _times.
-    """
-
-    def times(a: list, b: list) -> list:  # [t^k] pairs a[i] with b[k - i]; b runs to t^top
-        return [reduce(_plus, map(_times, a, reversed(b[: k + 1]))) for k in range(top + 1)]
-
-    result = [(0, 0, 1, 1)]
-    while True:
-        if e & 1:
-            result = times(result, series)
-        e >>= 1
-        if not e:
-            return result
-        series = times(series, series)
-
-
 def _block_series(top: int, p: int) -> list:
     """[t^w] G(t)^p for w <= top, as (least, top valuation, members at the top, members).
 
     G(t) = sum_m D_m t^m, where D_m sums the terms of [t^w] G^p, shifted by
     w, over the c_p(m - pw) p-cores of m of each weight w.  So D_m = (0, 0,
-    p(m), p(m)) for m < p, where no hook reaches p.
+    p(m), p(m)) for m < p, where no hook reaches p.  D_m reads only weights
+    w <= m // p < m, whose terms need D_0, ..., D_w alone, so one pass up m
+    finds each D_m and then the t^m coefficient of each of G^2, ..., G^p,
+    with no recursion and no powering.
     """
-    blocks = _block_series(top // p, p) if top >= p else [(0, 0, 1, 1)]
+    if top == 0:  # before powers is sized by p, which may be huge
+        return [(0, 0, 1, 1)]
     cores = _core_counts(top, p)
-    series = []
-    for m in range(top + 1):
-        weights = [(w, cores[m - p * w]) for w in range(m // p + 1) if cores[m - p * w]]
-        series.append(reduce(_plus, (_times(blocks[w], (w, w, k, k)) for w, k in weights)))
-    return _power(series, p, top)
+    powers = [[(0, 0, 1, 1)] for _ in range(p)]  # powers[j][m] = [t^m] G^(j+1)
+    for m in range(1, top + 1):
+        weights = ((w, k) for w in range(m // p + 1) if (k := cores[m - p * w]))
+        powers[0].append(reduce(_plus, (_times(powers[-1][w], (w, w, k, k)) for w, k in weights)))
+        for lower, power in zip(powers, powers[1:]):
+            power.append(reduce(_plus, map(_times, powers[0], reversed(lower))))
+    return powers[-1]
 
 
 @lru_cache(maxsize=None)

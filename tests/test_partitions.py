@@ -3,7 +3,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -534,6 +534,36 @@ def test_core_counts_match_the_cores_listed():
         counts = _core_counts(25, p)
         for k in range(26):
             assert counts[k] == sum(is_core(lam, p) for lam in enumerate_partitions(k)), (p, k)
+
+
+def oracle_block_series(top, p):
+    """[t^w] G(t)^p for w <= top by recursion on top // p, each level raised to the p-th power by squaring."""
+    plus, times = partitions._plus, partitions._times
+
+    def product(a, b):  # truncated at t^top; [t^k] pairs a[i] with b[k - i]
+        return [reduce(plus, map(times, a, reversed(b[: k + 1]))) for k in range(top + 1)]
+
+    blocks = oracle_block_series(top // p, p) if top >= p else [(0, 0, 1, 1)]
+    cores = _core_counts(top, p)
+    series = [
+        reduce(plus, (times(blocks[w], (w, w, k, k)) for w in range(m // p + 1) if (k := cores[m - p * w])))
+        for m in range(top + 1)
+    ]
+    result, e = [(0, 0, 1, 1)], p
+    while True:
+        if e & 1:
+            result = product(result, series)
+        e >>= 1
+        if not e:
+            return result
+        series = product(series, series)
+
+
+def test_block_series_matches_the_recursion_by_binary_powering():
+    grid = [(top, p) for p in (2, 3) for top in range(121)]
+    grid += [(top, p) for p in (5, 7, 11, 13) for top in range(41)]
+    for top, p in grid + [(511, 2)]:
+        assert partitions._block_series(top, p) == oracle_block_series(top, p), (top, p)
 
 
 def test_valuation_census_refuses_a_walk_that_drops_a_core(monkeypatch):

@@ -155,7 +155,7 @@ def test_block_heights_checks(monkeypatch):
     def planted(shift):
         def series(top, p):
             terms = real_series(top, p)
-            if top == 4:  # the outer call, not the recursion's, which reaches weight 1
+            if top == 4:  # valuation_census(12, 3) asks up to weight 12 // 3 = 4
                 least, high, at_top, total = terms[top]
                 terms[top] = (least, high + shift, at_top, total)
             return terms
