@@ -7,7 +7,7 @@ walked or listed (the costs in cli); past a budget, that may be a lower bound.
 # A unit's budget is its work in TARGET_S seconds at the rate measured beside it, whole
 # commands on a 2-vCPU machine under Python 3.11.7.  The CLI fuzz tests allow 5 s an
 # example: room for a prediction 2x too low.  The census-step rate predates the capped core
-# walk, so it over-predicts it; the Sylow 2-subgroup term is fit to timings at this rate.
+# walk, so it over-predicts it.
 TARGET_S = 2
 BUDGETS = {
     "census step": TARGET_S * 25_000_000,  # sym mckay --n 1000: 42 122 432 steps, 1.1 s

@@ -27,7 +27,7 @@ start-up heap (gc.freeze): shutdown then need not collect what exit discards any
 Importing this module runs no layer: each layer loads when a check first uses it,
 so the first cell to use a layer pays for loading it in its elapsed_ms.  Notes are
 rendered when the reports are emitted, so elapsed_ms does not include them, and csv,
-which prints no notes, renders none (`gl degrees` then builds no degree list).
+which prints no notes, renders none (no `gl degrees` degree list or `gl mckay` signature).
 """
 
 from __future__ import annotations
@@ -127,15 +127,16 @@ CHECKS: dict[str, Check] = {}
 _SWEEP_RUNNERS: dict[str, Callable[..., list[report.VerificationReport]]] = {}
 
 
-def _census_cost(n: int, p: int, sylow: int = 0) -> dict[str, int]:
+def _census_cost(n: int, p: int) -> dict[str, int]:
     """Census steps on the p-cores (d-cores for gl blocks) of the sizes n - p*w.
 
     n^2 for the core counts, 30 per series product, n per core the walk
-    enters, 1000 per block's report, and sylow.  The counts of a prefix, 1/64
-    of the budget, give a lower bound first; core_census reuses (n, p)'s.
+    enters and 1000 per block's report.  The counts of a prefix, 1/64 of the
+    budget, give a lower bound first; core_census reuses (n, p)'s.  sym mckay's
+    Sylow layers go uncharged: no n >= 4096, the first with a 13th layer, fits.
     """
     budget = BUDGETS["census step"]
-    fixed = work = n * n + 30 * (n // p) ** 2 + sylow
+    fixed = work = n * n + 30 * (n // p) ** 2
     for m in sorted({min(n, isqrt(budget) // 8), n}):
         if work > budget:
             break
@@ -198,8 +199,7 @@ def _register(name: str, path: str, cost: Callable[..., dict[str, int]],
 
 @_register(
     "sym_mckay", "sym mckay",
-    # The Sylow 2-subgroup takes about 6^b / 32 steps, b = n.bit_length() (fit at b = 9..12).
-    cost=lambda n, p: _census_cost(n, 2, sylow=6 ** n.bit_length() // 32),
+    cost=lambda n, p: _census_cost(n, 2),
     precondition=lambda n, p: (
         "sym mckay local side is only available at p=2" if p != 2
         else "n must be positive" if n < 1 else None

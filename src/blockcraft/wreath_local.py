@@ -35,6 +35,7 @@ construction time, so a wrong degree formula cannot propagate silently.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from functools import lru_cache
 from math import comb, factorial, gcd, prod
 from operator import itemgetter, le
 
@@ -129,8 +130,9 @@ def _convolve(left: list[Counter], right: list[Counter], w: int) -> list[Counter
     return out
 
 
+@lru_cache(maxsize=None)
 def wreath_degrees(base: DegreeMultiset, w: int) -> DegreeMultiset:
-    """Degree multiset of (base group) wr S_w."""
+    """Degree multiset of (base group) wr S_w, built once per (base, w) in a process."""
     if w < 0:
         raise ValueError("w must be nonnegative")
     shapes = [Counter(sym_degree(mu) for mu in enumerate_partitions(t)) for t in range(w + 1)]
@@ -184,6 +186,7 @@ def sylow2_local_count(n: int) -> int:
     P_0 = 1 and P_k = P_{k-1} wr C_2 is built as P_{k-1} wr S_2.  A degree
     of a direct product is odd iff both factors' are, so the count is the
     product of the layers' odd-degree counts, and P itself is never formed.
+    wreath_degrees keeps each layer, so a process builds P_k once for all n.
     """
     if n < 1:
         raise ValueError("n must be positive")

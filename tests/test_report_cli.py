@@ -595,12 +595,14 @@ def test_gl_blocks_of_weight_60_runs_and_every_row_passes(capsys):
     assert CHECKS["gl_blocks"].refusal({"n": 1000, "q": 2, "ell": 3}) is None
 
 
-def test_sym_mckay_admits_every_n_below_2048():
-    # The Sylow 2-subgroup costs 6^b / 32 census steps, b = n.bit_length(): 47 086 495 steps
-    # in all at n = 2047, which took 1.2 s; n = 2048 adds a twelfth layer to P.
-    assert CHECKS["sym_mckay"].cost(n=2047, p=2) == {"census step": 47_086_495}
-    assert CHECKS["sym_mckay"].refusal({"n": 2047, "p": 2}) is None
-    assert "exceeds the budget" in CHECKS["sym_mckay"].refusal({"n": 2048, "p": 2})
+def test_sym_mckay_is_charged_its_census_alone():
+    # No Sylow term: n^2 + 30 (n/2)^2 and the census decide.  n = 2421 is the largest
+    # admitted cell, and n = 4096, the first with a thirteenth layer P_12, is refused.
+    check = CHECKS["sym_mckay"]
+    assert check.cost(n=2421, p=2) == {"census step": 49_988_711}
+    assert check.refusal({"n": 2421, "p": 2}) is None
+    for n in (2422, 4096):
+        assert "exceeds the budget" in check.refusal({"n": n, "p": 2})
 
 
 @pytest.mark.parametrize("name", ["sym_bhz", "sym_am", "sym_blocks"])

@@ -365,6 +365,15 @@ def test_sylow2_local_count_wreathes_each_layer(monkeypatch):
     assert calls == [(1, 2), (2, 2), (8, 2), (128, 2)]
 
 
+def test_sylow2_local_count_builds_each_layer_once():
+    # 24 = 2^3 + 2^4 builds P_1..P_4; 29 = 2^0 + 2^2 + 2^3 + 2^4 then finds all four kept.
+    wreath_degrees.cache_clear()
+    for n, hits_and_misses in ((24, (0, 4)), (29, (4, 4))):
+        sylow2_local_count(n)
+        info = wreath_degrees.cache_info()
+        assert (info.hits, info.misses) == hits_and_misses, n
+
+
 def test_sylow2_local_count_never_forms_the_direct_product(monkeypatch):
     # 2047 = 2^0 + ... + 2^10: the odd-degree counts of the layers multiply.
     def refuse(a, b):
