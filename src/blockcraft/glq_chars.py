@@ -18,8 +18,8 @@ enumerate_class_types lists only the class types that occur over F_q, in
 one walk per (n, q), and label_count counts their labels without it.
 all_degrees builds the multiset one class type at a time and visits no
 label: each type extends the products of the prefix of factors it shares
-with the type before it.  degree_square_sum folds the same types into
-sum chi(1)^2 and the character count alone, listing no degree.
+with the type before it.  degree_square_sum lists no type and no degree:
+sum chi(1)^2 and the character count are products over polynomial degrees.
 SeriesLabel and green_degree give the same degrees one label at a time,
 for callers that need the label.  All arithmetic is exact.
 """
@@ -27,9 +27,9 @@ for callers that need the label.  All arithmetic is exact.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
-from math import prod
+from math import comb, prod
 
 from .arith import divisors, moebius
 from .errors import CrossCheckError
@@ -41,6 +41,13 @@ from .partitions import (
     validate_partition,
 )
 from .wreath_local import DegreeMultiset
+
+
+def _exact(numerator: int, denominator: int, what: str) -> int:
+    quotient, rem = divmod(numerator, denominator)
+    if rem:
+        raise CrossCheckError(f"{what} is not integral")
+    return quotient
 
 
 @lru_cache(maxsize=None)
@@ -65,10 +72,7 @@ def available_poly_count(d: int, q: int) -> int:
     """
     if d < 1 or q < 2:
         raise ValueError("need d >= 1 and q >= 2")
-    count, rem = divmod(sum(moebius(d // e) * (q**e - 1) for e in divisors(d)), d)
-    if rem:
-        raise CrossCheckError("orbit count not integral")
-    return count
+    return _exact(sum(moebius(d // e) * (q**e - 1) for e in divisors(d)), d, "orbit count")
 
 
 def enumerate_class_types(n: int, q: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
@@ -157,10 +161,8 @@ def unipotent_degree(lam: Partition, q: int) -> int:
         raise ValueError("q must be at least 2")
     validate_partition(lam)
     q_ints, q_factorial = _q_integers(sum(lam), q)
-    quotient, rem = divmod(q_factorial, prod(q_ints[h] for h in hook_lengths(lam)))
-    if rem:
-        raise CrossCheckError(f"q-hook quotient not integral for {lam!r}, q={q}")
-    return q ** _a_stat(lam) * quotient
+    hooks = prod(q_ints[h] for h in hook_lengths(lam))
+    return q ** _a_stat(lam) * _exact(q_factorial, hooks, f"q-hook quotient of {lam!r}, q={q}")
 
 
 class SeriesLabel(namedtuple("SeriesLabel", "components")):
@@ -195,12 +197,11 @@ def green_degree(label: SeriesLabel, q: int) -> int:
     the index is a quotient of the (q^j - 1)-style products; it is computed
     as an exact division, never by factoring.
     """
-    index_p_prime, rem = divmod(
+    index_p_prime = _exact(
         _gl_pprime_part(label.n, q),
         prod(_gl_pprime_part(m, q**d) for d, m, _ in label.components),
+        "p'-part of the centralizer index",
     )
-    if rem:
-        raise CrossCheckError("p'-part of the centralizer index is not integral")
     return index_p_prime * prod(unipotent_degree(lam, q**d) for d, m, lam in label.components)
 
 
@@ -262,9 +263,8 @@ def all_degrees(n: int, q: int) -> DegreeMultiset:
             stack.append((extended, centralizer * _gl_pprime_part(m_i, q**d_i)))
         previous = entries
         partial, centralizer = stack[-1]
-        index, rem = divmod(top, centralizer * _gl_pprime_part(m, q**d))
-        if rem:
-            raise CrossCheckError("p'-part of the centralizer index is not integral")
+        centralizer *= _gl_pprime_part(m, q**d)
+        index = _exact(top, centralizer, "p'-part of the centralizer index")
         for unipotent, k in _unipotent_counts(m, q**d):
             scale, weight = index * unipotent, k * class_count
             for degree, mult in partial.items():
@@ -273,25 +273,70 @@ def all_degrees(n: int, q: int) -> DegreeMultiset:
     return DegreeMultiset.from_counter(counts, gl_order(n, q))
 
 
-def degree_square_sum(n: int, q: int) -> tuple[int, int]:
-    """(sum of chi(1)^2, character count) over Irr(GL_n(q)), one class type at a time.
+def _unipotent_square_sums(top: int, q: int) -> list[int]:
+    """[S(0, q), ..., S(top, q)], S(k, q) = sum of unipotent_degree(lam, q)^2 over lam |- k."""
+    sums = [1]
+    for k in range(1, top + 1):
+        term, newton = 1, 0
+        for r in range(1, k + 1):
+            term *= q ** (k - r + 1) - 1
+            newton += sums[k - r] * _exact(term, q**r - 1, "a Newton coefficient") ** 2
+        sums.append(_exact(newton, k, "a unipotent square sum"))
+    return sums
 
-    A type's characters have degree index * prod of a unipotent degree per
-    factor, so it adds class_count * index^2 * prod S(m_i, q^{d_i}), with
-    S(m, Q) = sum k u^2 over the unipotent degrees u of GL_m(Q), and
-    class_count * prod p(m_i) characters.  No degree is listed.
+
+def _convolve(a: list[int], b: list[int], weight: list[list[int]]) -> list[int]:
+    """(a * b)_k = sum_i weight[k][i] a_{k-i} b_i, for k < len(a)."""
+    out = [0] * len(a)
+    b_terms = [(i, v) for i, v in enumerate(b) if v]
+    for j, u in enumerate(a):
+        for i, v in b_terms if u else ():
+            if i + j >= len(a):
+                break
+            out[i + j] += weight[i + j][i] * u * v
+    return out
+
+
+def _over_polynomials(n: int, q: int, leaves, weight: list[list[int]]) -> int:
+    """[x^n] prod_d (1 + F_d)^{N_d} under the weighted product, F_d = sum_m leaf_d[m] x^{dm}."""
+    total = [1] + [0] * n
+    for d, leaf in enumerate(leaves, 1):
+        f, polys = [0] * (n + 1), available_poly_count(d, q)
+        f[d::d] = leaf[1:]
+        power = series = [1] + [0] * n
+        for j in range(1, min(polys, n // d) + 1):  # (1 + F)^N = sum_j C(N, j) F^j
+            power = _convolve(power, f, weight)
+            series = [s + comb(polys, j) * t for s, t in zip(series, power)]
+        total = _convolve(total, series, weight)
+    return total[n]
+
+
+def degree_square_sum(n: int, q: int) -> tuple[int, int]:
+    """(sum of chi(1)^2, character count) over Irr(GL_n(q)), listing no class type or degree.
+
+    A character gives each of the N_d = available_poly_count(d, q) polynomials of degree d a
+    multiplicity m and a partition lam of m.  So, with g_k = |GL_k(q)|_{p'}, sum chi(1)^2 is
+    [x^n] prod_d (1 + W_d)^{N_d} under (a * b)_k = sum_i [k choose i]_q^2 a_i b_{k-i}, where W_d
+    holds S(m, q^d) (g_{dm} / |GL_m(q^d)|_{p'})^2 at x^{dm}; the count puts p(m) there.  As
+    u_lam(Q) is s_lam(1, Q, Q^2, ...) prod_{j<=k} (1 - Q^j), Cauchy's identity and Newton's give
+    the S(k, Q) = sum over lam |- k of u_lam(Q)^2 by k S(k) = sum_r S(k-r) c(k, r)^2, with
+    c(k, r) = prod_{k-r<j<=k} (Q^j - 1) / (Q^r - 1) (Macdonald, Symmetric Functions, Ch. I).
+    Inexact division raises CrossCheckError: the q-binomials and centralizer indices guard the
+    orders g_k, c(k, r) the Newton terms, and the division by k the sums S.
     """
-    top = _gl_pprime_part(n, q)
-    # S per factor, memoized for this call only, so each call reads the current _unipotent_counts.
-    factor_sum = cache(lambda d, m: sum(k * u * u for u, k in _unipotent_counts(m, q**d)))
-    square_sum = characters = 0
-    for entries, class_count in enumerate_class_types(n, q):
-        index, rem = divmod(top, prod(_gl_pprime_part(m, q**d) for d, m in entries))
-        if rem:
-            raise CrossCheckError("p'-part of the centralizer index is not integral")
-        square_sum += class_count * index * index * prod(factor_sum(d, m) for d, m in entries)
-        characters += class_count * prod(partition_count(m) for _, m in entries)
-    return square_sum, characters
+    if n < 0 or q < 2:
+        raise ValueError("need n >= 0 and q >= 2")
+    g = [_gl_pprime_part(k, q) for k in range(n + 1)]
+    binomials = [[_exact(g[k], g[i] * g[k - i], "a q-binomial") ** 2 for i in range(k + 1)]
+                 for k in range(n + 1)]
+    squares = (
+        [s * _exact(g[d * m], _gl_pprime_part(m, q**d), "p'-part of the centralizer index") ** 2
+         for m, s in enumerate(_unipotent_square_sums(n // d, q**d))]
+        for d in range(1, n + 1)
+    )
+    counts = ([partition_count(m) for m in range(n // d + 1)] for d in range(1, n + 1))
+    ones = [[1] * (n + 1)] * (n + 1)
+    return _over_polynomials(n, q, squares, binomials), _over_polynomials(n, q, counts, ones)
 
 
 def irr_pprime_count_gl(n: int, q: int) -> int:

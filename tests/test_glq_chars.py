@@ -8,6 +8,7 @@ import pytest
 
 from blockcraft import glq_chars
 from blockcraft.arith import divisors, moebius, prime_power_radical
+from blockcraft.errors import CrossCheckError
 from blockcraft.glq_chars import (
     SeriesLabel,
     all_degrees,
@@ -380,6 +381,69 @@ def test_degree_square_sum_matches_the_multiset():
             assert characters == class_numbers[n], (n, q)
             # label_count counts a class type's labels once, whatever its class count.
             assert label_count(n, q) <= characters
+
+
+def oracle_degree_square_sum(n: int, q: int) -> tuple[int, int]:
+    """(sum of chi(1)^2, character count), folded one class type at a time.
+
+    A type's characters have degree index * prod of a unipotent degree per
+    factor, so it adds class_count * index^2 * prod S(m_i, q^{d_i}), with
+    S(m, Q) = sum k u^2 over the unipotent degrees u of GL_m(Q), and
+    class_count * prod p(m_i) characters.
+    """
+    top = math.prod(q**j - 1 for j in range(1, n + 1))
+    square_sum = characters = 0
+    for entries, class_count in enumerate_class_types(n, q):
+        centralizer = math.prod(q ** (d * j) - 1 for d, m in entries for j in range(1, m + 1))
+        index, rem = divmod(top, centralizer)
+        assert not rem
+        factor_sums = (sum(k * u * u for u, k in glq_chars._unipotent_counts(m, q**d)) for d, m in entries)
+        square_sum += class_count * index * index * math.prod(factor_sums)
+        characters += class_count * math.prod(partition_count(m) for _, m in entries)
+    return square_sum, characters
+
+
+ORACLE_SQUARE_SUM_CELLS = [
+    *((n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11) for n in range(11 if q < 5 else 8)),
+    *((n, q) for n in (13, 14) for q in (2, 3)),
+    (27, 2),
+]
+
+
+def test_degree_square_sum_matches_the_class_type_fold():
+    for n, q in ORACLE_SQUARE_SUM_CELLS:
+        assert degree_square_sum(n, q) == oracle_degree_square_sum(n, q), (n, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 81])
+def test_newton_square_sums_match_the_q_hook_degrees(q):
+    square_sums = [sum(unipotent_degree(lam, q) ** 2 for lam in enumerate_partitions(k)) for k in range(13)]
+    assert glq_chars._unipotent_square_sums(12, q) == square_sums
+
+
+def test_degree_square_sum_lists_no_class_type_and_no_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("degree_square_sum must read per-degree counts only")
+
+    for name in ("enumerate_class_types", "enumerate_partitions", "unipotent_degree", "_unipotent_counts"):
+        monkeypatch.setattr(glq_chars, name, refuse)
+    assert degree_square_sum(20, 3)[0] == gl_order(20, 3)
+
+
+def test_degree_square_sum_raises_on_an_inexact_q_binomial(monkeypatch):
+    real = glq_chars._gl_pprime_part
+    # |GL_2(3)|_{3'} one too large: 17 is not divisible by |GL_1(3)|_{3'}^2 = 4.
+    monkeypatch.setattr(glq_chars, "_gl_pprime_part", lambda m, q: real(m, q) + (m == 2))
+    with pytest.raises(CrossCheckError, match="a q-binomial is not integral"):
+        degree_square_sum(3, 3)
+
+
+@pytest.mark.parametrize("n, q", [(-1, 2), (3, 1), (0, 0)])
+def test_degree_square_sum_refuses_what_gl_order_refuses(n, q):
+    with pytest.raises(ValueError):
+        gl_order(n, q)
+    with pytest.raises(ValueError):
+        degree_square_sum(n, q)
 
 
 # sha256 of repr(all_degrees(n, q).entries) as first computed by the

@@ -837,6 +837,8 @@ def test_console_script_and_python_m_give_the_same_process(argv, status, tmp_pat
 
 
 def test_planted_wrong_gl_degree_is_a_cross_check_failure(capsys, monkeypatch):
+    # Planted through _unipotent_counts and run in text, so this guards only the degree multiset's
+    # route: the sum of squares that every format checks reads no unipotent degree.
     real = glq_chars._unipotent_counts
 
     def planted(m, q):  # the first unipotent degree of each GL_3(q^d) one too large
@@ -849,6 +851,19 @@ def test_planted_wrong_gl_degree_is_a_cross_check_failure(capsys, monkeypatch):
         assert main(["gl", "degrees", "--n", "3", "--q", "2"]) == 2
     finally:
         glq_chars.all_degrees.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cross-check failure: sum of squared degrees ")
+
+
+def test_planted_wrong_square_sum_fails_the_csv_route(capsys, monkeypatch):
+    real = glq_chars._unipotent_square_sums
+
+    def planted(top, q):  # S(3, Q), the unipotent square sum of GL_3(Q), one too large
+        return [s + (k == 3) for k, s in enumerate(real(top, q))]
+
+    monkeypatch.setattr(glq_chars, "_unipotent_square_sums", planted)
+    assert main(["gl", "degrees", "--n", "3", "--q", "2", "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cross-check failure: sum of squared degrees ")
