@@ -10,6 +10,13 @@ first part at a time on ints of 64-bit slots, refused if a rim-hook sum
 could overflow a slot.  Stored once as columns, the identity column holds
 the degrees, and code that reads rows transposes them while it runs.
 
+The orthogonality checks and the central characters read one label of each
+conjugate pair {lam, lam'}, since chi^{lam'} = sgn chi^lam (James-Kerber 2.1.8),
+sgn(rho) = (-1)^(n - len(rho)).  Each checks that rule on the stored table:
+the central characters raise CrossCheckError for a pair that breaks it, and
+the orthogonality checks fail.  The table build and the Nakayama side (partitions_by_core) never read
+the pair map, so the oracle below stays independent of both.
+
 The block oracle implements the central-character criterion: chi and psi lie
 in the same p-block iff |x^G| chi(x)/chi(1) = |x^G| psi(x)/psi(1) mod p for
 every class x.  For S_n all central-character values are rational integers
@@ -41,6 +48,7 @@ from .errors import CrossCheckError, ResourceLimitError
 from .partitions import (
     Partition,
     _rim_hook_map,
+    conjugate,
     enumerate_partitions,
     hook_lengths,
     partition_count_capped,
@@ -165,26 +173,78 @@ def _table(n: int) -> SymCharacterTable:
     )
 
 
-def row_orthogonality_holds(table: SymCharacterTable) -> bool:
-    """<chi, psi> = delta, computed exactly over class sizes."""
-    order = factorial(table.n)
+@cache
+def _conjugate_pairs(classes: tuple[Partition, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each label's conjugate as an index into the labels, and sgn on each class, in class order.
+
+    One entry per table read, so the table budget bounds the cache as it bounds _table's.
+    """
+    index, n = {lam: i for i, lam in enumerate(classes)}, sum(classes[0])
+    partners = tuple(index[conjugate(lam)] for lam in classes)
+    return partners, tuple(-1 if (n - len(rho)) % 2 else 1 for rho in classes)
+
+
+def _sign_rule_break(table: SymCharacterTable) -> tuple | None:
+    """The first pair (lam, lam') whose rows break chi^{lam'} = sgn chi^lam, or None."""
+    partners, signs = _conjugate_pairs(table.classes)
     rows = list(zip(*table.columns.values()))
-    sizes = tuple(table.class_sizes.values())
-    for i, row in enumerate(rows):
-        weighted = tuple(map(mul, sizes, row))
-        for j in range(i, len(rows)):
-            if sum(map(mul, weighted, rows[j])) != (order if i == j else 0):
+    for i, j in enumerate(partners):
+        if i < j and rows[j] != tuple(map(mul, signs, rows[i])):
+            return table.classes[i], table.classes[j]
+    return None
+
+
+def row_orthogonality_holds(table: SymCharacterTable) -> bool:
+    """<chi, psi> = delta, computed exactly over class sizes, on one label of each conjugate pair.
+
+    A table whose rows break chi^{lam'} = sgn chi^lam fails the check.  Given that rule, the
+    Gram matrix over all labels is fixed by the plain and the sgn-weighted Gram matrices over
+    the representatives (one label of each pair, and each self-conjugate label), read as their
+    sums E over the even classes and O over the odd ones: E + O = delta |G|, and E - O =
+    delta |G| for a self-conjugate label and 0 for the others.
+    """
+    if _sign_rule_break(table):
+        return False
+    order, columns = factorial(table.n), list(table.columns.values())
+    partners, signs = _conjugate_pairs(table.classes)
+    reps = [i for i, j in enumerate(partners) if i <= j]
+    for side in (1, -1):
+        sizes = [size for size, sign in zip(table.class_sizes.values(), signs) if sign == side]
+        taken = (map(col.__getitem__, reps) for col, sign in zip(columns, signs) if sign == side)
+        rows = list(zip(*taken))
+        for a, (i, row) in enumerate(zip(reps, rows)):
+            weighted = tuple(map(mul, sizes, row))
+            diagonal = (order + side * order if partners[i] == i else order) // 2
+            if sum(map(mul, weighted, row)) != diagonal:
+                return False
+            if any(sum(map(mul, weighted, other)) for other in rows[a + 1:]):
                 return False
     return True
 
 
 def column_orthogonality_holds(table: SymCharacterTable) -> bool:
-    """Column sums equal the centralizer order on the diagonal, 0 off it."""
+    """Column sums equal the centralizer order on the diagonal, 0 off it, over half the labels.
+
+    A table whose rows break chi^{lam'} = sgn chi^lam fails the check.  Given that rule, a pair
+    {lam, lam'} adds (1 + sgn(rho) sgn(sigma)) chi^lam(rho) chi^lam(sigma) to the sum of columns
+    rho and sigma.  So columns of equal sign read each pair's representative twice and each
+    self-conjugate label once; columns of opposite sign read only the self-conjugate labels.
+    """
+    if _sign_rule_break(table):
+        return False
     columns = list(table.columns.values())
-    for i, (rho, column) in enumerate(zip(table.columns, columns)):
+    partners, signs = _conjugate_pairs(table.classes)
+    pairs = [i for i, j in enumerate(partners) if i < j]
+    fixed = [i for i, j in enumerate(partners) if i == j]
+    halves = [(tuple(map(col.__getitem__, pairs)), tuple(map(col.__getitem__, fixed)))
+              for col in columns]
+    for i, ((half, own), rho, sign) in enumerate(zip(halves, table.classes, signs)):
         for j in range(i, len(columns)):
-            expected = cycle_type_centralizer_order(rho) if i == j else 0
-            if sum(map(mul, column, columns[j])) != expected:
+            other_half, other_own = halves[j]
+            total = sum(map(mul, own, other_own))
+            if sign == signs[j]:
+                total += 2 * sum(map(mul, half, other_half))
+            if total != (cycle_type_centralizer_order(rho) if i == j else 0):
                 return False
     return True
 
@@ -192,18 +252,28 @@ def column_orthogonality_holds(table: SymCharacterTable) -> bool:
 def central_character_values(table: SymCharacterTable) -> tuple[tuple[int, ...], ...]:
     """omega_lam(K) = |K| chi(K) / chi(1) for each label lam and class K, both in class order.
 
-    Every value is a rational integer; one that is not raises CrossCheckError.
+    Computed for one label of each conjugate pair and each self-conjugate label: every value
+    is a rational integer, and one that is not raises CrossCheckError.  Then a pair whose rows
+    break chi^{lam'} = sgn chi^lam raises CrossCheckError naming it; otherwise the partner
+    reads omega_{lam'}(K) = sgn(K) omega_lam(K), since chi^{lam'}(1) = chi^lam(1).
     """
+    pair = _sign_rule_break(table)  # first, so its rows are freed before the omegas are made
     degrees = table.columns[(1,) * table.n]
     sizes = tuple(table.class_sizes.values())
+    partners, signs = _conjugate_pairs(table.classes)
+    rows = zip(*table.columns.values())
     out = []
-    for lam, degree, row in zip(table.classes, degrees, zip(*table.columns.values())):
+    for i, (lam, degree, row, j) in enumerate(zip(table.classes, degrees, rows, partners)):
+        if j < i:
+            out.append(tuple(map(mul, signs, out[j])))
+            continue
         products = tuple(map(mul, sizes, row))
-        omega = tuple(map(floordiv, products, repeat(degree)))
-        if tuple(map(mul, omega, repeat(degree))) != products:
-            rho = next(rho for rho, a, b in zip(table.classes, omega, products) if a * degree != b)
+        if any(map(mod, products, repeat(degree))):
+            rho = next(rho for rho, product in zip(table.classes, products) if product % degree)
             raise CrossCheckError(f"central character of {lam!r} at {rho!r} is not integral")
-        out.append(omega)
+        out.append(tuple(map(floordiv, products, repeat(degree))))
+    if pair:
+        raise CrossCheckError(f"chi^{pair[1]!r} is not sgn times chi^{pair[0]!r}")
     return tuple(out)
 
 
@@ -224,15 +294,33 @@ def _omega_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def central_character_blocks(n: int, p: int) -> BlockPartitionOracle:
     """Brute-force p-blocks of S_n: group labels by omega mod p signatures.
 
-    Labels are scanned in canonical order, so blocks come out ordered by
-    their first member.
+    A representative's residues are keyed as bytes, read as one int.  omega_{lam'} is
+    sgn omega_lam, so its partner shares the key at p = 2, and at an odd p takes it with the
+    odd-class residues negated mod p (a translation table, masked).  A prime past one byte keys
+    each label's own residues.  Labels are grouped in canonical order, so blocks come out
+    ordered by their first member.
     """
     if not is_prime(p):
         raise ValueError("p must be prime")
     table = build_table(n)
+    omegas = _omega_rows(n)
+    if p < 256:
+        partners, signs = _conjugate_pairs(table.classes)
+        odd = int.from_bytes(bytes(255 if sign < 0 else 0 for sign in signs), "little")
+        negate = bytes(-r % p for r in range(256))
+        keys = [None] * len(partners)
+        for i, j in enumerate(partners):
+            if i <= j:
+                residues = bytes(map(mod, omegas[i], repeat(p)))
+                keys[i] = keys[j] = int.from_bytes(residues, "little")
+                if i < j and p > 2:
+                    negated = int.from_bytes(residues.translate(negate), "little")
+                    keys[j] = keys[i] & ~odd | negated & odd
+    else:
+        keys = [tuple(map(mod, omega, repeat(p))) for omega in omegas]
     by_signature: dict = {}
-    for lam, omega in zip(table.classes, _omega_rows(n)):
-        by_signature.setdefault(tuple(map(mod, omega, repeat(p))), []).append(lam)
+    for lam, key in zip(table.classes, keys):
+        by_signature.setdefault(key, []).append(lam)
     return BlockPartitionOracle(n=n, p=p, blocks=tuple(map(frozenset, by_signature.values())))
 
 

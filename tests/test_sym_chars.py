@@ -4,12 +4,14 @@ from functools import cache
 
 import pytest
 
-from blockcraft import sym_chars
+from blockcraft import partitions, sym_chars
 from blockcraft.arith import nu, nu_factorial
 from blockcraft.budget import BUDGETS
+from blockcraft.cli import main
 from blockcraft.errors import CrossCheckError, ResourceLimitError
 from blockcraft.partitions import (
     _rim_hook_map,
+    conjugate,
     enumerate_partitions,
     hook_lengths,
     hook_valuation,
@@ -439,3 +441,134 @@ def test_hook_data_consistency():
         odd = sum(1 for lam in enumerate_partitions(n) if sym_degree(lam) % 2)
         assert irr_pprime_count_sym(n, 2) == odd
         assert macdonald_count(n) == odd
+
+
+# The former all-rows readers, kept as oracles for the ones that read one label per conjugate pair.
+
+
+def oracle_central_character_values(table):
+    """omega_lam(K) = |K| chi(K) / chi(1) for every label, each row computed from its own chi."""
+    degrees = table.columns[(1,) * table.n]
+    sizes = tuple(table.class_sizes.values())
+    out = []
+    for degree, row in zip(degrees, zip(*table.columns.values())):
+        assert all(size * value % degree == 0 for size, value in zip(sizes, row))
+        out.append(tuple(size * value // degree for size, value in zip(sizes, row)))
+    return tuple(out)
+
+
+def oracle_blocks(n, p):
+    """Labels grouped by the tuple of their own omega residues mod p, in canonical order."""
+    table = build_table(n)
+    by_signature = {}
+    for lam, omega in zip(table.classes, oracle_central_character_values(table)):
+        by_signature.setdefault(tuple(v % p for v in omega), []).append(lam)
+    return tuple(map(frozenset, by_signature.values()))
+
+
+def oracle_row_orthogonality(table):
+    """The full Gram matrix over every pair of labels."""
+    order = math.factorial(table.n)
+    rows = list(zip(*table.columns.values()))
+    sizes = tuple(table.class_sizes.values())
+    return all(
+        sum(s * a * b for s, a, b in zip(sizes, rows[i], rows[j])) == (order if i == j else 0)
+        for i in range(len(rows))
+        for j in range(i, len(rows))
+    )
+
+
+def oracle_column_orthogonality(table):
+    """Every pair of columns, summed over every label."""
+    items = list(table.columns.items())
+    return all(
+        sum(map(lambda a, b: a * b, items[i][1], items[j][1]))
+        == (math.factorial(table.n) // cycle_type_class_size(items[i][0]) if i == j else 0)
+        for i in range(len(items))
+        for j in range(i, len(items))
+    )
+
+
+def off_the_sign_rule(table, lam):
+    """table with chi^{lam'} replaced by chi^lam: still integral, but not sgn times chi^lam."""
+    j = table.classes.index(conjugate(lam))
+    i = table.classes.index(lam)
+    return table._replace(columns={
+        rho: column[:j] + (column[i],) + column[j + 1:] for rho, column in table.columns.items()
+    })
+
+
+def test_central_characters_match_the_all_rows_oracle():
+    for n in range(0, 16):
+        table = build_table(n)
+        assert central_character_values(table) == oracle_central_character_values(table), n
+
+
+def test_blocks_match_the_tuple_keyed_oracle_in_order():
+    # 257 is past one byte: its keys are the labels' own residues.
+    for n in range(0, 17):
+        for p in (2, 3, 5, 7, 11, 13, 17, 257):
+            assert central_character_blocks(n, p).blocks == oracle_blocks(n, p), (n, p)
+
+
+def test_orthogonality_verdicts_match_the_full_gram_oracle():
+    for n in range(0, 16):
+        table = build_table(n)
+        assert row_orthogonality_holds(table) and oracle_row_orthogonality(table), n
+        assert column_orthogonality_holds(table) and oracle_column_orthogonality(table), n
+    for n in range(4, 8):
+        table = build_table(n)
+        for rho, column in table.columns.items():
+            for i in range(len(column)):
+                for step in (1, -1, 2):
+                    wrong = column[:i] + (column[i] + step,) + column[i + 1:]
+                    bad = table._replace(columns={**table.columns, rho: wrong})
+                    assert row_orthogonality_holds(bad) == oracle_row_orthogonality(bad), (rho, i)
+                    assert column_orthogonality_holds(bad) == oracle_column_orthogonality(bad)
+
+
+def test_a_partner_off_the_sign_rule_is_refused():
+    bad = off_the_sign_rule(build_table(4), (3, 1))
+    with pytest.raises(CrossCheckError, match=r"chi\^\(2, 1, 1\) is not sgn times chi\^\(3, 1\)$"):
+        central_character_values(bad)
+    assert not row_orthogonality_holds(bad)
+    assert not column_orthogonality_holds(bad)
+    # A representative's fraction is reported first: chi^(3,1) at a 3-cycle set to 1 gives 8/3.
+    column = bad.columns[(3, 1)]
+    both = bad._replace(columns={**bad.columns, (3, 1): column[:1] + (1,) + column[2:]})
+    with pytest.raises(CrossCheckError, match=r"of \(3, 1\) at \(3, 1\) is not integral"):
+        central_character_values(both)
+
+
+def test_nakayama_oracle_exits_2_on_a_table_off_the_sign_rule(monkeypatch, capsys):
+    original = sym_chars._table
+    bad = off_the_sign_rule(original(6), (6,))
+    monkeypatch.setattr(sym_chars, "_table", lambda n: bad if n == 6 else original(n))
+    sym_chars._omega_rows.cache_clear()
+    assert main(["oracle", "nakayama", "--n", "6", "--p", "3"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["cross-check failure: chi^(1, 1, 1, 1, 1, 1) is not sgn times chi^(6,)"]
+    sym_chars._omega_rows.cache_clear()
+
+
+def test_the_table_and_the_nakayama_side_read_no_pair_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read the conjugate map")
+
+    monkeypatch.setattr(sym_chars, "_conjugate_pairs", refuse)
+    monkeypatch.setattr(partitions, "conjugate", refuse)
+    sym_chars._table.cache_clear()
+    assert len(sym_chars._table(9).classes) == 30
+    assert len(partitions.partitions_by_core.__wrapped__(12, 3)) == 7  # 3-cores of 12, 9, 6, 3, 0
+    with pytest.raises(AssertionError, match="conjugate map"):
+        row_orthogonality_holds(sym_chars._table(9))
+
+
+def test_column_check_reads_the_self_conjugate_labels_at_opposite_signs():
+    # chi^(2,2) = 2 on 4-cycles, every other label 0 there: the sign rule holds, and every sum of
+    # columns of equal sign is right, but the 4-cycle column meets the even columns in chi^(2,2).
+    table = build_table(4)
+    assert table.classes[2] == (2, 2)
+    bad = table._replace(columns={**table.columns, (4,): (0, 0, 2, 0, 0)})
+    assert not column_orthogonality_holds(bad) and not oracle_column_orthogonality(bad)
+    assert not row_orthogonality_holds(bad) and not oracle_row_orthogonality(bad)
